@@ -10,6 +10,10 @@ the end-to-end metrics.  ``--trace 1`` runs one untraced reference pass,
 then traced passes with the layer shims of ``tracing.py`` installed, and
 prints the per-layer metrics (including the tracing overhead).
 
+Every time is normalised to a reference host speed (``hostspeed.py``):
+the build host is shared and its speed drifts by up to half within
+minutes.  The record keeps each pass's measured wall time and scale.
+
 Every pass checks its outputs: the workload's own checks, the output
 checksum and exact counts in ``expected.json``, and the counts recorded
 by earlier runs of the same workload in this checkout.  A failed check
@@ -21,6 +25,7 @@ per-pass figures, and is also appended to ``perfbench/.work/runs.jsonl``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -57,7 +62,42 @@ def quantile(values: list[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
 
-def end_to_end(passes, setup_s: float,
+def timed_pass(workload, rng: random.Random, tracer=None):
+    """Run one pass (traced when given a tracer); returns it as measured
+    and the ``HostSpeed`` sampled while it ran."""
+    from hostspeed import HostSpeed
+
+    if tracer is not None:
+        import tracing
+
+        remove = tracing.install(tracer)
+    try:
+        with HostSpeed() as speed:
+            result = workload.run_pass(rng)
+    finally:
+        if tracer is not None:
+            remove()
+    return result, speed
+
+
+def normalised(result, speed):
+    """``result`` with its times at the reference host speed: seconds
+    are multiplied by the pass's scale, per-second rates divided by it.
+    A campaign cell takes the scale of the probes taken while it ran."""
+    scale = speed.scale()
+    if result.cell_started:
+        cells = [seconds * speed.scale_between(start, start + seconds)
+                 for start, seconds in zip(result.cell_started,
+                                           result.cell_s)]
+    else:
+        cells = [seconds * scale for seconds in result.cell_s]
+    return dataclasses.replace(
+        result, wall_s=result.wall_s * scale, cell_s=cells,
+        timings={name: value / scale if "per_s" in name else value * scale
+                 for name, value in result.timings.items()})
+
+
+def end_to_end(passes, setup_s: float, peak_rss_mb: float,
                problems: list[str]) -> dict[str, tuple[float, str]]:
     """The user-visible metrics: medians over the run's passes."""
     def median(fn):
@@ -72,22 +112,23 @@ def end_to_end(passes, setup_s: float,
         "entities_per_s": (median(lambda p: p.entities / p.wall_s),
                            "entities/s"),
         "cell_max_s": (median(lambda p: max(p.cell_s)), "s"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                        / 1024.0, "MB"),
+        "peak_rss_mb": (peak_rss_mb, "MB"),
         "ok_ratio": ((attempted - failed) / attempted, "ratio"),
     }
 
 
-def per_layer(tracer, traced, reference) -> dict[str, tuple[float, str]]:
+def per_layer(tracer, traced, traced_scale: float,
+              reference) -> dict[str, tuple[float, str]]:
     """Layer metrics of one traced pass (rates from the untraced one).
 
-    Times have the shims' own cost discounted (``Tracer.discounted``),
-    so they estimate the untraced pass; the ratio of the two walls is
-    the tracing overhead.
+    ``traced`` is as measured, ``reference`` normalised.  Times have the
+    shims' own cost discounted (``Tracer.discounted``) and are scaled to
+    the untraced pass, so they are at the reference host speed too; the
+    ratio of the two normalised walls is the tracing overhead.
     """
     counts = {**traced.counts, **tracer.counts}
-    own, key_self, inclusive = tracer.discounted(
-        traced.wall_s - reference.wall_s)
+    own, key_self, inclusive = tracer.discounted(traced.wall_s,
+                                                 reference.wall_s)
     own = defaultdict(float, own)
     key_self = defaultdict(float, key_self)
     inclusive = defaultdict(float, inclusive)
@@ -124,8 +165,8 @@ def per_layer(tracer, traced, reference) -> dict[str, tuple[float, str]]:
         "parallel.mt_s": (inclusive["parallel.mt"], "s"),
         "parallel.kernel_s": (key_self["parallel.scan_spans"], "s"),
         "parallel.mt_words": (counts.get("parallel.mt_words", 0), "count"),
-        "trace.overhead_ratio": (traced.wall_s / reference.wall_s,
-                                 "ratio"),
+        "trace.overhead_ratio": (traced.wall_s * traced_scale
+                                 / reference.wall_s, "ratio"),
     }
     for kind in ("resolver", "domain"):
         metrics[f"parallel.entities_per_s.{kind}"] = (
@@ -189,9 +230,17 @@ def git_commit() -> str | None:
     return None
 
 
-def check_counts(workload: str, counts: dict, expected: dict,
+def check_counts(workload: str, source: str, counts: dict, expected: dict,
                  ledger_path: Path) -> list[str]:
-    """Counts must match expected.json and every earlier run here."""
+    """Counts must match expected.json, and every earlier run of the
+    same sources here.
+
+    The invariant counts of expected.json hold for every version of the
+    simulator.  The others (``core.events``, ``dns.decodes``, ...) may
+    legitimately change with the code, so the ledger keeps them per
+    ``source`` digest: they must repeat exactly only between runs of
+    identical sources.
+    """
     problems = []
     for name, value in expected.get("counts", {}).items():
         if counts.get(name) != value:
@@ -199,7 +248,7 @@ def check_counts(workload: str, counts: dict, expected: dict,
                             f"expected {value}")
     ledger = json.loads(ledger_path.read_text()) \
         if ledger_path.is_file() else {}
-    seen = ledger.setdefault(workload, {})
+    seen = ledger.setdefault(workload, {}).setdefault(source, {})
     for name, value in counts.items():
         if seen.setdefault(name, value) != value:
             problems.append(f"count {name} = {value} drifted from "
@@ -224,16 +273,19 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"perfbench: no simulator sources at {SRC}\n")
         return 2
     sys.path.insert(0, str(SRC))
-    started = time.perf_counter()
-    from workloads import WORK_DIR, WORKLOADS
+    from hostspeed import HostSpeed
 
-    if args.workload not in WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}; pick one of "
-                     f"{sorted(WORKLOADS)}")
-    workload = WORKLOADS[args.workload]()
-    workload.setup()
+    # Set-up is short, so its host speed is sampled every 10 ms.
+    with HostSpeed(interval=0.01) as setup_speed:
+        from workloads import WORK_DIR, WORKLOADS
+
+        if args.workload not in WORKLOADS:
+            parser.error(f"unknown workload {args.workload!r}; pick one "
+                         f"of {sorted(WORKLOADS)}")
+        workload = WORKLOADS[args.workload]()
+        workload.setup()
     if args.setup_probe:
-        print(time.perf_counter() - started)
+        print(setup_speed.elapsed * setup_speed.scale())
         return 0
 
     env = environment()
@@ -243,25 +295,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace:
         import tracing
 
-        reference = workload.run_pass(rng)
+        reference = normalised(*timed_pass(workload, rng))
     passes = []
+    peak_rss_mb = None
     deadline = time.perf_counter() + args.seconds
     while not passes or time.perf_counter() < deadline:
-        if args.trace:
-            tracer = tracing.calibrated()
-            remove = tracing.install(tracer)
-            try:
-                passes.append((workload.run_pass(rng), tracer))
-            finally:
-                remove()
-        else:
-            passes.append((workload.run_pass(rng), None))
+        tracer = tracing.calibrated() if args.trace else None
+        passes.append((*timed_pass(workload, rng, tracer), tracer))
+        if peak_rss_mb is None:
+            # High water of set-up and one pass: later passes can only
+            # add fragmentation, and how many run depends on host speed.
+            peak_rss_mb = resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     expected = json.loads((HERE / "expected.json").read_text()) \
         .get(args.workload, {})
     problems = []
-    for result, tracer in passes + ([(reference, None)] if reference
-                                    else []):
+    for result, _, tracer in passes + ([(reference, 1.0, None)]
+                                       if reference else []):
         problems.extend(result.problems)
         if result.checksum != expected.get("checksum"):
             problems.append(f"output checksum {result.checksum} is not "
@@ -271,19 +322,21 @@ def main(argv: list[str] | None = None) -> int:
             counts.update(tracer.counts)
             counts["dns.decodes"] = tracer.calls["dns.decode_message"]
             counts["dns.encodes"] = tracer.calls["dns.encode_message"]
-        problems.extend(check_counts(args.workload, counts, expected,
+        problems.extend(check_counts(args.workload, env["source_sha256"],
+                                     counts, expected,
                                      WORK_DIR / "counts.json"))
-    results = [result for result, _ in passes]
+    results = [normalised(result, speed) for result, speed, _ in passes]
     attempted = sum(len(r.cell_s) for r in results)
     failed = attempted if problems else sum(r.failed for r in results)
     if args.trace:
-        # One layer split per traced pass; the median pass by wall time
-        # reports (its counts equal every other pass's by the check).
-        ranked = sorted(passes, key=lambda item: item[0].wall_s)
-        traced, tracer = ranked[len(ranked) // 2]
-        metrics = per_layer(tracer, traced, reference)
+        # One layer split per traced pass; the median pass by normalised
+        # wall time reports (its counts equal every other pass's).
+        ranked = sorted(passes,
+                        key=lambda item: item[0].wall_s * item[1].scale())
+        traced, speed, tracer = ranked[len(ranked) // 2]
+        metrics = per_layer(tracer, traced, speed.scale(), reference)
     else:
-        metrics = end_to_end(results, setup_s, problems)
+        metrics = end_to_end(results, setup_s, peak_rss_mb, problems)
     # The median cell and the tail by the percentile rule, reported with
     # its quantile and the cell count; neither is steady enough to gate.
     q = tail_quantile(len(results[0].cell_s))
@@ -294,7 +347,9 @@ def main(argv: list[str] | None = None) -> int:
         "passes": [{"wall_s": r.wall_s, "cells": len(r.cell_s),
                     "cell_p50_ms": 1e3 * quantile(r.cell_s, 0.5),
                     "cell_tail_ms": 1e3 * quantile(r.cell_s, q),
-                    **r.timings} for r in results],
+                    "raw_wall_s": raw.wall_s, "host_scale": speed.scale(),
+                    **r.timings}
+                   for r, (raw, speed, _) in zip(results, passes)],
     }
     line = json.dumps(record, sort_keys=True)
     WORK_DIR.mkdir(parents=True, exist_ok=True)

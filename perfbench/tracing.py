@@ -15,11 +15,14 @@ Three details keep the split honest:
   would bill to ``netsim``.
 * ``decode_message``/``encode_message`` and the other shimmed module
   functions are bound by name in several modules, so the shim rebinds
-  every loaded ``repro`` module that holds the original function.
+  every loaded ``repro`` module that holds the original function
+  (except, for uncounted functions, the other modules of their own
+  package, whose calls never leave the layer).
 * Shims cost time, and the layer making the most shimmed calls would
-  absorb most of it.  The cost of a span is calibrated
-  (:func:`calibrated`), and :meth:`Tracer.discounted` takes it back out,
-  scaled to the measured traced-minus-untraced slowdown.
+  absorb most of it.  A span measures its own bookkeeping and bills it
+  to no layer; the small rest is calibrated (:func:`calibrated`), and
+  :meth:`Tracer.discounted` takes it out before scaling the layers to
+  the untraced pass's wall time.
 """
 
 from __future__ import annotations
@@ -43,26 +46,36 @@ def package_of(module: str) -> str:
 class Tracer:
     """Span stack with self-time and inclusive-time accounting.
 
-    A frame is ``[layer, key, start, child, nested, below]``: ``child``
-    sums the wall time of the spans closed directly inside it,
-    ``nested`` counts them and ``below`` counts every span inside it at
-    any depth.  ``key`` names a shimmed call (``None`` for callbacks);
-    keyed spans also count calls and keep self and inclusive time per
-    key.  A call nested inside another call of the same key adds no
-    inclusive time, so re-entrant calls are not counted twice.
+    A frame is ``[layer, key, start, child, nested, below, began,
+    lost]``: ``child`` sums the wall time of the spans closed directly
+    inside it, ``nested`` counts them and ``below`` counts every span
+    inside it at any depth.  ``key`` names a shimmed call (``None`` for
+    callbacks); keyed spans also count calls and keep self and inclusive
+    time per key.  A call nested inside another call of the same key
+    adds no inclusive time, so re-entrant calls are not counted twice.
 
-    The raw times include the shims' own cost: ``inside`` seconds a span
-    between its two clock reads, ``outside`` in its caller's frame.
-    :meth:`discounted` takes it back out, from the counts kept here.
+    The span's own time runs from ``start``, read after :meth:`enter`'s
+    bookkeeping, to the first clock read of :meth:`exit`.  Its parent is
+    charged from ``began``, read before that bookkeeping, to a clock
+    read after :meth:`exit`'s.  The difference is the shim's own cost:
+    it is billed to no layer but summed in ``lost`` (per frame for the
+    spans below it, and in total).  What the clock reads cannot see is
+    small and calibrated: ``inside`` seconds a span, ``outside`` in its
+    caller's frame, and ``through`` for a shimmed call that opens no
+    span (``passed`` counts those per layer).  :meth:`discounted` takes
+    it out, from the counts kept here.
     """
 
-    def __init__(self, inside: float = 0.0, outside: float = 0.0):
+    def __init__(self, inside: float = 0.0, outside: float = 0.0,
+                 through: float = 0.0):
         self.inside = inside
         self.outside = outside
+        self.through = through
         self.stack: list[list] = []
         self.layer_self: defaultdict[str, float] = defaultdict(float)
         self.opened: Counter = Counter()
         self.nested: Counter = Counter()
+        self.passed: Counter = Counter()
         self.key_self: defaultdict[str, float] = defaultdict(float)
         self.key_nested: Counter = Counter()
         self.inclusive: defaultdict[str, float] = defaultdict(float)
@@ -70,20 +83,26 @@ class Tracer:
         self.inclusive_below: Counter = Counter()
         self.calls: Counter = Counter()
         self.counts: Counter = Counter()
+        self.lost = 0.0
         self._depth: Counter = Counter()
         self._layers: dict = {}
         self._runners: dict[str, object] = {}
 
     def enter(self, layer: str, key: str | None = None) -> None:
+        began = _clock()
         if key is not None:
             self.calls[key] += 1
             self._depth[key] += 1
-        self.stack.append([layer, key, _clock(), 0.0, 0, 0])
+        frame = [layer, key, 0.0, 0.0, 0, 0, began, 0.0]
+        self.stack.append(frame)
+        frame[2] = _clock()
 
     def exit(self) -> float:
         """Close the innermost span; returns its duration."""
-        layer, key, start, child, nested, below = self.stack.pop()
-        elapsed = _clock() - start
+        end = _clock()
+        layer, key, start, child, nested, below, began, lost = \
+            self.stack.pop()
+        elapsed = end - start
         self.layer_self[layer] += elapsed - child
         self.opened[layer] += 1
         self.nested[layer] += nested
@@ -93,41 +112,57 @@ class Tracer:
             depth = self._depth[key] - 1
             self._depth[key] = depth
             if not depth:
-                self.inclusive[key] += elapsed
+                self.inclusive[key] += elapsed - lost
                 self.inclusive_calls[key] += 1
                 self.inclusive_below[key] += below
-        if self.stack:
-            parent = self.stack[-1]
-            parent[3] += elapsed
-            parent[4] += 1
-            parent[5] += below + 1
+        if not self.stack:
+            self.lost += lost
+            return elapsed
+        parent = self.stack[-1]
+        parent[4] += 1
+        parent[5] += below + 1
+        spent = _clock() - began
+        parent[3] += spent
+        parent[7] += lost + spent - elapsed
         return elapsed
 
     @property
     def spans(self) -> int:
         return sum(self.opened.values())
 
-    def discounted(self, slowdown: float):
-        """``(layer self, key self, key inclusive)`` seconds without the
-        shims' cost.
+    def discounted(self, traced_wall: float, untraced_wall: float):
+        """``(layer self, key self, key inclusive)`` seconds as an
+        untraced pass would spend them.
 
-        ``slowdown`` is how much longer the traced pass took than an
-        untraced one.  Real spans cost more than the calibration loop's
-        (colder caches), so the calibrated costs are scaled until the
-        discount over all spans equals the slowdown.
+        The calibrated cost of every span and pass-through call is taken
+        out first (the measured ``lost`` time is in no layer).  The
+        traced pass also runs slower beyond those costs
+        (colder caches, more allocation), and that slows all code alike:
+        so the net times, with the harness time outside any span, are
+        then scaled to sum to ``untraced_wall``.  Scaling the shim cost
+        to the measured slowdown instead would over-charge the layers
+        that make many short calls, and would carry the run-to-run noise
+        of two separate passes into every layer's share.  Inclusive
+        times lose only the cost of the spans inside them.
         """
-        calibrated = self.spans * (self.inside + self.outside)
-        scale = max(slowdown, 0.0) / calibrated if calibrated else 0.0
-        inside, outside = self.inside * scale, self.outside * scale
+        inside, outside, through = self.inside, self.outside, self.through
         layer = {name: max(0.0, seconds - self.opened[name] * inside
-                           - self.nested[name] * outside)
+                           - self.nested[name] * outside
+                           - self.passed[name] * through)
                  for name, seconds in self.layer_self.items()}
-        key = {name: max(0.0, seconds - self.calls[name] * inside
-                         - self.key_nested[name] * outside)
+        harness = max(0.0, traced_wall - self.lost
+                      - sum(self.layer_self.values()))
+        net = sum(layer.values()) + harness
+        scale = untraced_wall / net if net > 0 else 0.0
+        layer = {name: seconds * scale for name, seconds in layer.items()}
+        key = {name: scale * max(0.0, seconds - self.calls[name] * inside
+                                 - self.key_nested[name] * outside)
                for name, seconds in self.key_self.items()}
         inclusive = {
-            name: max(0.0, seconds - self.inclusive_calls[name] * inside
-                      - self.inclusive_below[name] * (inside + outside))
+            name: scale * max(0.0, seconds
+                              - self.inclusive_calls[name] * inside
+                              - self.inclusive_below[name]
+                              * (inside + outside))
             for name, seconds in self.inclusive.items()}
         return layer, key, inclusive
 
@@ -139,15 +174,17 @@ class Tracer:
         unkeyed or ``count_only`` (then it is only counted): it would
         change no layer's self time, only add shim cost.
         """
-        enter, leave, stack, calls = \
-            self.enter, self.exit, self.stack, self.calls
+        enter, leave, stack, calls, passed = \
+            self.enter, self.exit, self.stack, self.calls, self.passed
 
         def traced(*args, **kwargs):
             if stack and stack[-1][0] == layer:
                 if key is None:
+                    passed[layer] += 1
                     return fn(*args, **kwargs)
                 if count_only:
                     calls[key] += 1
+                    passed[layer] += 1
                     return fn(*args, **kwargs)
             enter(layer, key)
             try:
@@ -220,15 +257,15 @@ def calibrated(calls: int = 20_000, rounds: int = 5) -> Tracer:
     Times ``calls`` empty loop turns, direct calls of a no-op, and
     wrapped calls of it inside an outer span: the wrapped span's extra
     self time is the inside cost, the outer span's extra self time the
-    outside cost.  The median of ``rounds`` rounds is kept, since a
-    shared host makes any one round noisy.  Every span is charged the
-    same; once :meth:`Tracer.discounted` scales the cost to the measured
-    slowdown, only the inside/outside split matters.
+    outside cost.  The same wrapped calls made from a span of their own
+    layer open no span; their extra time is the pass-through cost.  The
+    median of ``rounds`` rounds is kept, since a shared host makes any
+    one round noisy.  Every span is charged the same.
     """
     def noop():
         return None
 
-    insides, outsides = [], []
+    insides, outsides, throughs = [], [], []
     turns = range(calls)
     for _ in range(rounds):
         probe = Tracer()
@@ -248,8 +285,16 @@ def calibrated(calls: int = 20_000, rounds: int = 5) -> Tracer:
         insides.append((probe.layer_self["inner"] - (direct - loop))
                        / calls)
         outsides.append((probe.layer_self["outer"] - loop) / calls)
+        probe.enter("inner")
+        inner = probe.layer_self["inner"]
+        for _ in turns:
+            wrapped()
+        probe.exit()
+        throughs.append((probe.layer_self["inner"] - inner - direct)
+                        / calls)
     return Tracer(inside=max(statistics.median(insides), 0.0),
-                  outside=max(statistics.median(outsides), 0.0))
+                  outside=max(statistics.median(outsides), 0.0),
+                  through=max(statistics.median(throughs), 0.0))
 
 
 def _patch(undo: list, owner, name: str, value) -> None:
@@ -261,11 +306,17 @@ def _patch(undo: list, owner, name: str, value) -> None:
     setattr(owner, name, value)
 
 
-def _rebind(undo: list, original, replacement) -> None:
+def _rebind(undo: list, original, replacement,
+            skip_package: str | None = None) -> None:
     """Point every loaded ``repro`` module's binding of ``original`` at
-    ``replacement``."""
+    ``replacement``, except in the modules of ``skip_package`` other
+    than the one defining it: their calls stay inside the layer, where
+    the shim would only pass through at a cost."""
     for module_name, module in list(sys.modules.items()):
         if module is None or not module_name.startswith("repro"):
+            continue
+        if package_of(module_name) == skip_package \
+                and module_name != original.__module__:
             continue
         for attr, value in list(vars(module).items()):
             if value is original:
@@ -305,8 +356,10 @@ def install(tracer: Tracer):
 
     def function(original, layer: str, key: str | None = None,
                  count_only: bool = False):
+        # Keyed calls are counted and timed wherever they come from.
         _rebind(undo, original,
-                tracer.wrap(original, layer, key, count_only))
+                tracer.wrap(original, layer, key, count_only),
+                skip_package=None if key else layer)
 
     # core: the event loop and the scheduling calls (every callback runs
     # in a span of the package that defined it), and the RNG's own
@@ -323,14 +376,14 @@ def install(tracer: Tracer):
 
     # Socket handlers: whatever is stored on a socket (by open_udp or by
     # a resolver re-arming its socket) runs in its own package's span.
-    def get_handler(sock):
-        return sock.__dict__.get("handler")
+    # Hooking the store rather than the read keeps delivery itself free
+    # of shim cost.
+    def set_attribute(sock, name, value):
+        if name == "handler" and value is not None:
+            value = tracer.wrap(value, tracer.layer_of(value))
+        object.__setattr__(sock, name, value)
 
-    def set_handler(sock, handler):
-        sock.__dict__["handler"] = None if handler is None \
-            else tracer.wrap(handler, tracer.layer_of(handler))
-
-    _patch(undo, UdpSocket, "handler", property(get_handler, set_handler))
+    _patch(undo, UdpSocket, "__setattr__", set_attribute)
 
     # netsim: the packet path and packet construction, as other layers
     # call into them.

@@ -47,7 +47,10 @@ class PassResult:
     ``cell_s`` holds the wall seconds of every cell of the cold pass
     (campaign cells, or atlas shards); ``entities`` is the work behind
     ``entities_per_s``.  ``problems`` lists every output check that
-    failed: any entry fails every cell of the pass.
+    failed: any entry fails every cell of the pass.  ``cell_started``
+    holds each campaign cell's ``perf_counter`` start, in ``cell_s``
+    order, so a cell's time can be scaled by the host's speed while it
+    ran (empty when cells are not timed one by one).
     """
 
     wall_s: float
@@ -58,6 +61,7 @@ class PassResult:
     failed: int = 0
     problems: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    cell_started: list[float] = field(default_factory=list)
 
 
 @contextmanager
@@ -68,11 +72,14 @@ def world_tally():
     returns and folds its counters when the next world is built (or
     when the block ends), so at most one finished world stays alive.
     The cost is one extra call per cell, so untraced passes use it too.
+    Yields the counts and the list of the cells' start times (one
+    world is built as each cell starts).
     """
     from repro.scenario.spec import AttackScenario
 
     original = AttackScenario.make_world
     counts: Counter = Counter()
+    started: list[float] = []
     held: list[dict] = []
 
     def fold() -> None:
@@ -87,6 +94,7 @@ def world_tally():
             counts["dns.cache_misses"] += resolver.cache.stats.misses
 
     def make_world(scenario, seed=0):
+        started.append(time.perf_counter())
         world = original(scenario, seed=seed)
         fold()
         held.append(world)
@@ -94,7 +102,7 @@ def world_tally():
 
     AttackScenario.make_world = make_world
     try:
-        yield counts
+        yield counts, started
     finally:
         AttackScenario.make_world = original
         fold()
@@ -109,6 +117,11 @@ def scratch_dir():
         yield path
     finally:
         shutil.rmtree(path, ignore_errors=True)
+
+
+def _one_per_cell(started: list[float], runs: list) -> list[float]:
+    """The cells' start times, if each cell built exactly one world."""
+    return list(started) if len(started) == len(runs) else []
 
 
 def _in_order(order: list[int], runs: list) -> list:
@@ -157,7 +170,7 @@ class AblationSingles:
         order = list(range(len(self.cells)))
         rng.shuffle(order)
         pairs = [(self.cells[i][2], self.cells[i][3]) for i in order]
-        with world_tally() as counts:
+        with world_tally() as (counts, cell_started):
             started = time.perf_counter()
             result = Campaign(executor="serial").run_pairs(pairs)
             wall = time.perf_counter() - started
@@ -175,7 +188,8 @@ class AblationSingles:
             wall_s=wall, cell_s=[run.wall_time for run in result.runs],
             entities=counts["netsim.packets"], checksum=digest(verdicts),
             counts=dict(counts), failed=sum(r.failed for r in runs),
-            problems=problems)
+            problems=problems,
+            cell_started=_one_per_cell(cell_started, result.runs))
 
 
 class LoadedDefended:
@@ -233,7 +247,7 @@ class LoadedDefended:
         with scratch_dir() as work:
             store = RunStore(work / "runs.db")
             try:
-                with world_tally() as counts:
+                with world_tally() as (counts, cell_started):
                     started = time.perf_counter()
                     cold = self._sweep(store, scenarios, stacks, seeds)
                     wall = time.perf_counter() - started
@@ -271,7 +285,8 @@ class LoadedDefended:
             wall_s=wall, cell_s=[run.wall_time for run in cold.runs],
             entities=counts["netsim.packets"], checksum=digest(flat["cold"]),
             counts=dict(counts), failed=sum(r.failed for r in cold.runs),
-            problems=problems, timings={"resume_s": resume})
+            problems=problems, timings={"resume_s": resume},
+            cell_started=_one_per_cell(cell_started, cold.runs))
 
 
 class AtlasFull:
