@@ -25,8 +25,7 @@ The package implements, on a byte-accurate simulated Internet:
   :class:`Defense` specs with pure world-config transforms, stackable
   across layers (``ip``/``transport``/``dns``/``bgp``/``app``) into a
   :class:`DefenseStack` that any scenario, campaign, planner verdict or
-  atlas calibration consumes (:mod:`repro.countermeasures` remains as a
-  thin deprecation shim);
+  atlas calibration consumes;
 * an experiment registry regenerating every table and figure
   (:mod:`repro.experiments`);
 * the attack-surface atlas (:mod:`repro.atlas`): sharded synthesis and
@@ -184,9 +183,9 @@ Atlas quickstart — Section 5 at the paper's full dataset sizes::
     # Interrupted?  Re-run the same call: only missing shards compute.
     # ``workers="auto"`` (or ``--workers auto`` on any CLI) resolves to
     # the schedulable CPU count; ``REPRO_WORKERS`` overrides it.  The
-    # scan runs the batch-vectorised kernel when numpy is present and a
-    # bit-identical pure-Python fallback otherwise; results never
-    # depend on kernel, worker count or completion order.
+    # scan runs the batch-vectorised numpy kernel (the per-entity
+    # scalar scan is the reference); results never depend on kernel,
+    # worker count or completion order.
 
     # Multi-host: point claim-mode workers at one shared store — each
     # leases shards atomically, killed workers' leases expire, and the

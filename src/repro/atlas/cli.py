@@ -35,6 +35,7 @@ from repro.measurements.population import (
     ResolverDatasetSpec,
 )
 from repro.measurements.report import render_table
+from repro.parallel.kernel import KERNELS
 from repro.parallel.workers import parse_workers
 
 #: Calibration drift allowed between a full-scale scan and the paper's
@@ -349,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "schedulable CPUs (env: REPRO_WORKERS)")
         p.add_argument("--executor", choices=("process", "serial"),
                        default="process")
-        p.add_argument("--kernel", default="auto",
-                       choices=("auto", "vector", "python", "scalar"),
-                       help="per-shard scan implementation (all "
+        p.add_argument("--kernel", default="auto", choices=KERNELS,
+                       help="per-shard scan implementation (both "
                             "bit-identical; default picks the "
                             "vectorised kernel when numpy is present)")
         p.add_argument("--store", default=None,

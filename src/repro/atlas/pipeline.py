@@ -37,14 +37,8 @@ from repro.atlas.shards import (
     population_spec_hash,
     shard_ranges,
 )
-from repro.atlas.store import AtlasStore, ShardRecord
-from repro.atlas.synth import iter_entities
-from repro.measurements.population import (
-    DOMAIN_DATASETS,
-    RESOLVER_DATASETS,
-    DomainProfile,
-    FrontEnd,
-)
+from repro.atlas.store import AtlasStore, ShardRecord, records_in_layout
+from repro.measurements.population import DOMAIN_DATASETS, RESOLVER_DATASETS
 from repro.measurements.scanner import SurveySummary
 
 EXECUTORS = ("process", "serial")
@@ -96,10 +90,9 @@ def _scan_shard(task: tuple[DatasetSpec, Any, ShardRange, str, str]
                 ) -> ShardRecord:
     """Worker entry point: scan one shard into an aggregate.
 
-    Dispatches to the batch-vectorised columnar kernel (or its pure-
-    Python columnar fallback) — bit-identical to streaming the shard's
-    entities through the serial observers, which ``kernel="scalar"``
-    still does.
+    Dispatches to the batch-vectorised columnar kernel — bit-identical
+    to streaming the shard's entities through the serial observers,
+    which ``kernel="scalar"`` still does.
     """
     spec, seed, shard, spec_hash, kernel = task
     kind = dataset_kind(spec)
@@ -199,7 +192,6 @@ class AtlasScanReport:
     aggregate: ScanAggregate
     summary: SurveySummary
     notes: list[str] = field(default_factory=list)
-    entities_kept: list[FrontEnd | DomainProfile] | None = None
 
     @property
     def entities_per_second(self) -> float:
@@ -214,7 +206,6 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
                  workers: int | str | None = None,
                  executor: str = "process",
                  store: AtlasStore | None = None,
-                 keep_entities: bool = False,
                  kernel: str = "auto") -> AtlasScanReport:
     """Scan one dataset's synthetic population, sharded and resumable.
 
@@ -224,13 +215,13 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
 
     ``workers`` accepts a count, ``None`` (capped default) or
     ``"auto"`` (every schedulable CPU); ``kernel`` picks the per-shard
-    scan implementation (``"auto"``/``"vector"``/``"python"``/
-    ``"scalar"`` — all bit-identical, see :mod:`repro.parallel.kernel`).
+    scan implementation (one of
+    :data:`repro.parallel.kernel.KERNELS`, all bit-identical).
 
-    ``keep_entities`` retains the generated entities on the report (for
-    the sampled experiment paths that also need per-entity access, e.g.
-    the Figure 5 Venn flags); it forces the serial executor, holds the
-    whole population in memory, and cannot be combined with a store.
+    The report carries aggregates only; callers that need the entities
+    themselves stream them with :func:`repro.atlas.synth.iter_entities`.
+    With a ``store``, shards it already holds for this shard layout are
+    loaded instead of scanned.
     """
     kind = dataset_kind(spec)
     if executor not in EXECUTORS:
@@ -246,26 +237,12 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
 
     cached: dict[int, ShardRecord] = {}
     if store is not None:
-        for shard_id, record in store.load(spec_hash).items():
-            matching = next((r for r in ranges
-                             if r.shard_id == shard_id), None)
-            if matching is not None and (record.lo, record.hi) == \
-                    (matching.lo, matching.hi):
-                cached[shard_id] = record
-            else:
-                notes.append(
-                    f"stored shard {shard_id} has a different range; "
-                    "recomputing")
+        stored = store.load(spec_hash)
+        cached = records_in_layout(stored, ranges)
+        notes.extend(f"stored shard {shard_id} has a different range; "
+                     "recomputing"
+                     for shard_id in stored if shard_id not in cached)
     missing = [r for r in ranges if r.shard_id not in cached]
-
-    if keep_entities:
-        if store is not None:
-            # Cached shards would be missing from entities_kept while
-            # the aggregate covered them — a silently partial list.
-            raise ValueError(
-                "keep_entities cannot be combined with a store; "
-                "materialised runs always regenerate")
-        executor = "serial"
 
     scan_span = None
     if OBS.enabled:
@@ -275,62 +252,28 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
         if cached:
             OBS.counter("atlas.shards_cached_total",
                         dataset=spec.key).inc(len(cached))
-    kept: list[FrontEnd | DomainProfile] | None = None
     try:
         with stage("atlas.scan", dataset=spec.key) as timer:
-            if keep_entities:
-                # Serial streaming path that also materialises the
-                # entities: used by the sampled Table 3/4 runs which
-                # hand populations to Figures 3/5.
-                kept = []
-                fresh = []
-                for shard in missing:
-                    aggregate = ScanAggregate(kind=kind)
-                    shard_started = time.perf_counter()
-                    for entity in iter_entities(spec, seed=seed,
-                                                lo=shard.lo,
-                                                hi=shard.hi):
-                        kept.append(entity)
-                        aggregate.observe(entity)
-                    fresh.append(ShardRecord(
-                        spec_hash=spec_hash, shard_id=shard.shard_id,
-                        dataset=spec.key, kind=kind, lo=shard.lo,
-                        hi=shard.hi,
-                        wall_time=time.perf_counter() - shard_started,
-                        aggregate=aggregate,
-                    ))
-                executor_used, workers_used = "serial", 1
+            # Stream every completed shard straight into the store: an
+            # interrupted scan keeps everything finished so far, and
+            # memory never holds more than the (small) aggregate records.
+            def on_result(_index: int, record: ShardRecord) -> None:
                 if OBS.enabled:
-                    for record in fresh:
-                        _observe_shard(record)
+                    _observe_shard(record)
                 if store is not None:
-                    for record in fresh:
-                        store.append(record)
-            else:
-                # Stream every completed shard straight into the
-                # store: an interrupted scan keeps everything finished
-                # so far, and memory never holds more than the (small)
-                # aggregate records.
-                def on_result(_index: int,
-                              record: ShardRecord) -> None:
-                    if OBS.enabled:
-                        _observe_shard(record)
-                    if store is not None:
-                        store.append(record)
+                    store.append(record)
 
-                count = min(resolve_workers(workers),
-                            len(missing)) or 1
-                if executor == "serial" or count == 1:
-                    fresh = _scan_missing_serial(
-                        spec, seed, missing, spec_hash, kernel,
-                        on_result)
-                    executor_used, workers_used = "serial", 1
-                else:
-                    tasks = [(spec, seed, shard, spec_hash, kernel)
-                             for shard in missing]
-                    fresh, executor_used, workers_used = run_tasks(
-                        _scan_shard, tasks, workers=count,
-                        executor=executor, on_result=on_result)
+            count = min(resolve_workers(workers), len(missing)) or 1
+            if executor == "serial" or count == 1:
+                fresh = _scan_missing_serial(
+                    spec, seed, missing, spec_hash, kernel, on_result)
+                executor_used, workers_used = "serial", 1
+            else:
+                tasks = [(spec, seed, shard, spec_hash, kernel)
+                         for shard in missing]
+                fresh, executor_used, workers_used = run_tasks(
+                    _scan_shard, tasks, workers=count,
+                    executor=executor, on_result=on_result)
     finally:
         if scan_span is not None:
             OBS.spans.finish(scan_span)
@@ -363,7 +306,6 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
         aggregate=aggregate,
         summary=aggregate.to_summary(spec.label, spec.full_size),
         notes=notes,
-        entities_kept=kept,
     )
     return report
 

@@ -8,10 +8,10 @@ shard stays durable.  Rerunning the scan then recomputes *only* the
 missing shards (see :mod:`repro.atlas.pipeline`).
 
 When the same shard appears twice (e.g. a scan raced its own retry),
-the last complete record wins; the ranges recorded per shard are
-validated against the requested shard layout on resume, so a store
-written under a different ``--shards`` value is recomputed rather than
-mis-merged.
+the last complete record wins.  Records are keyed by population, not by
+shard layout, so every reader filters them through
+:func:`records_in_layout`: a store written under a different
+``--shards`` value is recomputed rather than mis-merged.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from repro.atlas.aggregate import ScanAggregate
+from repro.atlas.shards import ShardRange
 
 
 @dataclass
@@ -107,3 +109,17 @@ class AtlasStore:
     def spec_hashes(self) -> list[str]:
         """Every population with at least one stored shard."""
         return sorted(path.stem for path in self.root.glob("*.jsonl"))
+
+
+def records_in_layout(records: dict[int, ShardRecord],
+                      ranges: Iterable[ShardRange]
+                      ) -> dict[int, ShardRecord]:
+    """The stored records that belong to the shard layout ``ranges``.
+
+    A record counts only when both its shard id and its ``[lo, hi)``
+    match a range: under another shard count the same ids cover other
+    slices of the population.
+    """
+    bounds = {shard.shard_id: (shard.lo, shard.hi) for shard in ranges}
+    return {shard_id: record for shard_id, record in records.items()
+            if bounds.get(shard_id) == (record.lo, record.hi)}

@@ -41,11 +41,6 @@ class AblationCell:
         """True when reality agrees with the Section 6 claim."""
         return self.attack_succeeded != self.expected_defeated
 
-    @property
-    def mitigation(self) -> str:
-        """Deprecated alias: the old cell field name for the stack key."""
-        return self.defense
-
 
 def _attack_friendly_overrides(attack: str) -> dict[str, Any]:
     """Scenario overrides that make ``attack`` succeed un-defended.

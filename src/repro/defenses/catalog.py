@@ -240,8 +240,7 @@ class RpkiRov(Defense):
         return {"rov_protects_prefixes": True}
 
 
-#: The eight Section 6 defenses in the paper's presentation order
-#: (mirrors ``repro.countermeasures.ALL_MITIGATIONS``).
+#: The eight Section 6 defenses in the paper's presentation order.
 DEFENSE_0X20 = register_defense(Encoding0x20())
 DEFENSE_RANDOMIZE_RECORDS = register_defense(RandomizeRecords())
 DEFENSE_BLOCK_FRAGMENTS = register_defense(BlockFragments())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import WireFormatError
 from repro.core.rng import DeterministicRNG
 from repro.dns.cache import DnsCache
 from repro.dns.message import RCODE_SERVFAIL
@@ -62,7 +63,7 @@ class Forwarder:
                          dst: str) -> None:
         try:
             query = decode_message(datagram.payload)
-        except Exception:
+        except WireFormatError:
             return
         if query.is_response or query.question is None:
             return
@@ -93,7 +94,7 @@ class Forwarder:
             return
         try:
             response = decode_message(datagram.payload)
-        except Exception:
+        except WireFormatError:
             return
         pending = self._pending.pop(response.txid, None)
         if pending is None:

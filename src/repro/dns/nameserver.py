@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.errors import WireFormatError
 from repro.core.rng import DeterministicRNG
 from repro.dns import names
 from repro.dns.message import (
@@ -96,7 +97,7 @@ class AuthoritativeServer:
     def _on_datagram(self, datagram: UdpDatagram, src: str, dst: str) -> None:
         try:
             query = decode_message(datagram.payload)
-        except Exception:
+        except WireFormatError:
             return  # malformed queries are dropped silently
         if query.is_response:
             return
@@ -113,7 +114,7 @@ class AuthoritativeServer:
     def _on_stream(self, payload: bytes, src: str) -> bytes | None:
         try:
             query = decode_message(payload)
-        except Exception:
+        except WireFormatError:
             return None
         self.stats.queries += 1
         response = self.build_response(query, via_tcp=True, client=src)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.clock import TimerHandle
+from repro.core.errors import WireFormatError
 from repro.core.rng import DeterministicRNG
 from repro.dns import names
 from repro.dns.cache import DnsCache
@@ -218,7 +219,7 @@ class _Resolution:
             return
         try:
             response = decode_message(datagram.payload)
-        except Exception:
+        except WireFormatError:
             return
         if not self._validate(response, src):
             self.resolver.stats.rejected_responses += 1
@@ -258,7 +259,7 @@ class _Resolution:
                 return
             try:
                 response = decode_message(data)
-            except Exception:
+            except WireFormatError:
                 self._on_timeout()
                 return
             self._close_socket()
@@ -518,7 +519,7 @@ class RecursiveResolver:
                          dst: str) -> None:
         try:
             query = decode_message(datagram.payload)
-        except Exception:
+        except WireFormatError:
             return
         if query.is_response or query.question is None:
             return
@@ -572,7 +573,7 @@ class RecursiveResolver:
         # the socket plumbing by resolving synchronously-ish.
         try:
             query = decode_message(payload)
-        except Exception:
+        except WireFormatError:
             return None
         if query.question is None or not self._client_allowed(src):
             refusal = query.reply_skeleton()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import ResolutionError
+from repro.core.errors import ResolutionError, WireFormatError
 from repro.core.rng import DeterministicRNG
 from repro.dns.message import RCODE_NOERROR, make_query
 from repro.dns.records import ResourceRecord, type_code
@@ -87,7 +87,7 @@ class StubResolver:
                     return
                 try:
                     response = decode_message(datagram.payload)
-                except Exception:
+                except WireFormatError:
                     return
                 if response.txid != txid or not response.is_response:
                     return

@@ -1,9 +1,10 @@
 """Table 3: vulnerable resolvers per dataset.
 
-Both paths run on the :mod:`repro.atlas` shard pipeline:
+Both paths run on :mod:`repro.atlas`:
 
 * :func:`run` — the sampled survey (``scale`` of each population,
-  entities kept in memory for the figures that need per-entity access);
+  entities materialised for the figures that need per-entity access
+  and folded into one aggregate);
 * :func:`run_full` — the population-scale scan at the paper's full
   dataset sizes (1.58M open resolvers), streaming in constant memory,
   optionally sharded across process workers and resumable via an
@@ -12,7 +13,10 @@ Both paths run on the :mod:`repro.atlas` shard pipeline:
 
 from __future__ import annotations
 
+from repro.atlas.aggregate import ScanAggregate
 from repro.atlas.pipeline import AtlasScanReport, scan_dataset
+from repro.atlas.shards import dataset_kind
+from repro.atlas.synth import iter_entities
 from repro.experiments.base import ExperimentResult
 from repro.measurements.population import (
     RESOLVER_DATASETS,
@@ -34,6 +38,20 @@ def _full_scan_note(reports: dict[str, AtlasScanReport], wall: float,
     if cached:
         note += f" (+{cached:,} loaded from the shard store)"
     return note
+
+
+def _sampled_scan(spec, seed, scale: float):
+    """``(summary, population)`` of a ``scale`` sample of one dataset.
+
+    The entities are kept (Figures 3 and 5 need per-entity access), so
+    this skips the shard pipeline, which only ever returns aggregates.
+    """
+    population = list(iter_entities(
+        spec, seed=seed, hi=sample_size(spec.full_size, scale)))
+    aggregate = ScanAggregate(kind=dataset_kind(spec))
+    for entity in population:
+        aggregate.observe(entity)
+    return aggregate.to_summary(spec.label, spec.full_size), population
 
 
 def _row(spec, summary) -> list[str]:
@@ -70,13 +88,9 @@ def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     summaries = {}
     populations = {}
     for spec in RESOLVER_DATASETS:
-        report = scan_dataset(
-            spec, seed=seed, entities=sample_size(spec.full_size, scale),
-            shards=1, executor="serial", keep_entities=True,
-        )
-        summaries[spec.key] = report.summary
-        populations[spec.key] = report.entities_kept
-        rows.append(_row(spec, report.summary))
+        summary, populations[spec.key] = _sampled_scan(spec, seed, scale)
+        summaries[spec.key] = summary
+        rows.append(_row(spec, summary))
     return _result(
         rows, summaries,
         {"populations": populations,

@@ -1,6 +1,6 @@
 """Table 4: vulnerable domains per dataset.
 
-Runs on the :mod:`repro.atlas` shard pipeline; see
+Runs on :mod:`repro.atlas`; see
 :mod:`repro.experiments.table3` for the sampled vs. full-population
 split.
 """
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from repro.atlas.pipeline import AtlasScanReport, scan_dataset
 from repro.experiments.base import ExperimentResult
+from repro.experiments.table3 import _full_scan_note, _sampled_scan
 from repro.measurements.population import (
     DOMAIN_DATASETS,
-    sample_size,
 )
 from repro.measurements.report import render_table
 
@@ -63,13 +63,9 @@ def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     summaries = {}
     populations = {}
     for spec in DOMAIN_DATASETS:
-        report = scan_dataset(
-            spec, seed=seed, entities=sample_size(spec.full_size, scale),
-            shards=1, executor="serial", keep_entities=True,
-        )
-        summaries[spec.key] = report.summary
-        populations[spec.key] = report.entities_kept
-        rows.append(_row(spec, report.summary))
+        summary, populations[spec.key] = _sampled_scan(spec, seed, scale)
+        summaries[spec.key] = summary
+        rows.append(_row(spec, summary))
     return _result(rows, summaries, {"populations": populations},
                    [SEMANTICS_NOTE])
 
@@ -90,8 +86,6 @@ def run_full(seed: int = 0, entities: int | None = None, shards: int = 16,
         summaries[spec.key] = report.summary
         rows.append(_row(spec, report.summary))
         total_wall += report.wall_clock
-    from repro.experiments.table3 import _full_scan_note
-
     return _result(
         rows, summaries, {"reports": reports},
         [SEMANTICS_NOTE,

@@ -3,7 +3,8 @@
 Three pillars, all bit-identical to the serial reference paths:
 
 * :mod:`repro.parallel.kernel` — batch-vectorised columnar atlas scan
-  (lockstep MT19937 over numpy, pure-Python ``array`` fallback),
+  (lockstep MT19937 over numpy, the per-entity scalar scan as the
+  reference),
 * :mod:`repro.parallel.scheduler` + :mod:`repro.parallel.workers` —
   work-stealing shard dispatch and the shared ``--workers auto``
   resolver,

@@ -34,7 +34,7 @@ from repro.atlas.shards import (
     population_spec_hash,
     shard_ranges,
 )
-from repro.atlas.store import AtlasStore, ShardRecord
+from repro.atlas.store import AtlasStore, ShardRecord, records_in_layout
 from repro.obs import OBS
 
 #: Default lease time-to-live.  Heartbeats refresh the lease after
@@ -128,8 +128,8 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
                  max_shards: int | None = None) -> ClaimOutcome:
     """Run one claim-mode worker until no shard is left to claim.
 
-    Loops over the population's shard layout: shards already in the
-    store are skipped, currently-leased shards are left to their
+    Loops over the population's shard layout: shards the store already
+    holds for this layout are skipped, currently-leased shards are left to their
     holders, and everything else is claimed, scanned and appended.  The
     loop passes over the layout repeatedly so shards freed by expired
     leases are picked up; it exits when a pass finds nothing claimable.
@@ -147,7 +147,7 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
     outcome = ClaimOutcome(worker=worker, scanned=[], skipped=[],
                            broken=[])
     while True:
-        done = set(store.load(spec_hash))
+        done = records_in_layout(store.load(spec_hash), ranges)
         todo = [r for r in ranges if r.shard_id not in done]
         if not todo:
             break
@@ -185,9 +185,8 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
         if not claimed_any:
             # Everything left is leased by live workers; let them
             # finish (or their leases expire) before the next pass.
-            remaining = [r for r in ranges
-                         if r.shard_id not in set(store.load(spec_hash))]
-            if not remaining:
+            done = records_in_layout(store.load(spec_hash), ranges)
+            if len(done) == len(ranges):
                 break
             time.sleep(min(1.0, ttl / 4))
     return outcome

@@ -24,7 +24,7 @@ from repro.atlas.pipeline import scan_dataset
 from repro.atlas.shards import find_dataset
 from repro.atlas.store import AtlasStore
 from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
-from repro.parallel.kernel import vector_available
+from repro.parallel.kernel import KERNELS, vector_available
 from repro.parallel.workers import (cpu_count, parse_workers,
                                     resolve_workers)
 
@@ -133,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--entities", type=int, default=None)
         p.add_argument("--shards", type=int, default=16)
         p.add_argument("--seed", type=parse_seed, default=0)
-        p.add_argument("--kernel", default="auto",
-                       choices=("auto", "vector", "python", "scalar"))
+        p.add_argument("--kernel", default="auto", choices=KERNELS)
         p.add_argument("--store", required=require_store, default=None,
                        help="atlas shard store directory")
 

@@ -16,9 +16,8 @@ on every CI run.
 Exactness escapes: streams the vector path cannot reproduce exactly
 (short ``init_by_array`` keys, a rejection-loop runaway past the word
 budget) fall back to the scalar per-entity scan for just those
-entities.  Without numpy the kernel drops to a pure-Python columnar
-path over :mod:`array` buffers — same two-phase structure, no third-
-party dependency, so tier-1 environments never need numpy.
+entities.  That scalar scan is also the whole-range reference
+(``kernel="scalar"``), and the only path when numpy is missing.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from array import array
 
 from repro.atlas.aggregate import _STRATUM_KEYS, ScanAggregate
 from repro.atlas.shards import dataset_kind
@@ -53,6 +51,9 @@ from repro.parallel.mt import HAVE_NUMPY, LockstepMT, WordBudgetExceeded
 
 if HAVE_NUMPY:
     import numpy as np
+
+#: The ``kernel`` choices every scan entry point and CLI accepts.
+KERNELS = ("auto", "vector", "scalar")
 
 #: Streams per lockstep batch: large enough to amortise the per-vector-
 #: op dispatch cost of the 1,247-step seeding walk, small enough that
@@ -568,206 +569,6 @@ def _scan_scalar_range(spec, seed, lo: int, hi: int,
     return aggregate
 
 
-# -- pure-Python columnar fallback -------------------------------------------
-
-#: Column batch for the array-module fallback: big enough to keep the
-#: two-phase structure honest, small enough to stay cache-resident.
-PY_BATCH = 4096
-
-
-def _python_resolver_range(spec, seed, lo: int, hi: int,
-                           aggregate: ScanAggregate) -> None:
-    rates = resolver_rates(spec)
-    sampler = MixSampler(resolver_prefix_mix(spec))
-    det_verdict = _det_saddns_verdict()
-    root = DeterministicRNG(seed).derive(f"atlas/resolver/{spec.key}")
-    scratch = DeterministicRNG(0)
-    icmp = DeterministicRNG(0)
-    rate_unreachable = spec.rate_unreachable
-    conditional = rates.conditional_saddns
-    p_accept = rates.p_accept_given_big
-    mix = spec.edns_mix
-    for batch_lo in range(lo, hi, PY_BATCH):
-        batch_hi = min(batch_lo + PY_BATCH, hi)
-        reachable = array("b")
-        edns_col = array("i")
-        prefix_col = array("i")
-        saddns_col = array("b")
-        frag_col = array("b")
-        for index in range(batch_lo, batch_hi):
-            scratch.rederive(root, str(index))
-            alive = not scratch.chance(rate_unreachable)
-            randomized = not scratch.chance(conditional)
-            point = scratch.random()
-            if point < mix[0]:
-                edns = 512
-            elif point < mix[0] + mix[1]:
-                edns = scratch.choice(EDNS_MID_CHOICES)
-            else:
-                edns = scratch.choice(EDNS_BIG_CHOICES)
-            accepts = scratch.chance(p_accept) if edns >= 1232 else False
-            scratch.uniform_int(1, 60_000)          # ASN (not scanned)
-            prefix = sampler.draw(scratch)
-            if not alive:
-                saddns = False
-            elif not randomized:
-                saddns = det_verdict
-            else:
-                icmp.rederive(scratch, "icmp-0")
-                saddns = _pruned_saddns(icmp)
-            reachable.append(alive)
-            edns_col.append(edns)
-            prefix_col.append(prefix)
-            saddns_col.append(saddns)
-            frag_col.append(alive and accepts
-                            and edns >= FRAG_TEST_RESPONSE_SIZE)
-        _py_fold_resolver(aggregate, reachable, edns_col, prefix_col,
-                          saddns_col, frag_col)
-
-
-def _pruned_saddns(rng: DeterministicRNG) -> bool:
-    """The pruned randomised-budget replay (scan_saddns_verdict core)."""
-    getrandbits = rng.getrandbits
-    tokens = _ICMP_BURST
-    target = int(_ICMP_BURST)
-    errors = 0
-    remaining = SADDNS_PROBE_BURST
-    while remaining:
-        draw = getrandbits(3)
-        while draw >= 6:
-            draw = getrandbits(3)
-        cost = 1 + draw
-        if tokens >= cost:
-            tokens -= cost
-            errors += 1
-        remaining -= 1
-        best = remaining if remaining < int(tokens) else int(tokens)
-        if errors + best < target:
-            return False
-    return errors == target
-
-
-def _py_fold_resolver(aggregate, reachable, edns_col, prefix_col,
-                      saddns_col, frag_col) -> None:
-    count = len(prefix_col)
-    if not count:
-        return
-    aggregate.count += count
-    flags = aggregate.flags
-    strata = aggregate.strata
-    prefix_hist = aggregate._histogram("prefix_length")
-    hijack_total = saddns_total = frag_total = 0
-    edns_hist = None
-    for alive, edns, prefix, saddns, frag in zip(
-            reachable, edns_col, prefix_col, saddns_col, frag_col):
-        hijack = prefix < SUBPREFIX_HIJACKABLE_BELOW
-        hijack_total += hijack
-        saddns_total += saddns
-        frag_total += frag
-        strata[_STRATUM_KEYS[bool(hijack), bool(saddns),
-                             bool(frag)]] += 1
-        prefix_hist[prefix] += 1
-        if alive:
-            if edns_hist is None:
-                edns_hist = aggregate._histogram("edns_size")
-            edns_hist[edns] += 1
-    if hijack_total:
-        flags["hijack"] += hijack_total
-    if saddns_total:
-        flags["saddns"] += saddns_total
-    if frag_total:
-        flags["frag"] += frag_total
-
-
-def _python_domain_range(spec, seed, lo: int, hi: int,
-                         aggregate: ScanAggregate) -> None:
-    rates = domain_rates(spec)
-    sampler = MixSampler(rates.prefix_mix)
-    rrl_verdict = _rrl_verdict()
-    root = DeterministicRNG(seed).derive(f"atlas/domain/{spec.key}")
-    scratch = DeterministicRNG(0)
-    n_ns = spec.ns_per_domain
-    p_dnssec = spec.expected_dnssec / 100.0
-    for batch_lo in range(lo, hi, PY_BATCH):
-        batch_hi = min(batch_lo + PY_BATCH, hi)
-        hijack_col = array("b")
-        saddns_col = array("b")
-        frag_any_col = array("b")
-        frag_global_col = array("b")
-        signed_col = array("b")
-        prefix_col = array("i")
-        honours_col = array("b")
-        min_frag_col = array("i")
-        for index in range(batch_lo, batch_hi):
-            scratch.rederive(root, str(index))
-            hijack = saddns = frag_any = frag_global = False
-            for _sub in range(n_ns):
-                capable = scratch.chance(rates.p_frag_any)
-                scratch.uniform_int(1, 60_000)      # ASN (not scanned)
-                prefix = sampler.draw(scratch)
-                min_frag = scratch.choice(MIN_FRAG_CHOICES) if capable \
-                    else 1500
-                rrl = scratch.chance(rates.p_rrl)
-                ipid = capable and scratch.chance(rates.p_global)
-                supports_any = scratch.chance(0.85)
-                base = int(scratch.gauss(140, 40))
-                prefix_col.append(prefix)
-                honours_col.append(capable)
-                min_frag_col.append(min_frag)
-                if prefix < SUBPREFIX_HIJACKABLE_BELOW:
-                    hijack = True
-                if rrl and rrl_verdict:
-                    saddns = True
-                size = base * 6 + 120 if supports_any else base
-                if capable and size > min_frag:
-                    frag_any = True
-                    if ipid:
-                        frag_global = True
-            hijack_col.append(hijack)
-            saddns_col.append(saddns)
-            frag_any_col.append(frag_any)
-            frag_global_col.append(frag_global)
-            signed_col.append(scratch.chance(p_dnssec))
-        _py_fold_domain(aggregate, hijack_col, saddns_col, frag_any_col,
-                        frag_global_col, signed_col, prefix_col,
-                        honours_col, min_frag_col)
-
-
-def _py_fold_domain(aggregate, hijack_col, saddns_col, frag_any_col,
-                    frag_global_col, signed_col, prefix_col,
-                    honours_col, min_frag_col) -> None:
-    count = len(hijack_col)
-    if not count:
-        return
-    aggregate.count += count
-    flags = aggregate.flags
-    strata = aggregate.strata
-    totals = {"hijack": 0, "saddns": 0, "frag_any": 0,
-              "frag_global": 0, "dnssec": 0}
-    for hijack, saddns, frag_any, frag_global, signed in zip(
-            hijack_col, saddns_col, frag_any_col, frag_global_col,
-            signed_col):
-        totals["hijack"] += hijack
-        totals["saddns"] += saddns
-        totals["frag_any"] += frag_any
-        totals["frag_global"] += frag_global
-        totals["dnssec"] += signed
-        strata[_STRATUM_KEYS[bool(hijack), bool(saddns),
-                             bool(frag_any or frag_global)]] += 1
-    for name, total in totals.items():
-        if total:
-            flags[name] += total
-    prefix_hist = aggregate._histogram("prefix_length")
-    min_frag_hist = None
-    for prefix, honours, min_frag in zip(prefix_col, honours_col,
-                                         min_frag_col):
-        prefix_hist[prefix] += 1
-        if honours:
-            if min_frag_hist is None:
-                min_frag_hist = aggregate._histogram("min_frag_size")
-            min_frag_hist[min_frag] += 1
-
-
 # -- entry point -------------------------------------------------------------
 
 def scan_range(spec, seed, lo: int, hi: int,
@@ -775,29 +576,20 @@ def scan_range(spec, seed, lo: int, hi: int,
                kernel: str = "auto") -> ScanAggregate:
     """Columnar scan of entities ``[lo, hi)`` of one dataset.
 
-    ``kernel`` picks the path: ``"vector"`` (numpy lockstep, raises
-    without numpy), ``"python"`` (array-module columns), ``"scalar"``
-    (the per-entity reference), or ``"auto"`` (vector when numpy is
-    importable, else python).  All paths produce bit-identical
-    aggregates.
+    ``kernel`` is one of :data:`KERNELS`: ``"vector"`` (numpy lockstep,
+    raises without numpy), ``"scalar"`` (the per-entity reference), or
+    ``"auto"`` (vector when numpy is importable, else scalar).  Both
+    paths produce bit-identical aggregates.
     """
+    if kernel not in KERNELS:
+        raise ValueError(
+            f"unknown kernel {kernel!r}; pick one of {KERNELS}")
     if kernel == "auto":
-        kernel = "vector" if HAVE_NUMPY else "python"
+        kernel = "vector" if HAVE_NUMPY else "scalar"
     if kernel == "vector":
         if not HAVE_NUMPY:
             raise RuntimeError("numpy is not available for kernel='vector'")
         return VectorScanner(spec, seed).scan(lo, hi, aggregate)
     if aggregate is None:
         aggregate = ScanAggregate(kind=dataset_kind(spec))
-    if kernel == "scalar":
-        return _scan_scalar_range(spec, seed, lo, hi, aggregate)
-    if kernel != "python":
-        raise ValueError(f"unknown kernel {kernel!r}")
-    if dataset_kind(spec) == "resolver" \
-            and spec.resolvers_per_frontend != 1:
-        return _scan_scalar_range(spec, seed, lo, hi, aggregate)
-    if aggregate.kind == "resolver":
-        _python_resolver_range(spec, seed, lo, hi, aggregate)
-    else:
-        _python_domain_range(spec, seed, lo, hi, aggregate)
-    return aggregate
+    return _scan_scalar_range(spec, seed, lo, hi, aggregate)

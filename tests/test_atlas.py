@@ -184,11 +184,6 @@ class TestScanPipeline:
             assert flag in report.summary.percentages
         assert abs(report.summary.pct("hijack") - ALEXA.expected_hijack) < 7
 
-    def test_keep_entities_refuses_store(self, tmp_path):
-        with pytest.raises(ValueError, match="keep_entities"):
-            scan_dataset(OPEN, entities=100, keep_entities=True,
-                         store=AtlasStore(tmp_path / "s"))
-
     def test_negative_entities_rejected(self):
         with pytest.raises(ValueError, match="entities"):
             scan_dataset(OPEN, entities=-5)

@@ -3,8 +3,8 @@
 Covers the stack value rules (canonical ordering, knob conflicts,
 pickling), the purity of ``apply`` (no caller config is ever mutated),
 ROV through real RPKI validation, planner defense-awareness, defended
-campaigns (executor bit-identity), old-Mitigation-vs-new-Defense
-parity, and the atlas deployment projection.
+campaigns (executor bit-identity), spot ablation verdicts, and the
+atlas deployment projection.
 """
 
 import pickle
@@ -18,8 +18,6 @@ from repro.attacks.planner import AttackPlanner, TargetProfile
 from repro.bgp.prefix import Prefix
 from repro.bgp.rpki import Roa
 from repro.core.errors import NotApplicableError
-from repro.countermeasures import ALL_MITIGATIONS
-from repro.countermeasures.evaluation import evaluate_mitigation_matrix
 from repro.defenses import (
     ALL_DEFENSES,
     DEFENSE_DNSSEC,
@@ -39,7 +37,7 @@ from repro.defenses.ablation import (
     defended_scenario,
     evaluate_defense_matrix,
 )
-from repro.defenses.catalog import PmtuClamp, single_stacks
+from repro.defenses.catalog import PmtuClamp
 from repro.dns.nameserver import NameserverConfig
 from repro.dns.resolver import ResolverConfig
 from repro.netsim.host import HostConfig
@@ -82,14 +80,6 @@ class TestDefenseCatalog:
             assert defense.writes
             assert defense.paper_section
             assert defense.describe().startswith(f"[{defense.layer}]")
-
-    def test_mitigation_keys_map_onto_defense_keys(self):
-        assert [m.key for m in ALL_MITIGATIONS] \
-            == [d.key for d in ALL_DEFENSES]
-        for mitigation in ALL_MITIGATIONS:
-            defense = mitigation.as_defense()
-            assert defense.key == mitigation.key
-            assert set(defense.defeats) == set(mitigation.defeats)
 
 
 class TestDefenseStack:
@@ -200,37 +190,6 @@ class TestApplyPurity:
         assert defended.resolver_config.use_0x20
         # The materialised default mirrors the standard testbed's ACL.
         assert defended.resolver_config.allowed_clients == ["30.0.0.0/24"]
-
-    def test_mitigation_testbed_kwargs_no_longer_mutates(self):
-        resolver = ResolverConfig(allowed_clients=["30.0.0.0/24"])
-        ns = NameserverConfig()
-        resolver_host = HostConfig()
-        ns_host = HostConfig()
-        for mitigation in ALL_MITIGATIONS:
-            mitigation.testbed_kwargs(base_resolver=resolver, base_ns=ns,
-                                      base_resolver_host=resolver_host,
-                                      base_ns_host=ns_host)
-        assert resolver == ResolverConfig(allowed_clients=["30.0.0.0/24"])
-        assert ns == NameserverConfig()
-        assert resolver_host == HostConfig()
-        assert ns_host == HostConfig()
-
-    def test_mitigation_kwargs_match_defense_apply(self):
-        """Config-level old-vs-new parity across all eight defenses."""
-        for mitigation in ALL_MITIGATIONS:
-            kwargs = mitigation.testbed_kwargs()
-            defended = DefenseStack.of(mitigation.key).apply(WorldConfig())
-            base_resolver = ResolverConfig(
-                allowed_clients=["30.0.0.0/24"])
-            assert (defended.resolver_config or base_resolver) \
-                == kwargs["resolver_config"]
-            assert (defended.ns_config or NameserverConfig()) \
-                == kwargs["ns_config"]
-            assert (defended.resolver_host_config or HostConfig()) \
-                == kwargs["host_config"]
-            assert (defended.ns_host_config or HostConfig()) \
-                == kwargs["ns_host_config"]
-            assert defended.signed_target == kwargs["signed_target"]
 
 
 class TestRovDefense:
@@ -392,21 +351,24 @@ class TestDefendedCampaigns:
 
 
 class TestAblationGrid:
-    def test_old_vs_new_verdict_parity_full_grid(self):
-        """The legacy mitigation entry point and the defense-stack grid
-        agree cell-for-cell across the full 8x3 grid (same seeds, same
-        worlds; small budgets — equality is asserted, not success)."""
-        old = evaluate_mitigation_matrix(seed="parity",
-                                         saddns_iterations=25,
-                                         frag_attempts=25)
-        new = evaluate_defense_matrix(single_stacks(), seed="parity",
-                                      saddns_iterations=25,
-                                      frag_attempts=25)
-        assert [(c.attack, c.mitigation, c.attack_succeeded,
-                 c.expected_defeated) for c in old] \
-            == [(c.attack, c.defense, c.attack_succeeded,
-                 c.expected_defeated) for c in new]
-        assert len(old) == 24
+    @pytest.mark.parametrize(
+        "attack,defenses,seed,budgets,succeeds",
+        [("HijackDNS", (), "spot-1-HijackDNS-none", {}, True),
+         ("HijackDNS", ("dnssec",), "spot-2-HijackDNS-dnssec", {}, False),
+         ("SadDNS", ("randomized-icmp-limit",),
+          "spot-3-SadDNS-randomized-icmp-limit",
+          {"saddns_iterations": 25}, False),
+         ("FragDNS", ("block-fragments",),
+          "spot-4-FragDNS-block-fragments", {"frag_attempts": 25}, False)],
+        ids=["baseline-hijack", "dnssec-hijack", "randomized-icmp-saddns",
+             "block-fragments-fragdns"])
+    def test_spot_cell_verdicts(self, attack, defenses, seed, budgets,
+                                succeeds):
+        """Single cells of the Section 6 grid (the full grid runs in
+        bench_ablation): the baseline succeeds, each defense blocks."""
+        scenario = defended_scenario(attack, DefenseStack.of(*defenses),
+                                     **budgets)
+        assert scenario.run(seed=seed).success is succeeds
 
     def test_rov_cell_goes_through_real_rpki(self):
         scenario = defended_scenario("HijackDNS",

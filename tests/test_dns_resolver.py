@@ -88,6 +88,21 @@ class TestAclAndService:
         assert outsider_stub.lookup("vict.im", "A").ok
 
 
+class TestCodecErrors:
+    def test_codec_bug_propagates_instead_of_dropping(self, monkeypatch):
+        # Only WireFormatError means "malformed packet, drop it"; any
+        # other exception from the codec is a bug and must surface.
+        bed, resolver, stub = build_bed()
+
+        def broken_decode(data):
+            raise RuntimeError("codec bug")
+
+        monkeypatch.setattr("repro.dns.resolver.decode_message",
+                            broken_decode)
+        with pytest.raises(RuntimeError, match="codec bug"):
+            stub.lookup("vict.im", "A")
+
+
 class TestChallengeValidation:
     def test_wrong_source_ignored(self):
         """Responses from addresses we did not query are dropped."""

@@ -1,10 +1,9 @@
 """The parallel execution plane: vector kernel, scheduler, claims.
 
 Everything here guards one invariant: every parallel path — the
-vectorised kernel, the pure-Python columnar fallback, work-stealing
-dispatch under adversarial completion order, multi-host claim mode
-with dead workers — produces aggregates bit-identical to the serial
-reference loop.
+vectorised kernel, work-stealing dispatch under adversarial completion
+order, multi-host claim mode with dead workers — produces aggregates
+bit-identical to the serial reference loop.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from repro.atlas import (
     scan_dataset,
     shard_ranges,
 )
+from repro.atlas import cli as atlas_cli
+from repro.parallel import cli as parallel_cli
 from repro.parallel.claim import (
     _lease_path,
     claim_shard,
@@ -124,7 +125,7 @@ class TestResolveWorkers:
 
 # -- kernel bit-identity ------------------------------------------------------
 
-KERNELS = ["python"] + (["vector"] if vector_available() else [])
+KERNELS = ["vector"] if vector_available() else []
 
 
 class TestKernelBitIdentity:
@@ -154,6 +155,12 @@ class TestKernelBitIdentity:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             scan_range(find_dataset("open"), 0, 0, 10, kernel="cuda")
+
+    @pytest.mark.parametrize("cli", [atlas_cli, parallel_cli])
+    def test_clis_reject_removed_python_kernel(self, cli):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(
+                ["scan", "--dataset", "open", "--kernel", "python"])
 
 
 # -- work stealing under adversarial completion order ------------------------
@@ -343,6 +350,23 @@ class TestClaimMode:
         merged = merge_claimed(spec, seed=0, entities=800, shards=4,
                                store=store)
         serial = scan_dataset(spec, seed=0, entities=800, shards=4,
+                              executor="serial")
+        assert checksum(merged.aggregate) == checksum(serial.aggregate)
+
+    def test_worker_rescans_shards_of_another_layout(self, tmp_path):
+        # A store filled under --shards 4 holds ids 0-3 over other
+        # ranges than an 8-shard layout: none of them counts as done.
+        spec = find_dataset("open")
+        store = AtlasStore(tmp_path / "claims")
+        scan_dataset(spec, seed=0, entities=4000, shards=4,
+                     executor="serial", store=store)
+        worker = claim_worker(spec, seed=0, entities=4000, shards=8,
+                              store=store, worker="w8")
+        assert sorted(worker.scanned) == list(range(8))
+        merged = merge_claimed(spec, seed=0, entities=4000, shards=8,
+                               store=store)
+        assert merged.computed_shards == []
+        serial = scan_dataset(spec, seed=0, entities=4000, shards=8,
                               executor="serial")
         assert checksum(merged.aggregate) == checksum(serial.aggregate)
 
