@@ -11,8 +11,8 @@ atlas workloads run obs-off and obs-on, asserted bit-identical, with
 the enabled plane's cost recorded as ``overhead_pct``.
 
 The committed ``BENCH_core.json`` is the repo's perf baseline; CI reruns
-the harness with ``--quick --check BENCH_core.json`` and fails on a
->25% rate regression.  Alongside the rates, the campaign and atlas
+the harness with ``--quick --json BENCH_core_ci.json --check
+BENCH_core.json`` and fails on a >25% rate regression.  Alongside the rates, the campaign and atlas
 benches record SHA-256 checksums of their statistical outputs, so a
 perf regression can never hide a semantics regression: same seeds must
 keep producing bit-identical stats.
@@ -22,7 +22,7 @@ Usage::
     PYTHONPATH=src python benchmarks/run_all.py            # full sizes
     PYTHONPATH=src python benchmarks/run_all.py --quick    # CI sizes
     PYTHONPATH=src python benchmarks/run_all.py --quick \
-        --check BENCH_core.json                            # gate
+        --json BENCH_core_ci.json --check BENCH_core.json  # gate
 """
 
 from __future__ import annotations
@@ -595,6 +595,13 @@ def main(argv: list[str] | None = None) -> int:
     mode = "quick" if args.quick else "full"
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     sys.stderr.write(f"running kernel benches ({mode})...\n")
+    # Read the baseline before writing: ``--json`` and ``--check`` may
+    # name the same file, and the gate must compare against what was
+    # committed, not against the record it is about to write.
+    baseline = None
+    if args.check:
+        with open(args.check, encoding="utf-8") as handle:
+            baseline = json.load(handle)
     record = run_all(sizes, mode, args.repeats)
 
     # The on-disk record keeps one entry per mode, merged in place, so
@@ -618,9 +625,7 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
     sys.stderr.write(f"wrote {args.json} ({mode} record)\n")
 
-    if args.check:
-        with open(args.check, encoding="utf-8") as handle:
-            baseline = json.load(handle)
+    if baseline is not None:
         failures = check_against(record, baseline, args.threshold)
         if failures:
             sys.stderr.write("PERF CHECK FAILED\n")

@@ -102,14 +102,15 @@ class OffPathAttacker:
         self.host.raw_send(packet)
         self.packets_sent += 1
 
-    def inject_udp(self, packet: Ipv4Packet) -> None:
-        """Inject a pre-built (possibly spoofed) packet and account it.
+    def inject_burst(self, packets: list[Ipv4Packet]) -> None:
+        """Inject pre-built (possibly spoofed) UDP packets as one burst.
 
-        The flooding fast paths build their packets with incremental
-        checksums; this is :meth:`spoof_udp` minus the encoding.
+        The flooding fast path: the packets (built with incremental
+        checksums, all to one destination from one source) leave
+        through :meth:`Host.raw_send_burst` and are each accounted.
         """
-        self.host.raw_send(packet)
-        self.packets_sent += 1
+        self.host.raw_send_burst(packets)
+        self.packets_sent += len(packets)
 
     def spoof_dns(self, src: str, dst: str, dport: int,
                   message: DnsMessage, sport: int = 53) -> None:

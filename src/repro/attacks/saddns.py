@@ -202,6 +202,12 @@ class SadDnsAttack:
         the same trick real flooding tools use.  The packets injected,
         and the attacker's per-packet IP-ID draws, are bit-identical to
         encoding each one from scratch.
+
+        Each ``txid_flood_chunk`` of packets leaves as one burst
+        (:meth:`OffPathAttacker.inject_burst`): on a clean fabric the
+        chunk is a single scheduler event that delivers its packets in
+        order, so the resolver sees the same datagrams in the same
+        order as when each packet is sent on its own.
         """
         config = self.config
         resolver_ip = self.resolver.address
@@ -225,6 +231,7 @@ class SadDnsAttack:
             + (dst_int >> 16) + (dst_int & 0xFFFF) + 17 + seg_len,
         )
         for start in range(0, 0x10000, config.txid_flood_chunk):
+            burst = []
             for txid in range(start,
                               min(start + config.txid_flood_chunk, 0x10000)):
                 template[0] = txid >> 8
@@ -237,12 +244,13 @@ class SadDnsAttack:
                 payload = bytes(template)
                 segment = struct.pack("!HHHH", DNS_PORT, port, seg_len,
                                       checksum) + payload
-                attacker.inject_udp(Ipv4Packet(
+                burst.append(Ipv4Packet(
                     src=ns_ip, dst=resolver_ip, proto=PROTO_UDP,
                     payload=segment, ident=rng.pick_txid(),
                     udp=UdpDatagram(sport=DNS_PORT, dport=port,
                                     payload=payload),
                 ))
+            attacker.inject_burst(burst)
             # Give the chunk a full propagation delay before checking.
             self.network.run(0.012)
             if cache_poisoned(self.resolver, qname,

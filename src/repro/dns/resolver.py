@@ -41,7 +41,7 @@ from repro.dns.records import (
     TYPE_NS,
     TYPE_RRSIG,
 )
-from repro.dns.wire import decode_message, encode_message
+from repro.dns.wire import decode_message, encode_message, well_formed
 from repro.netsim.host import Host, UdpSocket
 from repro.netsim.packet import UdpDatagram
 
@@ -74,17 +74,35 @@ class ResolverConfig:
 
 @dataclass
 class ResolverStats:
-    """Query/response accounting for one resolver."""
+    """Query/response accounting for one resolver.
+
+    Upstream datagrams that parse but fail an RFC 5452 check are counted
+    by the first check they fail: ``rejected_source`` (not from the
+    server queried), ``rejected_txid`` (wrong TXID),
+    ``rejected_question`` (not a response, or not to the question
+    asked) and ``rejected_case`` (the question's 0x20 letter case does
+    not echo the query's).  Datagrams that do not parse are dropped
+    uncounted.
+    """
 
     client_queries: int = 0
     client_refused: int = 0
     cache_answers: int = 0
     upstream_queries: int = 0
     upstream_timeouts: int = 0
-    rejected_responses: int = 0
+    rejected_source: int = 0
+    rejected_txid: int = 0
+    rejected_question: int = 0
+    rejected_case: int = 0
     dnssec_failures: int = 0
     resolutions: int = 0
     servfails: int = 0
+
+    @property
+    def rejected_responses(self) -> int:
+        """All rejected upstream responses, whatever the reason."""
+        return (self.rejected_source + self.rejected_txid
+                + self.rejected_question + self.rejected_case)
 
 
 @dataclass
@@ -217,12 +235,39 @@ class _Resolution:
     def _on_datagram(self, datagram: UdpDatagram, src: str, dst: str) -> None:
         if self.finished:
             return
+        stats = self.resolver.stats
+        payload = datagram.payload
+        # Source and TXID are checked on the raw header bytes, so a
+        # flood of forged responses is never decoded: a datagram that
+        # fails either check only needs to parse to count as rejected.
+        if src != self.current_server:
+            if well_formed(payload):
+                stats.rejected_source += 1
+            return
+        if len(payload) < 2:
+            return
+        if (payload[0] << 8) | payload[1] != self.txid:
+            if well_formed(payload):
+                stats.rejected_txid += 1
+            return
         try:
-            response = decode_message(datagram.payload)
+            response = decode_message(payload)
         except WireFormatError:
             return
-        if not self._validate(response, src):
-            self.resolver.stats.rejected_responses += 1
+        question = response.question
+        if not response.is_response or question is None \
+                or question.qtype != self.qtype:
+            stats.rejected_question += 1
+            return
+        if self.resolver.config.use_0x20:
+            if not names.case_matches(self.sent_name, question.name):
+                if names.same_name(self.sent_name, question.name):
+                    stats.rejected_case += 1
+                else:
+                    stats.rejected_question += 1
+                return
+        elif not names.same_name(self.sent_name, question.name):
+            stats.rejected_question += 1
             return
         self._cancel_timer()
         if response.truncated and self.resolver.config.tcp_fallback:
@@ -230,21 +275,6 @@ class _Resolution:
             return
         self._close_socket()
         self._process(response)
-
-    def _validate(self, response: DnsMessage, src: str) -> bool:
-        """RFC 5452 acceptance checks: source, TXID, question echo."""
-        if not response.is_response:
-            return False
-        if src != self.current_server:
-            return False
-        if response.txid != self.txid:
-            return False
-        question = response.question
-        if question is None or question.qtype != self.qtype:
-            return False
-        if self.resolver.config.use_0x20:
-            return names.case_matches(self.sent_name, question.name)
-        return names.same_name(self.sent_name, question.name)
 
     def _retry_over_tcp(self) -> None:
         resolver = self.resolver

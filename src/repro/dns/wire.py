@@ -439,6 +439,23 @@ def decode_message(data: bytes) -> DnsMessage:
     return message
 
 
+def well_formed(data: bytes) -> bool:
+    """True when ``data`` parses as a DNS message.
+
+    The TXID never affects parsing, so a hit in the decode cache
+    answers without decoding; otherwise this tries a (memoised) decode.
+    Lets a receiver that rejects on header bytes alone still tell a
+    message from garbage.
+    """
+    if len(data) >= 2 and data[2:] in _DECODE_CACHE:
+        return True
+    try:
+        decode_message(data)
+    except WireFormatError:
+        return False
+    return True
+
+
 def _decode_message_uncached(data: bytes) -> DnsMessage:
     decoder = _Decoder(data)
     txid = decoder.u16()

@@ -273,6 +273,36 @@ class Host:
         self.stats.sent += 1
         self.network.transmit(packet, origin=self)
 
+    def raw_send_burst(self, packets: list[Ipv4Packet]) -> None:
+        """Inject a burst of pre-built UDP packets sharing one (src, dst).
+
+        The flooding fast path: the burst reaches the network as one
+        :meth:`Network.transmit_burst`.  Every packet must be an
+        unfragmented UDP packet with its ``udp`` view attached and the
+        same source and destination as the first; otherwise nothing is
+        sent and :class:`ValueError` is raised.  Egress spoofing is
+        checked once, for the shared source.
+        """
+        if self.network is None:
+            raise RuntimeError(f"{self.name} is not attached to a network")
+        if not packets:
+            return
+        src, dst = packets[0].src, packets[0].dst
+        for packet in packets:
+            if packet.udp is None or packet.proto != PROTO_UDP \
+                    or packet.is_fragment \
+                    or packet.src != src or packet.dst != dst:
+                raise ValueError(
+                    "a burst holds unfragmented UDP packets with udp"
+                    f" attached, all {src}->{dst}; got"
+                    f" {packet.describe()}")
+        if not self.owns(src) and not self.config.egress_spoofing_allowed:
+            raise PermissionError(
+                f"{self.name} cannot spoof {src}: egress filtering"
+            )
+        self.stats.sent += len(packets)
+        self.network.transmit_burst(packets, origin=self)
+
     def _transmit(self, packet: Ipv4Packet) -> None:
         if self.network is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
@@ -332,6 +362,24 @@ class Host:
             self._deliver_udp(packet)
         elif packet.proto == PROTO_ICMP and packet.icmp is not None:
             self._deliver_icmp(packet)
+
+    def receive_burst(self, packets: list[Ipv4Packet]) -> None:
+        """Network entry point for a burst from :meth:`raw_send_burst`.
+
+        The packets are unfragmented UDP with ``udp`` attached and share
+        one destination, so the per-packet checks of :meth:`receive`
+        reduce to a socket lookup each; a burst that needs more (a tap
+        is set, or the destination is not ours) goes through
+        :meth:`receive` one packet at a time.
+        """
+        if self.packet_tap is not None or not self.owns(packets[0].dst):
+            for packet in packets:
+                self.receive(packet)
+            return
+        self.stats.received += len(packets)
+        deliver = self._deliver_udp
+        for packet in packets:
+            deliver(packet)
 
     def _deliver_udp(self, packet: Ipv4Packet) -> None:
         assert packet.udp is not None

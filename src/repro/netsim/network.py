@@ -207,6 +207,37 @@ class Network:
         # No closure, no handle: deliveries are never cancelled.
         self.scheduler.schedule(latency, self._deliver, packet, target)
 
+    def transmit_burst(self, packets: list[Ipv4Packet],
+                       origin: Host | None = None) -> None:
+        """Accept a same-instant burst of packets sharing one (src, dst).
+
+        On a clean fabric every packet of the burst would take the same
+        route at the same latency, so the burst becomes one heap entry
+        that delivers the packets in order: the deliveries, their order
+        and the stats are those of :meth:`transmit` called per packet,
+        but the scheduler runs one event instead of ``len(packets)``.
+        A fabric that looks at packets one by one (packet tracing, a
+        loss model, interceptors or a fault injector) gets exactly that.
+        """
+        if self.trace_packets or self._loss is not None \
+                or self._interceptors or self._faults is not None:
+            for packet in packets:
+                self.transmit(packet, origin)
+            return
+        if not packets:
+            return
+        count = len(packets)
+        self.stats.transmitted += count
+        first = packets[0]
+        target = self._by_address.get(first.dst)
+        if target is None:
+            self.stats.dropped_no_route += count
+            return
+        latency = self._latency_overrides.get(
+            (first.src, first.dst), self.default_latency)
+        self.scheduler.schedule(latency, self._deliver_burst, packets,
+                                target)
+
     def _route(self, packet: Ipv4Packet, origin: Host | None) -> Host | None:
         for interceptor in self._interceptors:
             claimed = interceptor(packet, origin)
@@ -220,6 +251,13 @@ class Network:
     def _deliver(self, packet: Ipv4Packet, target: Host) -> None:
         self.stats.note_delivery(packet.dst)
         target.receive(packet)
+
+    def _deliver_burst(self, packets: list[Ipv4Packet],
+                       target: Host) -> None:
+        stats = self.stats
+        stats.delivered += len(packets)
+        stats.per_destination[packets[0].dst] += len(packets)
+        target.receive_burst(packets)
 
     def _destination_name(self, packet: Ipv4Packet) -> str | None:
         host = self._by_address.get(packet.dst)

@@ -44,9 +44,11 @@ class UdpDatagram:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        for name, port in (("sport", self.sport), ("dport", self.dport)):
-            if not 0 <= port <= 0xFFFF:
-                raise ValueError(f"UDP {name} out of range: {port}")
+        # Runs once per packet built, TXID floods included.
+        if not 0 <= self.sport <= 0xFFFF:
+            raise ValueError(f"UDP sport out of range: {self.sport}")
+        if not 0 <= self.dport <= 0xFFFF:
+            raise ValueError(f"UDP dport out of range: {self.dport}")
 
     @property
     def length(self) -> int:

@@ -141,3 +141,51 @@ class TestEndToEnd:
         result = attack.execute(make_trigger(world, attacker))
         assert not result.success
         assert world["resolver"].stats.rejected_responses > 0
+
+
+def _flooded_cell(defense, per_packet):
+    """A short blocked SadDNS grid cell that still reaches the flood.
+
+    ``per_packet`` installs an interceptor that claims nothing: the
+    fabric is then no longer clean, so every flood chunk goes through
+    the per-packet path instead of one burst.
+    """
+    from repro.defenses import DefenseStack
+    from repro.defenses.ablation import defended_scenario
+
+    scenario = defended_scenario("SadDNS", DefenseStack.of(defense),
+                                 saddns_iterations=6)
+    built = scenario.build(seed="burst-4")
+    if per_packet:
+        built.network.add_interceptor(lambda packet, origin: None)
+    floods = []
+    flood = built.attack.flood_txids
+
+    def counted(port, qname):
+        floods.append(port)
+        return flood(port, qname)
+
+    built.attack.flood_txids = counted
+    return built, built.execute(), floods
+
+
+class TestFloodBurst:
+    @pytest.mark.parametrize("defense", ["0x20-encoding", "dnssec"])
+    def test_burst_and_per_packet_paths_agree(self, defense):
+        import dataclasses
+
+        burst, burst_run, burst_floods = _flooded_cell(defense, False)
+        single, single_run, single_floods = _flooded_cell(defense, True)
+        assert burst_floods and burst_floods == single_floods
+        assert dataclasses.replace(burst_run, wall_time=0.0) \
+            == dataclasses.replace(single_run, wall_time=0.0)
+        assert burst.network.stats == single.network.stats
+        assert burst.resolver.host.stats == single.resolver.host.stats
+        assert burst.resolver.stats == single.resolver.stats
+        assert burst.resolver.cache._entries \
+            == single.resolver.cache._entries
+        assert burst.resolver.cache.stats == single.resolver.cache.stats
+        # Same packets, far fewer scheduler events: each 4,096-packet
+        # chunk of a flood is one event on the clean fabric.
+        assert burst.network.scheduler.executed \
+            < single.network.scheduler.executed - 60_000

@@ -370,6 +370,29 @@ class TestAblationGrid:
                                      **budgets)
         assert scenario.run(seed=seed).success is succeeds
 
+    def test_0x20_cell_rejects_the_flood_by_case(self):
+        """The SadDNS-vs-0x20 cell is blocked by the 0x20 check itself:
+        the one forged response per flood with the right TXID fails on
+        its letter case, every other one on its TXID."""
+        from repro.attacks.base import cache_poisoned
+        from repro.testbed import ATTACKER_IP, FRAG_TARGET_NAME
+
+        scenario = defended_scenario("SadDNS",
+                                     DefenseStack.of("0x20-encoding"),
+                                     saddns_iterations=6)
+        built = scenario.build(seed="spot-5-3")
+        run = built.execute()
+        stats = built.resolver.stats
+        assert not run.success
+        assert stats.rejected_case > 0
+        assert stats.rejected_txid >= 0xFFFF * stats.rejected_case
+        assert stats.rejected_source + stats.rejected_txid \
+            + stats.rejected_question + stats.rejected_case \
+            == stats.rejected_responses
+        assert not cache_poisoned(built.resolver, FRAG_TARGET_NAME,
+                                  ATTACKER_IP, mark=False)
+        assert not built.resolver.cache.contains_poison(built.network.now)
+
     def test_rov_cell_goes_through_real_rpki(self):
         scenario = defended_scenario("HijackDNS",
                                      DefenseStack.of("rpki-rov"))

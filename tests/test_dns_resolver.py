@@ -137,10 +137,56 @@ class TestChallengeValidation:
         assert results[0].addresses() == ["123.0.0.80"]
         assert resolver.stats.rejected_responses > 0
 
+    @staticmethod
+    def _outstanding(bed, resolver):
+        """Start a lookup; returns (results, query task, its port)."""
+        results = []
+        resolver.resolve("vict.im", TYPE_A, results.append)
+        task = resolver._inflight[("vict.im", TYPE_A)]
+        return results, task, task.socket.port
+
     def test_wrong_txid_ignored(self):
-        bed, resolver, stub = build_bed()
-        answer = stub.lookup("vict.im", "A")
-        assert answer.addresses() == ["123.0.0.80"]
+        """Forged answers from the queried server with every wrong TXID
+        in a sample are rejected on the header; the genuine answer
+        (due after them) still wins."""
+        from repro.attacks.base import OffPathAttacker
+
+        bed, resolver, _stub = build_bed()
+        attacker = OffPathAttacker(
+            bed.make_host("evil", "6.6.6.6", spoofing=True))
+        results, task, port = self._outstanding(bed, resolver)
+        wrong = [task.txid ^ (1 << bit) for bit in range(16)]
+        for txid in wrong:
+            forged = attacker.forge_response(
+                "vict.im", TYPE_A, txid, [rr_a("vict.im", "6.6.6.6")])
+            attacker.spoof_dns(task.current_server, "30.0.0.1", port,
+                               forged)
+        bed.run()
+        assert results and results[0].addresses() == ["123.0.0.80"]
+        stats = resolver.stats
+        assert stats.rejected_txid == len(wrong)
+        assert stats.rejected_responses == len(wrong)
+        assert (stats.rejected_source, stats.rejected_question,
+                stats.rejected_case) == (0, 0, 0)
+
+    def test_short_datagrams_dropped_uncounted(self):
+        """0-, 1- and 11-byte datagrams (the last one with the right
+        TXID, so it gets past the header checks) are dropped without an
+        exception and without counting a reject."""
+        from repro.attacks.base import OffPathAttacker
+
+        bed, resolver, _stub = build_bed()
+        attacker = OffPathAttacker(
+            bed.make_host("evil", "6.6.6.6", spoofing=True))
+        results, task, port = self._outstanding(bed, resolver)
+        eleven = task.txid.to_bytes(2, "big") + bytes(9)
+        for payload in (b"", b"\x00", eleven):
+            attacker.spoof_udp(task.current_server, 53, "30.0.0.1", port,
+                               payload)
+            attacker.spoof_udp("9.9.9.9", 53, "30.0.0.1", port, payload)
+        bed.run()
+        assert results and results[0].addresses() == ["123.0.0.80"]
+        assert resolver.stats.rejected_responses == 0
 
     def test_0x20_case_mismatch_rejected(self):
         """With 0x20 on, a lowercase echo must be rejected."""

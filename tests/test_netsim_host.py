@@ -199,3 +199,78 @@ class TestSpoofing:
         a.open_udp(1235).sendto("10.0.0.2", 53, b"small")
         net.run()
         assert got == [b"small"]
+
+
+class TestRawSendBurst:
+    def _burst(self, count=4, dport=53):
+        return [make_udp_packet("10.0.0.9", "10.0.0.2", 53, dport,
+                                bytes([i]) * 4, ident=i)
+                for i in range(count)]
+
+    def test_burst_matches_per_packet_sends(self):
+        """One scheduler event, but the deliveries, their order and
+        every counter of the per-packet path — including a port that
+        closes mid-burst and answers the rest with ICMP errors."""
+        outcomes = []
+        for burst in (True, False):
+            net, a, b = two_hosts()
+            got = []
+
+            def handler(datagram, src, dst):
+                got.append(datagram.payload)
+                if len(got) == 2:
+                    socket.close()
+
+            socket = b.open_udp(53, handler)
+            packets = self._burst()
+            if burst:
+                a.raw_send_burst(packets)
+            else:
+                for packet in packets:
+                    a.raw_send(packet)
+            net.run()
+            outcomes.append((got, net.stats, a.stats, b.stats,
+                             net.scheduler.executed))
+        (got, net_stats, a_stats, b_stats, burst_events), \
+            (got_1, net_stats_1, a_stats_1, b_stats_1, single_events) \
+            = outcomes
+        assert got == got_1 == [b"\x00" * 4, b"\x01" * 4]
+        assert (net_stats, a_stats, b_stats) \
+            == (net_stats_1, a_stats_1, b_stats_1)
+        assert b_stats.udp_to_closed_port == 2
+        assert b_stats.icmp_errors_sent == 2
+        # The errors go to the spoofed, unrouted source either way.
+        assert net_stats.dropped_no_route == 2
+        assert (burst_events, single_events) == (1, 4)
+
+    def test_burst_falls_back_on_a_watched_fabric(self):
+        net, a, b = two_hosts()
+        b.open_udp(53)
+        net.add_interceptor(lambda packet, origin: None)
+        a.raw_send_burst(self._burst())
+        net.run()
+        assert net.scheduler.executed == 4
+        assert b.stats.udp_delivered == 4
+
+    @pytest.mark.parametrize("bad", ["fragment", "no-udp",
+                                     "mixed-destination"])
+    def test_burst_contract_violations_raise(self, bad):
+        net, a, _b = two_hosts()
+        packets = self._burst()
+        if bad == "fragment":
+            packets[2] = packets[2].evolve(mf=True)
+        elif bad == "no-udp":
+            packets[2] = packets[2].evolve(udp=None)
+        else:
+            packets[2] = packets[2].evolve(dst="10.0.0.3")
+        with pytest.raises(ValueError, match="burst"):
+            a.raw_send_burst(packets)
+        # Nothing of a rejected burst leaves the host.
+        assert a.stats.sent == 0
+        assert net.stats.transmitted == 0
+
+    def test_burst_spoofing_needs_permissive_network(self):
+        net, _a, b = two_hosts()
+        with pytest.raises(PermissionError):
+            b.raw_send_burst(self._burst())
+        assert net.stats.transmitted == 0

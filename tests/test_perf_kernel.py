@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import pickle
 import random
 
@@ -550,6 +551,23 @@ class TestPerfHarness:
         assert any("bit-identical" in f for f in
                    run_all.check_against(drift, baseline, 0.25))
         assert run_all.check_against(resized, baseline, 0.25) == []
+
+    def test_check_reads_baseline_before_writing_record(
+            self, tmp_path, monkeypatch):
+        run_all = self._load()
+        path = tmp_path / "BENCH_core.json"
+        path.write_text(json.dumps({"runs": {"quick": {
+            "mode": "quick", "benches": {
+                "scheduler": {"rate": 1000.0, "unit": "events/s",
+                              "n": 10}}}}}))
+        slow = {"generated_by": "test", "python": "3", "mode": "quick",
+                "benches": {"scheduler": {"rate": 10.0, "n": 10}}}
+        monkeypatch.setattr(run_all, "run_all",
+                            lambda sizes, mode, repeats: slow)
+        # The same file as output and baseline: the 99% drop must fail
+        # against the committed rate, not pass against itself.
+        assert run_all.main(["--quick", "--json", str(path),
+                             "--check", str(path)]) == 1
 
     def test_check_requires_matching_mode(self):
         run_all = self._load()
