@@ -23,7 +23,7 @@ from repro.dns.wire import encode_message
 from repro.netsim.host import Host
 from repro.netsim.packet import IcmpMessage, Ipv4Packet, PROTO_UDP
 from repro.netsim.wire import encode_ipv4, encode_udp, make_icmp_packet
-from repro.netsim.packet import UdpDatagram
+from repro.netsim.packet import UdpBurst, UdpDatagram
 
 
 @dataclass
@@ -102,15 +102,15 @@ class OffPathAttacker:
         self.host.raw_send(packet)
         self.packets_sent += 1
 
-    def inject_burst(self, packets: list[Ipv4Packet]) -> None:
-        """Inject pre-built (possibly spoofed) UDP packets as one burst.
+    def inject_burst(self, burst: UdpBurst) -> None:
+        """Inject a same-instant burst of (possibly spoofed) datagrams.
 
-        The flooding fast path: the packets (built with incremental
-        checksums, all to one destination from one source) leave
-        through :meth:`Host.raw_send_burst` and are each accounted.
+        The fast path for SadDNS scan batches and TXID flood chunks: the
+        burst leaves through :meth:`Host.raw_send_burst`, and each
+        datagram is accounted as one packet.
         """
-        self.host.raw_send_burst(packets)
-        self.packets_sent += len(packets)
+        self.host.raw_send_burst(burst)
+        self.packets_sent += len(burst.datagrams)
 
     def spoof_dns(self, src: str, dst: str, dport: int,
                   message: DnsMessage, sport: int = 53) -> None:

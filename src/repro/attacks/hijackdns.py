@@ -22,7 +22,7 @@ from repro.bgp.rpki import INVALID
 from repro.dns import names
 from repro.dns.records import ResourceRecord, TYPE_A, rr_a
 from repro.dns.resolver import RecursiveResolver
-from repro.dns.wire import decode_message
+from repro.dns.wire import WireFormatError, decode_message
 from repro.netsim.network import Network
 from repro.netsim.packet import Ipv4Packet, PROTO_UDP
 
@@ -93,7 +93,7 @@ class HijackDnsAttack:
         assert packet.udp is not None
         try:
             query = decode_message(packet.udp.payload)
-        except Exception:
+        except WireFormatError:
             return False
         question = query.question
         if query.is_response or question is None:

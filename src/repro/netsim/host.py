@@ -29,6 +29,7 @@ from repro.netsim.packet import (
     PROTO_UDP,
     IcmpMessage,
     Ipv4Packet,
+    UdpBurst,
     UdpDatagram,
 )
 from repro.netsim.ratelimit import TokenBucket
@@ -273,35 +274,24 @@ class Host:
         self.stats.sent += 1
         self.network.transmit(packet, origin=self)
 
-    def raw_send_burst(self, packets: list[Ipv4Packet]) -> None:
-        """Inject a burst of pre-built UDP packets sharing one (src, dst).
+    def raw_send_burst(self, burst: UdpBurst) -> None:
+        """Inject a same-instant burst of (possibly spoofed) UDP datagrams.
 
         The flooding fast path: the burst reaches the network as one
-        :meth:`Network.transmit_burst`.  Every packet must be an
-        unfragmented UDP packet with its ``udp`` view attached and the
-        same source and destination as the first; otherwise nothing is
-        sent and :class:`ValueError` is raised.  Egress spoofing is
-        checked once, for the shared source.
+        :meth:`Network.transmit_burst`.  Egress spoofing is checked once,
+        for the burst's shared source.
         """
         if self.network is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
-        if not packets:
-            return
-        src, dst = packets[0].src, packets[0].dst
-        for packet in packets:
-            if packet.udp is None or packet.proto != PROTO_UDP \
-                    or packet.is_fragment \
-                    or packet.src != src or packet.dst != dst:
-                raise ValueError(
-                    "a burst holds unfragmented UDP packets with udp"
-                    f" attached, all {src}->{dst}; got"
-                    f" {packet.describe()}")
-        if not self.owns(src) and not self.config.egress_spoofing_allowed:
+        if not self.owns(burst.src) \
+                and not self.config.egress_spoofing_allowed:
             raise PermissionError(
-                f"{self.name} cannot spoof {src}: egress filtering"
+                f"{self.name} cannot spoof {burst.src}: egress filtering"
             )
-        self.stats.sent += len(packets)
-        self.network.transmit_burst(packets, origin=self)
+        if not burst.datagrams:
+            return
+        self.stats.sent += len(burst.datagrams)
+        self.network.transmit_burst(burst, origin=self)
 
     def _transmit(self, packet: Ipv4Packet) -> None:
         if self.network is None:
@@ -359,42 +349,51 @@ class Host:
                 self.stats.checksum_drops += 1
                 return
         if packet.proto == PROTO_UDP and packet.udp is not None:
-            self._deliver_udp(packet)
+            if not self._deliver_udp(packet.udp, packet.src, packet.dst) \
+                    and self._port_unreachable_allowed():
+                self._send_port_unreachable(packet)
         elif packet.proto == PROTO_ICMP and packet.icmp is not None:
             self._deliver_icmp(packet)
 
-    def receive_burst(self, packets: list[Ipv4Packet]) -> None:
+    def receive_burst(self, burst: UdpBurst) -> None:
         """Network entry point for a burst from :meth:`raw_send_burst`.
 
-        The packets are unfragmented UDP with ``udp`` attached and share
-        one destination, so the per-packet checks of :meth:`receive`
-        reduce to a socket lookup each; a burst that needs more (a tap
-        is set, or the destination is not ours) goes through
-        :meth:`receive` one packet at a time.
+        Each datagram goes to its port's socket handler as it is; only a
+        datagram that draws an ICMP port-unreachable is built into the
+        packet the error embeds.  A burst that needs more (a tap is set,
+        or the destination is not ours) goes through :meth:`receive` one
+        packet at a time.
         """
-        if self.packet_tap is not None or not self.owns(packets[0].dst):
-            for packet in packets:
+        if self.packet_tap is not None or not self.owns(burst.dst):
+            for packet in burst.packets():
                 self.receive(packet)
             return
-        self.stats.received += len(packets)
+        self.stats.received += len(burst.datagrams)
+        src, dst = burst.src, burst.dst
         deliver = self._deliver_udp
-        for packet in packets:
-            deliver(packet)
+        for index, datagram in enumerate(burst.datagrams):
+            if not deliver(datagram, src, dst) \
+                    and self._port_unreachable_allowed():
+                self._send_port_unreachable(burst.packet(index))
 
-    def _deliver_udp(self, packet: Ipv4Packet) -> None:
-        assert packet.udp is not None
-        socket = self._sockets.get(packet.udp.dport)
+    def _deliver_udp(self, datagram: UdpDatagram, src: str,
+                     dst: str) -> bool:
+        """Hand ``datagram`` to its port's socket; False (and counted)
+        when the port is closed."""
+        socket = self._sockets.get(datagram.dport)
         if socket is not None and not socket.closed:
             self.stats.udp_delivered += 1
             if socket.handler is not None:
-                socket.handler(packet.udp, packet.src, packet.dst)
-            return
+                socket.handler(datagram, src, dst)
+            return True
         self.stats.udp_to_closed_port += 1
-        self._maybe_send_port_unreachable(packet)
+        return False
 
-    def _maybe_send_port_unreachable(self, packet: Ipv4Packet) -> None:
+    def _port_unreachable_allowed(self) -> bool:
+        """Whether a datagram to a closed port may draw an ICMP error now
+        (spends the rate limiter's tokens; counts a suppressed error)."""
         if not self.config.respond_port_unreachable:
-            return
+            return False
         if self._icmp_bucket is not None:
             if self.config.icmp_limit_randomized:
                 # Patched kernels randomise the effective budget, so the
@@ -405,7 +404,10 @@ class Host:
                 allowed = self._icmp_bucket.allow(self.now)
             if not allowed:
                 self.stats.icmp_errors_suppressed += 1
-                return
+                return False
+        return True
+
+    def _send_port_unreachable(self, packet: Ipv4Packet) -> None:
         self.stats.icmp_errors_sent += 1
         embedded = encode_ipv4(packet)[:28]  # IP header + 8 payload bytes
         self.send_icmp(

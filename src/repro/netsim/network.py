@@ -17,7 +17,7 @@ from typing import Callable
 from repro.core.clock import Scheduler
 from repro.core.eventlog import EventLog
 from repro.netsim.host import Host
-from repro.netsim.packet import Ipv4Packet
+from repro.netsim.packet import Ipv4Packet, UdpBurst
 
 # An interceptor looks at an in-flight packet and may claim it by
 # returning the host that should receive it instead of the owner.
@@ -207,36 +207,31 @@ class Network:
         # No closure, no handle: deliveries are never cancelled.
         self.scheduler.schedule(latency, self._deliver, packet, target)
 
-    def transmit_burst(self, packets: list[Ipv4Packet],
+    def transmit_burst(self, burst: UdpBurst,
                        origin: Host | None = None) -> None:
-        """Accept a same-instant burst of packets sharing one (src, dst).
+        """Accept a same-instant burst of UDP datagrams (one src, one dst).
 
-        On a clean fabric every packet of the burst would take the same
-        route at the same latency, so the burst becomes one heap entry
-        that delivers the packets in order: the deliveries, their order
-        and the stats are those of :meth:`transmit` called per packet,
-        but the scheduler runs one event instead of ``len(packets)``.
-        A fabric that looks at packets one by one (packet tracing, a
-        loss model, interceptors or a fault injector) gets exactly that.
+        On a clean fabric every datagram would take the same route at the
+        same latency, so the burst becomes one heap entry that delivers
+        the datagrams in order, with the deliveries and stats of
+        :meth:`transmit` called per packet.  A fabric that looks at
+        packets one by one (packet tracing, a loss model, interceptors or
+        a fault injector) gets each packet built and transmitted.
         """
         if self.trace_packets or self._loss is not None \
                 or self._interceptors or self._faults is not None:
-            for packet in packets:
+            for packet in burst.packets():
                 self.transmit(packet, origin)
             return
-        if not packets:
-            return
-        count = len(packets)
+        count = len(burst.datagrams)
         self.stats.transmitted += count
-        first = packets[0]
-        target = self._by_address.get(first.dst)
+        target = self._by_address.get(burst.dst)
         if target is None:
             self.stats.dropped_no_route += count
             return
         latency = self._latency_overrides.get(
-            (first.src, first.dst), self.default_latency)
-        self.scheduler.schedule(latency, self._deliver_burst, packets,
-                                target)
+            (burst.src, burst.dst), self.default_latency)
+        self.scheduler.schedule(latency, self._deliver_burst, burst, target)
 
     def _route(self, packet: Ipv4Packet, origin: Host | None) -> Host | None:
         for interceptor in self._interceptors:
@@ -252,12 +247,11 @@ class Network:
         self.stats.note_delivery(packet.dst)
         target.receive(packet)
 
-    def _deliver_burst(self, packets: list[Ipv4Packet],
-                       target: Host) -> None:
-        stats = self.stats
-        stats.delivered += len(packets)
-        stats.per_destination[packets[0].dst] += len(packets)
-        target.receive_burst(packets)
+    def _deliver_burst(self, burst: UdpBurst, target: Host) -> None:
+        count = len(burst.datagrams)
+        self.stats.delivered += count
+        self.stats.per_destination[burst.dst] += count
+        target.receive_burst(burst)
 
     def _destination_name(self, packet: Ipv4Packet) -> str | None:
         host = self._by_address.get(packet.dst)

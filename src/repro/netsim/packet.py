@@ -197,3 +197,40 @@ class Ipv4Packet:
     def __setstate__(self, state):
         for name, value in zip(_IPV4_FIELDS, state):
             object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, slots=True)
+class UdpBurst:
+    """Same-instant UDP datagrams from one ``src`` to one ``dst``.
+
+    The flooding fast path (SadDNS scan batches and TXID floods): the
+    datagrams travel as they are, and the packet around datagram ``i``
+    (IP ident ``idents[i]``) is built by :meth:`packet` only where one
+    has to exist.  Ports may differ per datagram.
+    """
+
+    src: str
+    dst: str
+    datagrams: tuple[UdpDatagram, ...]
+    idents: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.idents) != len(self.datagrams):
+            raise ValueError(f"a burst needs one IP ident per datagram, got"
+                             f" {len(self.idents)} for {len(self.datagrams)}")
+        if self.idents and not (0 <= min(self.idents)
+                                and max(self.idents) <= 0xFFFF):
+            raise ValueError("burst IP ident out of range")
+
+    def packet(self, index: int) -> Ipv4Packet:
+        """Datagram ``index`` as the packet ``make_udp_packet`` builds."""
+        from repro.netsim.wire import encode_udp
+
+        datagram = self.datagrams[index]
+        return Ipv4Packet(src=self.src, dst=self.dst, proto=PROTO_UDP,
+                          payload=encode_udp(self.src, self.dst, datagram),
+                          ident=self.idents[index], udp=datagram)
+
+    def packets(self) -> list[Ipv4Packet]:
+        """Every datagram's packet, in order."""
+        return [self.packet(index) for index in range(len(self.datagrams))]

@@ -33,7 +33,7 @@ from repro.dns import names
 from repro.dns.message import make_query
 from repro.dns.records import TYPE_A, rr_a, type_code
 from repro.dns.resolver import DNS_PORT, RecursiveResolver
-from repro.dns.wire import decode_message, encode_message
+from repro.dns.wire import WireFormatError, decode_message, encode_message
 from repro.netsim.packet import UdpDatagram
 from repro.obs import OBS
 from repro.obs.profile import stage
@@ -245,7 +245,7 @@ class WorkloadEngine:
                 return
             try:
                 response = decode_message(datagram.payload)
-            except Exception:
+            except WireFormatError:
                 return
             if not response.is_response or response.txid != txid:
                 return

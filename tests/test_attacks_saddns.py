@@ -16,6 +16,7 @@ from repro.testbed import (
     RESOLVER_IP,
     SERVICE_IP,
     TARGET_DOMAIN,
+    TARGET_NS_IP,
     standard_testbed,
 )
 from tests.conftest import make_trigger
@@ -89,6 +90,61 @@ class TestSideChannel:
         assert entry is not None and entry.poisoned
 
 
+def _captured_bursts(attacker):
+    """Record every burst the attacker injects (and still send it),
+    with a copy of the attacker's RNG from before the first one."""
+    from repro.core.rng import DeterministicRNG
+
+    before = DeterministicRNG()
+    before.setstate(attacker.rng.getstate())
+    bursts = []
+    inject = attacker.inject_burst
+
+    def injected(burst):
+        bursts.append(burst)
+        inject(burst)
+
+    attacker.inject_burst = injected
+    return before, bursts
+
+
+class TestBurstContents:
+    """The bursts carry exactly the packets per-packet sends built."""
+
+    def test_probe_batch_is_what_spoof_udp_sends(self, prepared):
+        from repro.netsim.wire import make_udp_packet
+
+        world, attacker, _trigger = prepared
+        attack = build_attack(world, attacker)
+        rng, bursts = _captured_bursts(attacker)
+        attack.probe_ports([20000, 31000])
+        (burst,) = bursts
+        assert burst.packets() == [
+            make_udp_packet(TARGET_NS_IP, RESOLVER_IP, 53, port,
+                            b"\x00\x00probe", ident=rng.randint(0, 0xFFFF))
+            for port in [20000, 31000] + list(range(2, 50))]
+
+    def test_flood_is_every_encoded_forgery(self, prepared):
+        from repro.dns.wire import encode_message
+        from repro.netsim.wire import make_udp_packet
+
+        world, attacker, _trigger = prepared
+        attack = build_attack(world, attacker)
+        rng, bursts = _captured_bursts(attacker)
+        assert not attack.flood_txids(20000, TARGET_DOMAIN)  # closed port
+        assert [len(burst.datagrams) for burst in bursts] == [4096] * 16
+        idents = [ident for burst in bursts for ident in burst.idents]
+        assert idents == [rng.randint(0, 0xFFFF) for _ in range(0x10000)]
+        for txid in (0, 1, 0x1234, 0xFFFF):
+            burst = bursts[txid // 4096]
+            index = txid % 4096
+            payload = encode_message(attacker.forge_response(
+                TARGET_DOMAIN, TYPE_A, txid, attack.malicious_records))
+            assert burst.packet(index) == make_udp_packet(
+                TARGET_NS_IP, RESOLVER_IP, 53, 20000, payload,
+                ident=idents[txid])
+
+
 class TestEndToEnd:
     def test_attack_succeeds_on_narrow_port_space(self, prepared):
         world, attacker, trigger = prepared
@@ -144,11 +200,13 @@ class TestEndToEnd:
 
 
 def _flooded_cell(defense, per_packet):
-    """A short blocked SadDNS grid cell that still reaches the flood.
+    """A short SadDNS grid cell (6 iterations, seed ``burst-4``).
 
     ``per_packet`` installs an interceptor that claims nothing: the
-    fabric is then no longer clean, so every flood chunk goes through
-    the per-packet path instead of one burst.
+    fabric is then no longer clean, so every burst (scan batch or flood
+    chunk) goes through the per-packet path instead.  Returns the built
+    world, its run, the flooded ports and, per burst injected, its
+    length, payload kind and the scheduler entries it added.
     """
     from repro.defenses import DefenseStack
     from repro.defenses.ablation import defended_scenario
@@ -158,34 +216,82 @@ def _flooded_cell(defense, per_packet):
     built = scenario.build(seed="burst-4")
     if per_packet:
         built.network.add_interceptor(lambda packet, origin: None)
-    floods = []
+    floods, bursts = [], []
     flood = built.attack.flood_txids
+    attacker = built.attack.attacker
+    inject = attacker.inject_burst
+    scheduler = built.network.scheduler
 
     def counted(port, qname):
         floods.append(port)
         return flood(port, qname)
 
+    def injected(burst):
+        before = scheduler.pending
+        inject(burst)
+        probe = burst.datagrams[0].payload.endswith(b"probe")
+        bursts.append((len(burst.datagrams), probe,
+                       scheduler.pending - before))
+
     built.attack.flood_txids = counted
-    return built, built.execute(), floods
+    attacker.inject_burst = injected
+    return built, built.execute(), floods, bursts
+
+
+# Per stack: does the cell reach the flood, and does the attack succeed?
+_FLOOD_CELLS = {
+    "0x20-encoding": (True, False),
+    "dnssec": (True, False),
+    # The forgery is accepted mid-chunk: the rest of the chunk hits a
+    # closed port and draws rate-limited ICMP errors.
+    "rpki-rov": (True, True),
+    # Every closed-port datagram draws budget jitter from the resolver's
+    # RNG; the side channel never finds the port.
+    "randomized-icmp-limit": (False, False),
+}
 
 
 class TestFloodBurst:
-    @pytest.mark.parametrize("defense", ["0x20-encoding", "dnssec"])
+    @pytest.mark.parametrize("defense", list(_FLOOD_CELLS))
     def test_burst_and_per_packet_paths_agree(self, defense):
         import dataclasses
 
-        burst, burst_run, burst_floods = _flooded_cell(defense, False)
-        single, single_run, single_floods = _flooded_cell(defense, True)
-        assert burst_floods and burst_floods == single_floods
+        floods, success = _FLOOD_CELLS[defense]
+        burst, burst_run, burst_floods, burst_bursts = \
+            _flooded_cell(defense, False)
+        single, single_run, single_floods, single_bursts = \
+            _flooded_cell(defense, True)
+        assert bool(burst_floods) is floods
+        assert burst_floods == single_floods
+        assert burst_run.result.success is success
         assert dataclasses.replace(burst_run, wall_time=0.0) \
             == dataclasses.replace(single_run, wall_time=0.0)
         assert burst.network.stats == single.network.stats
         assert burst.resolver.host.stats == single.resolver.host.stats
+        assert burst.attack.nameserver.host.stats \
+            == single.attack.nameserver.host.stats
         assert burst.resolver.stats == single.resolver.stats
         assert burst.resolver.cache._entries \
             == single.resolver.cache._entries
         assert burst.resolver.cache.stats == single.resolver.cache.stats
-        # Same packets, far fewer scheduler events: each 4,096-packet
-        # chunk of a flood is one event on the clean fabric.
-        assert burst.network.scheduler.executed \
-            < single.network.scheduler.executed - 60_000
+        # Every RNG draw happened, in the same order.
+        assert burst.attack.attacker.rng.getstate() \
+            == single.attack.attacker.rng.getstate()
+        assert burst.resolver.host.rng.getstate() \
+            == single.resolver.host.rng.getstate()
+        if success:
+            # More closed-port hits than scan probes (each batch plus its
+            # verification probe): the flood's tail after the acceptance.
+            probed = sum(size + 1 for size, probe, _ in burst_bursts
+                         if probe)
+            assert burst.resolver.host.stats.udp_to_closed_port > probed
+        # Same bursts; on the clean fabric each one, a probe batch or a
+        # 4,096-datagram flood chunk, is a single scheduler event.
+        assert [b[:2] for b in burst_bursts] \
+            == [b[:2] for b in single_bursts]
+        assert any(probe for _, probe, _ in burst_bursts)
+        assert all(added == 1 for _, _, added in burst_bursts)
+        assert all(added == size for size, _, added in single_bursts)
+        assert single.network.scheduler.executed \
+            - burst.network.scheduler.executed \
+            == sum(size - 1 for size, _, _ in burst_bursts)

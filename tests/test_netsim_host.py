@@ -11,6 +11,8 @@ from repro.netsim.packet import (
     ICMP_ECHO_REQUEST,
     ICMP_FRAG_NEEDED,
     IcmpMessage,
+    UdpBurst,
+    UdpDatagram,
 )
 from repro.netsim.wire import encode_ipv4, make_icmp_packet, make_udp_packet
 
@@ -201,76 +203,146 @@ class TestSpoofing:
         assert got == [b"small"]
 
 
+def _flood_chunk(port=40000, count=8):
+    """A TXID-template flood chunk: one encoded response, TXID varied."""
+    from repro.dns.message import make_query
+    from repro.dns.records import TYPE_A
+    from repro.dns.wire import encode_message
+
+    tail = encode_message(make_query("victim.example", TYPE_A, 0))[2:]
+    return UdpBurst(
+        "10.0.0.9", "10.0.0.2",
+        tuple(UdpDatagram(53, port, txid.to_bytes(2, "big") + tail)
+              for txid in range(count)),
+        tuple(range(0xFFFF, 0xFFFF - count, -1)))
+
+
+class TestUdpBurst:
+    def test_packets_are_what_make_udp_packet_builds(self):
+        batch = UdpBurst(
+            "10.0.0.9", "10.0.0.2",
+            tuple(UdpDatagram(53, dport, b"\x00\x00probe")
+                  for dport in (2, 30000, 65535, 3)),
+            (0, 7, 0xFFFF, 12))
+        for burst in (_flood_chunk(), batch):
+            packets = burst.packets()
+            assert len(packets) == len(burst.datagrams)
+            for index, datagram in enumerate(burst.datagrams):
+                expected = make_udp_packet(
+                    burst.src, burst.dst, datagram.sport, datagram.dport,
+                    datagram.payload, ident=burst.idents[index])
+                for packet in (burst.packet(index), packets[index]):
+                    assert packet == expected
+                    assert packet.udp == expected.udp
+                    assert encode_ipv4(packet) == encode_ipv4(expected)
+
+    @pytest.mark.parametrize("idents", [(0, 0x10000), (-1, 0), (0,),
+                                        (0, 1, 2)],
+                             ids=["above-range", "negative", "too-few",
+                                  "too-many"])
+    def test_bad_idents_raise(self, idents):
+        with pytest.raises(ValueError, match="ident"):
+            UdpBurst("10.0.0.9", "10.0.0.2",
+                     (UdpDatagram(53, 1), UdpDatagram(53, 2)), idents)
+
+
 class TestRawSendBurst:
     def _burst(self, count=4, dport=53):
-        return [make_udp_packet("10.0.0.9", "10.0.0.2", 53, dport,
-                                bytes([i]) * 4, ident=i)
-                for i in range(count)]
+        return UdpBurst(
+            "10.0.0.9", "10.0.0.2",
+            tuple(UdpDatagram(53, dport, bytes([i]) * 4)
+                  for i in range(count)),
+            tuple(range(count)))
 
     def test_burst_matches_per_packet_sends(self):
         """One scheduler event, but the deliveries, their order and
-        every counter of the per-packet path — including a port that
-        closes mid-burst and answers the rest with ICMP errors."""
+        every counter of the per-packet path, including a port that
+        closes mid-burst and answers the rest with ICMP errors that
+        embed the packets per-packet sends would have built."""
         outcomes = []
         for burst in (True, False):
             net, a, b = two_hosts()
+            # The spoofed source exists, so the errors come back.
+            victim = net.attach(Host("victim", "10.0.0.9"))
+            errors = []
+            victim.icmp_listener = \
+                lambda message, src: errors.append(message.embedded)
             got = []
 
             def handler(datagram, src, dst):
-                got.append(datagram.payload)
+                got.append((datagram.payload, src, dst))
                 if len(got) == 2:
                     socket.close()
 
             socket = b.open_udp(53, handler)
-            packets = self._burst()
+            datagrams = self._burst()
             if burst:
-                a.raw_send_burst(packets)
+                a.raw_send_burst(datagrams)
             else:
-                for packet in packets:
-                    a.raw_send(packet)
+                for index, datagram in enumerate(datagrams.datagrams):
+                    a.raw_send(make_udp_packet(
+                        "10.0.0.9", "10.0.0.2", datagram.sport,
+                        datagram.dport, datagram.payload, ident=index))
             net.run()
-            outcomes.append((got, net.stats, a.stats, b.stats,
+            outcomes.append((got, errors, net.stats, a.stats, b.stats,
                              net.scheduler.executed))
-        (got, net_stats, a_stats, b_stats, burst_events), \
-            (got_1, net_stats_1, a_stats_1, b_stats_1, single_events) \
-            = outcomes
-        assert got == got_1 == [b"\x00" * 4, b"\x01" * 4]
+        (got, errors, net_stats, a_stats, b_stats, burst_events), \
+            (got_1, errors_1, net_stats_1, a_stats_1, b_stats_1,
+             single_events) = outcomes
+        assert got == got_1 == [(b"\x00" * 4, "10.0.0.9", "10.0.0.2"),
+                                (b"\x01" * 4, "10.0.0.9", "10.0.0.2")]
         assert (net_stats, a_stats, b_stats) \
             == (net_stats_1, a_stats_1, b_stats_1)
         assert b_stats.udp_to_closed_port == 2
         assert b_stats.icmp_errors_sent == 2
-        # The errors go to the spoofed, unrouted source either way.
-        assert net_stats.dropped_no_route == 2
-        assert (burst_events, single_events) == (1, 4)
+        assert errors == errors_1 == [
+            encode_ipv4(self._burst().packet(index))[:28]
+            for index in (2, 3)]
+        # Four datagrams in one event, two ICMP errors in two more.
+        assert (burst_events, single_events) == (3, 6)
 
     def test_burst_falls_back_on_a_watched_fabric(self):
         net, a, b = two_hosts()
         b.open_udp(53)
-        net.add_interceptor(lambda packet, origin: None)
+        seen = []
+        net.add_interceptor(lambda packet, origin: seen.append(packet))
         a.raw_send_burst(self._burst())
         net.run()
         assert net.scheduler.executed == 4
         assert b.stats.udp_delivered == 4
+        assert seen == self._burst().packets()
 
-    @pytest.mark.parametrize("bad", ["fragment", "no-udp",
-                                     "mixed-destination"])
-    def test_burst_contract_violations_raise(self, bad):
-        net, a, _b = two_hosts()
-        packets = self._burst()
-        if bad == "fragment":
-            packets[2] = packets[2].evolve(mf=True)
-        elif bad == "no-udp":
-            packets[2] = packets[2].evolve(udp=None)
-        else:
-            packets[2] = packets[2].evolve(dst="10.0.0.3")
-        with pytest.raises(ValueError, match="burst"):
-            a.raw_send_burst(packets)
-        # Nothing of a rejected burst leaves the host.
-        assert a.stats.sent == 0
-        assert net.stats.transmitted == 0
+    def test_burst_to_a_tapped_host_builds_the_packets(self):
+        net, a, b = two_hosts()
+        b.open_udp(53)
+        tapped = []
+        b.packet_tap = tapped.append
+        a.raw_send_burst(self._burst())
+        net.run()
+        assert net.scheduler.executed == 1
+        assert tapped == self._burst().packets()
+        assert b.stats.received == b.stats.udp_delivered == 4
+
+    def test_burst_for_a_foreign_destination_reaches_no_socket(self):
+        # A hijack delivers someone else's traffic: the tap sees the
+        # packets, sockets never do.
+        _net, _a, b = two_hosts()
+        got = []
+        b.open_udp(53, lambda datagram, src, dst: got.append(datagram))
+        tapped = []
+        b.packet_tap = tapped.append
+        burst = self._burst()
+        foreign = UdpBurst("10.0.0.9", "10.0.0.3", burst.datagrams,
+                           burst.idents)
+        b.receive_burst(foreign)
+        assert tapped == foreign.packets()
+        assert got == []
+        assert b.stats.received == 4
+        assert b.stats.udp_delivered == 0
 
     def test_burst_spoofing_needs_permissive_network(self):
         net, _a, b = two_hosts()
         with pytest.raises(PermissionError):
             b.raw_send_burst(self._burst())
+        assert b.stats.sent == 0
         assert net.stats.transmitted == 0
