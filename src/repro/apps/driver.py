@@ -260,11 +260,8 @@ class AppDriver(ABC):
 
 def genuine_address(world: dict, qname: str) -> str:
     """The address the target zone legitimately publishes for ``qname``."""
-    from repro.dns import names
-
-    zone = world["target"].zone
-    for record in zone.records:
-        if record.rtype == TYPE_A and names.same_name(record.name, qname):
+    for record in world["target"].zone.records_at(qname):
+        if record.rtype == TYPE_A:
             return record.data
     return TARGET_WEB_IP
 

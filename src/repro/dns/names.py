@@ -51,11 +51,12 @@ def is_subdomain(name: str, ancestor: str) -> bool:
     >>> is_subdomain("evil.com", "vict.im")
     False
     """
-    name_l = labels_of(normalise(name))
-    anc_l = labels_of(normalise(ancestor))
-    if len(anc_l) > len(name_l):
-        return False
-    return name_l[len(name_l) - len(anc_l):] == anc_l
+    # The label-list suffix test, on strings: the root contains every
+    # name, and otherwise a whole trailing run of labels must match.
+    name = normalise(name)
+    ancestor = normalise(ancestor)
+    return not ancestor or name == ancestor \
+        or name.endswith("." + ancestor)
 
 
 def parent_of(name: str) -> str:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import WireFormatError
 from repro.core.rng import DeterministicRNG
-from repro.dns import names
 from repro.dns.message import (
     DnsMessage,
     RCODE_NOERROR,
@@ -149,9 +148,8 @@ class AuthoritativeServer:
             response.authority.extend(ns_records)
             for ns in ns_records:
                 response.additional.extend(
-                    r for r in zone.records
+                    r for r in zone.records_at(str(ns.data))
                     if r.rtype == TYPE_A
-                    and names.same_name(r.name, str(ns.data))
                 )
             self.stats.referrals += 1
             return self._finish(response, query, via_tcp)

@@ -9,40 +9,55 @@ pieces so resolvers perform genuine iterative resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from typing import Iterable
 
 from repro.dns import names
 from repro.dns.records import (
     QTYPE_ANY,
     ResourceRecord,
+    TYPE_CNAME,
     TYPE_NS,
     TYPE_RRSIG,
     TYPE_SOA,
     rr_rrsig,
     rr_soa,
+    rrset_digest,
 )
 
 
-@dataclass
 class Zone:
     """One zone: origin, its records, and child delegations.
 
     ``signed`` marks the zone as DNSSEC-signed; on lookup, signed zones
     attach modelled RRSIGs so validating resolvers can check them.
+
+    Records are indexed by normalised owner name, so a lookup reads one
+    owner's records instead of scanning the zone.  ``records`` is a
+    read-only snapshot: change records through :meth:`add` and
+    :meth:`set_ttl`, which keep the index in step.
     """
 
-    origin: str
-    records: list[ResourceRecord] = field(default_factory=list)
-    signed: bool = False
-
-    def __post_init__(self) -> None:
-        self.origin = names.normalise(self.origin)
-        if not any(r.rtype == TYPE_SOA for r in self.records):
-            self.records.insert(0, rr_soa(
+    def __init__(self, origin: str,
+                 records: Iterable[ResourceRecord] = (),
+                 signed: bool = False) -> None:
+        self.origin = names.normalise(origin)
+        self.signed = signed
+        self._records: list[ResourceRecord] = []
+        self._by_owner: dict[str, list[ResourceRecord]] = {}
+        records = list(records)
+        if not any(r.rtype == TYPE_SOA for r in records):
+            records.insert(0, rr_soa(
                 self.origin or ".",
                 f"ns1.{self.origin}" if self.origin else "a.root",
                 f"hostmaster.{self.origin}" if self.origin else "nstld",
             ))
+        self.add_all(records)
+
+    @property
+    def records(self) -> tuple[ResourceRecord, ...]:
+        """Every record, in the order it was added."""
+        return tuple(self._records)
 
     def add(self, record: ResourceRecord) -> "Zone":
         """Add a record (chainable)."""
@@ -50,14 +65,32 @@ class Zone:
             raise ValueError(
                 f"record {record.name!r} outside zone {self.origin!r}"
             )
-        self.records.append(record)
+        self._records.append(record)
+        self._by_owner.setdefault(
+            names.normalise(record.name), []).append(record)
         return self
 
-    def add_all(self, records: list[ResourceRecord]) -> "Zone":
+    def add_all(self, records: Iterable[ResourceRecord]) -> "Zone":
         """Add several records (chainable)."""
         for record in records:
             self.add(record)
         return self
+
+    def set_ttl(self, name: str, rtype: int, ttl: int) -> None:
+        """Give every ``rtype`` record at ``name`` the TTL ``ttl``, each
+        keeping its place in the zone."""
+        owner = names.normalise(name)
+        for index, record in enumerate(self._records):
+            if record.rtype == rtype \
+                    and names.normalise(record.name) == owner:
+                self._records[index] = dataclasses.replace(record, ttl=ttl)
+        if owner in self._by_owner:
+            self._by_owner[owner] = [
+                r for r in self._records if names.normalise(r.name) == owner]
+
+    def records_at(self, name: str) -> tuple[ResourceRecord, ...]:
+        """Every record owned by ``name``, in zone order."""
+        return tuple(self._by_owner.get(names.normalise(name), ()))
 
     def lookup(self, qname: str, qtype: int,
                _depth: int = 0) -> list[ResourceRecord]:
@@ -67,22 +100,15 @@ class Zone:
         the CNAME is returned and, if the target lives in this zone, the
         chain is chased server-side (RFC 1034 §3.6.2).
         """
-        from repro.dns.records import TYPE_CNAME, rrset_digest
-
-        wanted = names.normalise(qname)
+        owned = self._by_owner.get(names.normalise(qname), ())
         matched = [
-            r for r in self.records
-            if names.normalise(r.name) == wanted
-            and (qtype == QTYPE_ANY or r.rtype == qtype)
+            r for r in owned
+            if (qtype == QTYPE_ANY or r.rtype == qtype)
             and r.rtype != TYPE_RRSIG
         ]
         if not matched and qtype not in (QTYPE_ANY, TYPE_CNAME) \
                 and _depth < 8:
-            aliases = [
-                r for r in self.records
-                if names.normalise(r.name) == wanted
-                and r.rtype == TYPE_CNAME
-            ]
+            aliases = [r for r in owned if r.rtype == TYPE_CNAME]
             if aliases:
                 target = str(aliases[0].data)
                 chain = list(aliases)
@@ -96,8 +122,6 @@ class Zone:
                                              _depth=_depth + 1))
                 return chain
         if self.signed and matched:
-            from repro.dns.records import rrset_digest
-
             covered_types = {r.rtype for r in matched}
             matched = matched + [
                 rr_rrsig(
@@ -116,32 +140,25 @@ class Zone:
         point between our origin and ``qname``, or None if ``qname`` is
         answered authoritatively here.
         """
-        wanted = names.normalise(qname)
-        if not names.is_subdomain(wanted, self.origin):
+        owner = names.normalise(qname)
+        if not names.is_subdomain(owner, self.origin):
             return None
-        best: tuple[str, list[ResourceRecord]] | None = None
-        for record in self.records:
-            if record.rtype != TYPE_NS:
-                continue
-            owner = names.normalise(record.name)
-            if owner == self.origin:
-                continue  # apex NS, not a delegation
-            if names.is_subdomain(wanted, owner):
-                if best is None or len(owner) > len(best[0]):
-                    best = (owner, [])
-        if best is None:
-            return None
-        child = best[0]
-        ns_records = [
-            r for r in self.records
-            if r.rtype == TYPE_NS and names.normalise(r.name) == child
-        ]
-        return (child, ns_records)
+        # From qname up to, not including, the apex (whose NS records
+        # are not a delegation): the first owner with NS is the deepest.
+        while owner != self.origin:
+            ns_records = [r for r in self._by_owner.get(owner, ())
+                          if r.rtype == TYPE_NS]
+            if ns_records:
+                return (owner, ns_records)
+            dot = owner.find(".")
+            if dot < 0:
+                break
+            owner = owner[dot + 1:]
+        return None
 
     def has_name(self, qname: str) -> bool:
         """True if any record (of any type) exists at ``qname``."""
-        wanted = names.normalise(qname)
-        return any(names.normalise(r.name) == wanted for r in self.records)
+        return names.normalise(qname) in self._by_owner
 
 
 class ZoneSet:
@@ -165,13 +182,14 @@ class ZoneSet:
 
     def zone_for(self, qname: str) -> Zone | None:
         """The most specific zone whose origin contains ``qname``."""
-        wanted = names.normalise(qname)
-        best: Zone | None = None
-        for origin, zone in self._zones.items():
-            if names.is_subdomain(wanted, origin):
-                if best is None or len(origin) > len(best.origin):
-                    best = zone
-        return best
+        origin = names.normalise(qname)
+        # From qname up to the root: the first origin carried wins.
+        while True:
+            zone = self._zones.get(origin)
+            if zone is not None or not origin:
+                return zone
+            dot = origin.find(".")
+            origin = origin[dot + 1:] if dot >= 0 else ""
 
     def get(self, origin: str) -> Zone | None:
         """Zone by exact origin."""

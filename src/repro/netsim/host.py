@@ -24,9 +24,11 @@ from repro.netsim.packet import (
     ICMP_ECHO_REQUEST,
     ICMP_FRAG_NEEDED,
     ICMP_PORT_UNREACHABLE,
+    IPV4_HEADER_LEN,
     MIN_IPV4_MTU,
     PROTO_ICMP,
     PROTO_UDP,
+    UDP_HEADER_LEN,
     IcmpMessage,
     Ipv4Packet,
     UdpBurst,
@@ -243,12 +245,28 @@ class Host:
 
     def send_udp(self, src_ip: str, sport: int, dst: str, dport: int,
                  payload: bytes, df: bool = False) -> None:
-        """Encode and transmit a UDP datagram, fragmenting if needed."""
-        packet = make_udp_packet(
-            src=src_ip, dst=dst, sport=sport, dport=dport, payload=payload,
-            ident=self.ipid.next_id(dst), df=df,
-        )
-        self._transmit(packet)
+        """Transmit a UDP datagram, fragmenting if needed.
+
+        A datagram that fits the path MTU leaves as a one-datagram
+        :class:`UdpBurst`, so no packet is built unless the fabric or
+        the receiver needs one.  An oversize one is built and goes
+        through fragmentation (or is dropped, under DF).
+        """
+        ident = self.ipid.next_id(dst)
+        if IPV4_HEADER_LEN + UDP_HEADER_LEN + len(payload) \
+                > self.path_mtu(dst):
+            self._transmit(make_udp_packet(
+                src=src_ip, dst=dst, sport=sport, dport=dport,
+                payload=payload, ident=ident, df=df,
+            ))
+            return
+        if self.network is None:
+            raise RuntimeError(f"{self.name} is not attached to a network")
+        self.stats.sent += 1
+        self.network.transmit_burst(
+            UdpBurst(src_ip, dst, (UdpDatagram(sport, dport, payload),),
+                     (ident,), df),
+            origin=self)
 
     def send_icmp(self, dst: str, message: IcmpMessage,
                   src_ip: str | None = None) -> None:
@@ -277,9 +295,10 @@ class Host:
     def raw_send_burst(self, burst: UdpBurst) -> None:
         """Inject a same-instant burst of (possibly spoofed) UDP datagrams.
 
-        The flooding fast path: the burst reaches the network as one
-        :meth:`Network.transmit_burst`.  Egress spoofing is checked once,
-        for the burst's shared source.
+        The attacker's side of :meth:`send_udp`'s lazy path (SadDNS
+        scan batches and TXID flood chunks): the burst reaches the
+        network as one :meth:`Network.transmit_burst`.  Egress spoofing
+        is checked once, for the burst's shared source.
         """
         if self.network is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
@@ -356,7 +375,8 @@ class Host:
             self._deliver_icmp(packet)
 
     def receive_burst(self, burst: UdpBurst) -> None:
-        """Network entry point for a burst from :meth:`raw_send_burst`.
+        """Network entry point for a burst from :meth:`send_udp` or
+        :meth:`raw_send_burst`.
 
         Each datagram goes to its port's socket handler as it is; only a
         datagram that draws an ICMP port-unreachable is built into the

@@ -211,6 +211,8 @@ class Network:
                        origin: Host | None = None) -> None:
         """Accept a same-instant burst of UDP datagrams (one src, one dst).
 
+        Every unfragmented UDP send arrives here: one datagram from
+        :meth:`Host.send_udp`, many from :meth:`Host.raw_send_burst`.
         On a clean fabric every datagram would take the same route at the
         same latency, so the burst becomes one heap entry that delivers
         the datagrams in order, with the deliveries and stats of

@@ -1,9 +1,15 @@
-"""Packet object model: IPv4, UDP and ICMP.
+"""Packet object model: IPv4, UDP and ICMP, and UDP sends in flight.
 
 These dataclasses are the in-simulation representation; the byte encodings
 live in :mod:`repro.netsim.wire`.  Packets are treated as immutable once
 sent — mutation happens by building new packets (see :meth:`Ipv4Packet.evolve`),
 which keeps traces trustworthy.
+
+Most UDP traffic never becomes an :class:`Ipv4Packet`: an ordinary
+unfragmented send and every SadDNS flood chunk or scan batch travels as
+a :class:`UdpBurst` of datagrams, and its packets are built only where
+something looks at one (a watched fabric, a packet tap, a diverted
+destination, an ICMP error embed).
 
 All three classes carry ``__slots__``: volume attacks construct millions
 of packets per campaign, and slotted frozen dataclasses cut both the
@@ -203,16 +209,19 @@ class Ipv4Packet:
 class UdpBurst:
     """Same-instant UDP datagrams from one ``src`` to one ``dst``.
 
-    The flooding fast path (SadDNS scan batches and TXID floods): the
-    datagrams travel as they are, and the packet around datagram ``i``
-    (IP ident ``idents[i]``) is built by :meth:`packet` only where one
-    has to exist.  Ports may differ per datagram.
+    How unfragmented UDP travels: one datagram for an ordinary
+    :meth:`Host.send_udp <repro.netsim.host.Host.send_udp>`, thousands
+    for a SadDNS scan batch or TXID flood chunk.  The datagrams travel
+    as they are, and the packet around datagram ``i`` (IP ident
+    ``idents[i]``, the burst's ``df`` flag) is built by :meth:`packet`
+    only where one has to exist.  Ports may differ per datagram.
     """
 
     src: str
     dst: str
     datagrams: tuple[UdpDatagram, ...]
     idents: tuple[int, ...]
+    df: bool = False
 
     def __post_init__(self) -> None:
         if len(self.idents) != len(self.datagrams):
@@ -223,13 +232,15 @@ class UdpBurst:
             raise ValueError("burst IP ident out of range")
 
     def packet(self, index: int) -> Ipv4Packet:
-        """Datagram ``index`` as the packet ``make_udp_packet`` builds."""
+        """Datagram ``index`` as the packet ``make_udp_packet`` builds
+        (with the burst's ``df``)."""
         from repro.netsim.wire import encode_udp
 
         datagram = self.datagrams[index]
         return Ipv4Packet(src=self.src, dst=self.dst, proto=PROTO_UDP,
                           payload=encode_udp(self.src, self.dst, datagram),
-                          ident=self.idents[index], udp=datagram)
+                          ident=self.idents[index], df=self.df,
+                          udp=datagram)
 
     def packets(self) -> list[Ipv4Packet]:
         """Every datagram's packet, in order."""

@@ -26,8 +26,6 @@ attack bit-for-bit, which is the subsystem's key acceptance criterion.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
-
 from repro.core.rng import DeterministicRNG
 from repro.dns import names
 from repro.dns.message import make_query
@@ -180,12 +178,7 @@ class WorkloadEngine:
         target = self.world.get("target")
         if target is None:
             return
-        zone = target.zone
-        for index, record in enumerate(zone.records):
-            if record.rtype == TYPE_A \
-                    and names.same_name(record.name, self.victim_qname):
-                zone.records[index] = dc_replace(
-                    record, ttl=self.spec.victim_ttl)
+        target.zone.set_ttl(self.victim_qname, TYPE_A, self.spec.victim_ttl)
 
     def _install_background_domains(self) -> None:
         """One tiny authoritative domain per background name in the trace.

@@ -58,6 +58,14 @@ class TestZone:
         with pytest.raises(ValueError):
             Zone("vict.im").add(rr_a("other.example", "1.1.1.1"))
 
+    def test_out_of_zone_constructor_record_rejected(self):
+        with pytest.raises(ValueError, match="outside zone"):
+            Zone("vict.im", records=[rr_a("www.vict.im", "1.1.1.1"),
+                                     rr_a("evilvict.im", "6.6.6.6")])
+        # The root zone holds every name.
+        assert Zone("", records=[rr_a("other.example", "1.1.1.1")]) \
+            .has_name("other.example")
+
     def test_delegation_detected(self):
         zone = self.make_zone()
         delegation = zone.delegation_for("www.child.vict.im")

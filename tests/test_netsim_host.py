@@ -11,6 +11,7 @@ from repro.netsim.packet import (
     ICMP_ECHO_REQUEST,
     ICMP_FRAG_NEEDED,
     IcmpMessage,
+    Ipv4Packet,
     UdpBurst,
     UdpDatagram,
 )
@@ -346,3 +347,144 @@ class TestRawSendBurst:
             b.raw_send_burst(self._burst())
         assert b.stats.sent == 0
         assert net.stats.transmitted == 0
+
+
+def _packet_path_send(host, src, sport, dst, dport, payload, df=False):
+    """The send every UDP datagram took before lazy unicast: the packet
+    is built up front and handed to the fragmenting transmit path."""
+    host._transmit(make_udp_packet(src, dst, sport, dport, payload,
+                                   ident=host.ipid.next_id(dst), df=df))
+
+
+def _send(lazy, host, *args, **kwargs):
+    if lazy:
+        host.send_udp(*args, **kwargs)
+    else:
+        _packet_path_send(host, *args, **kwargs)
+
+
+class TestLazySend:
+    def test_clean_fabric_send_builds_no_packet(self, monkeypatch):
+        net, a, b = two_hosts()
+        got = []
+        b.open_udp(53, lambda datagram, src, dst:
+                   got.append((datagram.payload, src, dst)))
+        built, bursts = [], []
+        monkeypatch.setattr(Ipv4Packet, "__post_init__",
+                            lambda packet: built.append(packet))
+        deliver_burst = Network._deliver_burst
+        monkeypatch.setattr(
+            Network, "_deliver_burst",
+            lambda net, burst, target: (bursts.append(burst),
+                                        deliver_burst(net, burst, target)))
+        a.send_udp("10.0.0.1", 1234, "10.0.0.2", 53, b"query", df=True)
+        net.run()
+        assert got == [(b"query", "10.0.0.1", "10.0.0.2")]
+        assert built == []
+        assert net.scheduler.executed == 1
+        (burst,) = bursts
+        assert burst.df and burst.datagrams == (UdpDatagram(1234, 53,
+                                                            b"query"),)
+
+    @pytest.mark.parametrize("df", [False, True])
+    def test_closed_port_matches_the_packet_path(self, df):
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts()
+            errors = []
+            a.icmp_listener = \
+                lambda message, src: errors.append(message.embedded)
+            for port in (9, 10):
+                _send(lazy, a, "10.0.0.1", 1234, "10.0.0.2", port,
+                      b"payload", df=df)
+            net.run()
+            outcomes.append((errors, net.stats, a.stats, b.stats,
+                             net.scheduler.executed))
+        assert outcomes[0] == outcomes[1]
+        errors, _net_stats, _a_stats, b_stats, _events = outcomes[0]
+        assert b_stats.icmp_errors_sent == 2
+        assert [bool(embedded[6] & 0x40) for embedded in errors] == [df, df]
+
+    def test_oversize_sends_still_fragment(self):
+        net, a, b = two_hosts()
+        got = []
+        b.open_udp(53, lambda datagram, src, dst:
+                   got.append(datagram.payload))
+        a.send_udp("10.0.0.1", 1234, "10.0.0.2", 53, b"x" * 1472)
+        a.send_udp("10.0.0.1", 1234, "10.0.0.2", 53, b"y" * 1473)
+        net.run()
+        assert got == [b"x" * 1472, b"y" * 1473]
+        # One datagram that just fits, two fragments for the other.
+        assert a.stats.sent == net.stats.transmitted == 3
+        assert b.stats.reassembled == 1
+
+    def test_oversize_df_sends_are_dropped(self):
+        net, a, b = two_hosts()
+        b.open_udp(53)
+        a.send_udp("10.0.0.1", 1234, "10.0.0.2", 53, b"x" * 1473, df=True)
+        net.run()
+        assert a.stats.df_drops == 1
+        assert a.stats.sent == net.stats.transmitted == 0
+        assert b.stats.received == 0
+
+    def _watched_world(self, fabric):
+        from repro.bgp.hijack import HijackCampaign
+        from repro.faults.inject import FaultInjector
+        from repro.faults.spec import FaultPlan, ImpairmentSpec
+
+        net, a, b = two_hosts()
+        attacker = net.attach(Host("attacker", "10.0.1.6"))
+        diverted = []
+        attacker.packet_tap = \
+            lambda packet: diverted.append((net.now, packet))
+        campaign = None
+        if fabric == "trace":
+            net.trace_packets = True
+        elif fabric == "hijack":
+            campaign = HijackCampaign(
+                net, attacker, "10.0.0.2/32",
+                capture_filter=lambda packet: packet.udp is not None
+                and packet.udp.dport == 53)
+            campaign.start()
+        else:
+            net.set_fault_injector(FaultInjector(
+                FaultPlan(impairments=(ImpairmentSpec(
+                    dst="10.0.0.2", jitter=0.02, reorder=0.3,
+                    duplicate=0.4),)),
+                DeterministicRNG("faults")))
+        return net, a, b, diverted, campaign
+
+    @pytest.mark.parametrize("fabric", ["trace", "hijack", "faults"])
+    def test_watched_fabric_matches_the_packet_path(self, fabric):
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b, diverted, campaign = self._watched_world(fabric)
+            got = []
+            for port in (53, 54):
+                b.open_udp(port, lambda datagram, src, dst:
+                           got.append((net.now, datagram.payload)))
+            errors = []
+            a.icmp_listener = \
+                lambda message, src: errors.append(message.embedded)
+            for index in range(12):
+                _send(lazy, a, "10.0.0.1", 1234, "10.0.0.2",
+                      (53, 54, 9)[index % 3], bytes([index]) * (index + 1),
+                      df=index % 2 == 0)
+            _send(lazy, a, "10.0.0.1", 1234, "10.0.0.2", 54, b"z" * 2000)
+            net.run()
+            log = [(event.time, event.actor, event.kind, event.detail)
+                   for event in net.log]
+            outcomes.append((got, errors, diverted, log, net.stats,
+                             a.stats, b.stats, net.scheduler.executed,
+                             campaign.diverted if campaign else None))
+        assert outcomes[0] == outcomes[1]
+        got, errors, diverted, log, net_stats, *_ = outcomes[0]
+        assert got and errors
+        if fabric == "trace":
+            assert sum(kind == "net.tx" for _t, _a, kind, _d in log) \
+                == net_stats.transmitted
+        elif fabric == "hijack":
+            assert len(diverted) == 4
+            assert net_stats.intercepted == 4
+        else:
+            assert net_stats.faults_delayed and net_stats.faults_duplicated
