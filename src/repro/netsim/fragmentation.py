@@ -69,6 +69,11 @@ class ReassemblyCache:
     Feed fragments in with :meth:`add`; a completed datagram is returned
     as a fresh unfragmented :class:`Ipv4Packet` (transport not yet parsed
     — UDP checksum verification happens after reassembly, in the host).
+
+    Virtual time never runs backwards (:meth:`add` refuses it), so the
+    insertion order of the partial datagrams is their ``first_seen``
+    order: the stale ones are a prefix and the oldest is the first, and
+    expiry and eviction cost O(1) per fragment.
     """
 
     def __init__(self, capacity: int = LINUX_FRAG_CAPACITY,
@@ -76,6 +81,7 @@ class ReassemblyCache:
         self.capacity = capacity
         self.timeout = timeout
         self._partials: dict[tuple[str, str, int, int], _PartialDatagram] = {}
+        self._last = float("-inf")
         self.evictions = 0
         self.timeouts = 0
         self.reassembled = 0
@@ -85,18 +91,24 @@ class ReassemblyCache:
 
     def expire(self, now: float) -> None:
         """Drop partial datagrams older than the reassembly timeout."""
-        stale = [
-            key for key, partial in self._partials.items()
-            if now - partial.first_seen > self.timeout
-        ]
-        for key in stale:
-            del self._partials[key]
+        partials = self._partials
+        while partials:
+            key = next(iter(partials))
+            if now - partials[key].first_seen <= self.timeout:
+                return
+            del partials[key]
             self.timeouts += 1
 
     def add(self, fragment: Ipv4Packet, now: float) -> Ipv4Packet | None:
         """Insert a fragment; return the reassembled packet if complete."""
         if not fragment.is_fragment:
             raise ValueError("add() expects a fragment")
+        if now < self._last:
+            # A backwards clock would break the first_seen order that
+            # expiry and eviction rely on, so fail loudly instead.
+            raise ValueError(
+                f"time went backwards: now={now} < last={self._last}")
+        self._last = now
         self.expire(now)
         key = fragment.fragment_key
         partial = self._partials.get(key)
@@ -105,9 +117,7 @@ class ReassemblyCache:
                 # Evict the oldest entry, as Linux does under memory
                 # pressure.  The attacker's cache-filling trick exploits
                 # exactly this bound.
-                oldest = min(self._partials,
-                             key=lambda k: self._partials[k].first_seen)
-                del self._partials[oldest]
+                del self._partials[next(iter(self._partials))]
                 self.evictions += 1
             partial = _PartialDatagram(first_seen=now)
             self._partials[key] = partial

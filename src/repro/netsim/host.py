@@ -29,6 +29,7 @@ from repro.netsim.packet import (
     PROTO_ICMP,
     PROTO_UDP,
     UDP_HEADER_LEN,
+    IcmpErrorBurst,
     IcmpMessage,
     Ipv4Packet,
     UdpBurst,
@@ -374,16 +375,23 @@ class Host:
         elif packet.proto == PROTO_ICMP and packet.icmp is not None:
             self._deliver_icmp(packet)
 
-    def receive_burst(self, burst: UdpBurst) -> None:
-        """Network entry point for a burst from :meth:`send_udp` or
-        :meth:`raw_send_burst`.
+    def receive_burst(self, burst: UdpBurst | IcmpErrorBurst) -> None:
+        """Network entry point for a burst from :meth:`send_udp`,
+        :meth:`raw_send_burst` or another host's port-unreachable errors.
 
-        Each datagram goes to its port's socket handler as it is; only a
-        datagram that draws an ICMP port-unreachable is built into the
-        packet the error embeds.  A burst that needs more (a tap is set,
-        or the destination is not ours) goes through :meth:`receive` one
-        packet at a time.
+        Each datagram goes to its port's socket handler as it is.  The
+        datagrams that draw an ICMP port-unreachable (the rate limiter
+        is asked per datagram, and each error takes its IP ident when
+        it is drawn) go back as one :class:`IcmpErrorBurst`; the errors
+        collected so far leave before any socket handler runs, and the
+        rest at the end, so the scheduler sees them in the per-packet
+        order.  A burst that needs more (a tap is set, or the
+        destination is not ours) goes through :meth:`receive` one packet
+        at a time.
         """
+        if type(burst) is IcmpErrorBurst:
+            self._receive_port_unreachables(burst)
+            return
         if self.packet_tap is not None or not self.owns(burst.dst):
             for packet in burst.packets():
                 self.receive(packet)
@@ -391,10 +399,20 @@ class Host:
         self.stats.received += len(burst.datagrams)
         src, dst = burst.src, burst.dst
         deliver = self._deliver_udp
+        sockets = self._sockets
+        errors: list[int] = []
+        idents: list[int] = []
         for index, datagram in enumerate(burst.datagrams):
+            if errors and datagram.dport in sockets:
+                # The handler may schedule events: earlier errors go first.
+                self._send_port_unreachables(burst, errors, idents)
+                errors, idents = [], []
             if not deliver(datagram, src, dst) \
                     and self._port_unreachable_allowed():
-                self._send_port_unreachable(burst.packet(index))
+                errors.append(index)
+                idents.append(self.ipid.next_id(src))
+        if errors:
+            self._send_port_unreachables(burst, errors, idents)
 
     def _deliver_udp(self, datagram: UdpDatagram, src: str,
                      dst: str) -> bool:
@@ -435,6 +453,52 @@ class Host:
             IcmpMessage(icmp_type=ICMP_DEST_UNREACHABLE,
                         code=ICMP_PORT_UNREACHABLE, embedded=embedded),
         )
+
+    def _send_port_unreachables(self, burst: UdpBurst, indices: list[int],
+                                idents: list[int]) -> None:
+        """Send the errors for ``burst``'s datagrams at ``indices`` (IP
+        idents ``idents``) as one :class:`IcmpErrorBurst`: the errors
+        :meth:`_send_port_unreachable` sends one packet at a time."""
+        if self.network is None:
+            raise RuntimeError(f"{self.name} is not attached to a network")
+        count = len(indices)
+        self.stats.icmp_errors_sent += count
+        self.stats.sent += count
+        datagrams, origin_idents = burst.datagrams, burst.idents
+        offending = UdpBurst(burst.src, burst.dst,
+                             tuple([datagrams[i] for i in indices]),
+                             tuple([origin_idents[i] for i in indices]),
+                             burst.df)
+        self.network.transmit_burst(
+            IcmpErrorBurst(self.address, offending, tuple(idents)),
+            origin=self)
+
+    def _receive_port_unreachables(self, errors: IcmpErrorBurst) -> None:
+        """Take delivery of another host's port-unreachable errors.
+
+        Each error's message is built only for an :attr:`icmp_listener`
+        or for an ``error_handler`` on the socket of the offending
+        datagram's source port, which then see it as
+        :meth:`_deliver_icmp` would show it.  A tap or a foreign
+        destination gets the packets through :meth:`receive`.
+        """
+        if self.packet_tap is not None or not self.owns(errors.dst):
+            for packet in errors.packets():
+                self.receive(packet)
+            return
+        self.stats.received += len(errors.idents)
+        src = errors.src
+        sockets = self._sockets
+        for index, datagram in enumerate(errors.offending.datagrams):
+            socket = sockets.get(datagram.sport)
+            error_handler = None if socket is None else socket.error_handler
+            if error_handler is None and self.icmp_listener is None:
+                continue
+            message = errors.message(index)
+            if error_handler is not None:
+                error_handler(message, src)
+            if self.icmp_listener is not None:
+                self.icmp_listener(message, src)
 
     def _deliver_icmp(self, packet: Ipv4Packet) -> None:
         assert packet.icmp is not None

@@ -17,7 +17,7 @@ from typing import Callable
 from repro.core.clock import Scheduler
 from repro.core.eventlog import EventLog
 from repro.netsim.host import Host
-from repro.netsim.packet import Ipv4Packet, UdpBurst
+from repro.netsim.packet import IcmpErrorBurst, Ipv4Packet, UdpBurst
 
 # An interceptor looks at an in-flight packet and may claim it by
 # returning the host that should receive it instead of the owner.
@@ -207,25 +207,27 @@ class Network:
         # No closure, no handle: deliveries are never cancelled.
         self.scheduler.schedule(latency, self._deliver, packet, target)
 
-    def transmit_burst(self, burst: UdpBurst,
+    def transmit_burst(self, burst: UdpBurst | IcmpErrorBurst,
                        origin: Host | None = None) -> None:
-        """Accept a same-instant burst of UDP datagrams (one src, one dst).
+        """Accept a same-instant burst of packets (one src, one dst).
 
-        Every unfragmented UDP send arrives here: one datagram from
-        :meth:`Host.send_udp`, many from :meth:`Host.raw_send_burst`.
-        On a clean fabric every datagram would take the same route at the
-        same latency, so the burst becomes one heap entry that delivers
-        the datagrams in order, with the deliveries and stats of
-        :meth:`transmit` called per packet.  A fabric that looks at
-        packets one by one (packet tracing, a loss model, interceptors or
-        a fault injector) gets each packet built and transmitted.
+        Every unfragmented UDP send arrives here, one datagram from
+        :meth:`Host.send_udp` and many from :meth:`Host.raw_send_burst`,
+        and so do the port-unreachable errors a host sends back for a
+        burst's closed-port datagrams.  On a clean fabric every packet
+        would take the same route at the same latency, so the burst
+        becomes one heap entry that delivers the packets in order, with
+        the deliveries and stats of :meth:`transmit` called per packet.
+        A fabric that looks at packets one by one (packet tracing, a loss
+        model, interceptors or a fault injector) gets each packet built
+        and transmitted.
         """
         if self.trace_packets or self._loss is not None \
                 or self._interceptors or self._faults is not None:
             for packet in burst.packets():
                 self.transmit(packet, origin)
             return
-        count = len(burst.datagrams)
+        count = len(burst.idents)
         self.stats.transmitted += count
         target = self._by_address.get(burst.dst)
         if target is None:
@@ -249,8 +251,9 @@ class Network:
         self.stats.note_delivery(packet.dst)
         target.receive(packet)
 
-    def _deliver_burst(self, burst: UdpBurst, target: Host) -> None:
-        count = len(burst.datagrams)
+    def _deliver_burst(self, burst: UdpBurst | IcmpErrorBurst,
+                       target: Host) -> None:
+        count = len(burst.idents)
         self.stats.delivered += count
         self.stats.per_destination[burst.dst] += count
         target.receive_burst(burst)

@@ -7,11 +7,13 @@ which keeps traces trustworthy.
 
 Most UDP traffic never becomes an :class:`Ipv4Packet`: an ordinary
 unfragmented send and every SadDNS flood chunk or scan batch travels as
-a :class:`UdpBurst` of datagrams, and its packets are built only where
-something looks at one (a watched fabric, a packet tap, a diverted
-destination, an ICMP error embed).
+a :class:`UdpBurst` of datagrams, and the port-unreachable errors a burst
+draws travel back as one :class:`IcmpErrorBurst`.  Their packets are
+built only where something looks at one (a watched fabric, a packet tap,
+a diverted destination, an ICMP listener or socket error handler that
+reads an error's embed).
 
-All three classes carry ``__slots__``: volume attacks construct millions
+Every class here carries ``__slots__``: volume attacks construct millions
 of packets per campaign, and slotted frozen dataclasses cut both the
 per-instance memory and the attribute-access cost on the receive path.
 Constructor validation lives in ``__post_init__`` and guards hand-built
@@ -214,7 +216,9 @@ class UdpBurst:
     for a SadDNS scan batch or TXID flood chunk.  The datagrams travel
     as they are, and the packet around datagram ``i`` (IP ident
     ``idents[i]``, the burst's ``df`` flag) is built by :meth:`packet`
-    only where one has to exist.  Ports may differ per datagram.
+    only where one has to exist; an ICMP error embeds it only when
+    something reads the error (see :class:`IcmpErrorBurst`).  Ports may
+    differ per datagram.
     """
 
     src: str
@@ -245,3 +249,47 @@ class UdpBurst:
     def packets(self) -> list[Ipv4Packet]:
         """Every datagram's packet, in order."""
         return [self.packet(index) for index in range(len(self.datagrams))]
+
+
+@dataclass(frozen=True, slots=True)
+class IcmpErrorBurst:
+    """Same-instant ICMP port-unreachable errors from one host.
+
+    What :meth:`Host.receive_burst
+    <repro.netsim.host.Host.receive_burst>` sends back for the datagrams
+    of a :class:`UdpBurst` that hit closed ports: ``offending`` holds
+    only those datagrams (with their IP idents), and error ``i``, from
+    ``src`` to ``offending.src`` with IP ident ``idents[i]``, is the
+    error a per-packet receive sends for ``offending.packet(i)``.  Its
+    message (:meth:`message`) and packet (:meth:`packet`) are built only
+    where something reads them.
+    """
+
+    src: str
+    offending: UdpBurst
+    idents: tuple[int, ...]
+
+    @property
+    def dst(self) -> str:
+        """Where the errors go: the offending datagrams' source."""
+        return self.offending.src
+
+    def message(self, index: int) -> IcmpMessage:
+        """Error ``index``'s message, embedding the offending packet's IP
+        header and UDP header."""
+        from repro.netsim.wire import encode_ipv4
+
+        return IcmpMessage(
+            icmp_type=ICMP_DEST_UNREACHABLE, code=ICMP_PORT_UNREACHABLE,
+            embedded=encode_ipv4(self.offending.packet(index))[:28])
+
+    def packet(self, index: int) -> Ipv4Packet:
+        """Error ``index`` as the packet ``make_icmp_packet`` builds."""
+        from repro.netsim.wire import make_icmp_packet
+
+        return make_icmp_packet(self.src, self.dst, self.message(index),
+                                ident=self.idents[index])
+
+    def packets(self) -> list[Ipv4Packet]:
+        """Every error's packet, in order."""
+        return [self.packet(index) for index in range(len(self.idents))]

@@ -11,6 +11,7 @@ from repro.attacks import (
 from repro.dns.nameserver import NameserverConfig
 from repro.dns.records import TYPE_A
 from repro.netsim.host import HostConfig
+from repro.netsim.packet import IcmpErrorBurst
 from repro.testbed import (
     ATTACKER_IP,
     RESOLVER_IP,
@@ -205,8 +206,9 @@ def _flooded_cell(defense, per_packet):
     ``per_packet`` installs an interceptor that claims nothing: the
     fabric is then no longer clean, so every burst (scan batch or flood
     chunk) goes through the per-packet path instead.  Returns the built
-    world, its run, the flooded ports and, per burst injected, its
-    length, payload kind and the scheduler entries it added.
+    world, its run, the flooded ports, per burst injected its length,
+    payload kind and the scheduler entries it added, and the size of
+    each port-unreachable error burst the fabric delivered.
     """
     from repro.defenses import DefenseStack
     from repro.defenses.ablation import defended_scenario
@@ -216,11 +218,13 @@ def _flooded_cell(defense, per_packet):
     built = scenario.build(seed="burst-4")
     if per_packet:
         built.network.add_interceptor(lambda packet, origin: None)
-    floods, bursts = [], []
+    floods, bursts, errors = [], [], []
     flood = built.attack.flood_txids
     attacker = built.attack.attacker
     inject = attacker.inject_burst
-    scheduler = built.network.scheduler
+    network = built.network
+    scheduler = network.scheduler
+    deliver_burst = network._deliver_burst
 
     def counted(port, qname):
         floods.append(port)
@@ -233,9 +237,15 @@ def _flooded_cell(defense, per_packet):
         bursts.append((len(burst.datagrams), probe,
                        scheduler.pending - before))
 
+    def delivered(burst, target):
+        if isinstance(burst, IcmpErrorBurst):
+            errors.append(len(burst.idents))
+        deliver_burst(burst, target)
+
     built.attack.flood_txids = counted
     attacker.inject_burst = injected
-    return built, built.execute(), floods, bursts
+    network._deliver_burst = delivered
+    return built, built.execute(), floods, bursts, errors
 
 
 # Per stack: does the cell reach the flood, and does the attack succeed?
@@ -257,9 +267,9 @@ class TestFloodBurst:
         import dataclasses
 
         floods, success = _FLOOD_CELLS[defense]
-        burst, burst_run, burst_floods, burst_bursts = \
+        burst, burst_run, burst_floods, burst_bursts, burst_errors = \
             _flooded_cell(defense, False)
-        single, single_run, single_floods, single_bursts = \
+        single, single_run, single_floods, single_bursts, single_errors = \
             _flooded_cell(defense, True)
         assert bool(burst_floods) is floods
         assert burst_floods == single_floods
@@ -292,6 +302,10 @@ class TestFloodBurst:
         assert any(probe for _, probe, _ in burst_bursts)
         assert all(added == 1 for _, _, added in burst_bursts)
         assert all(added == size for size, _, added in single_bursts)
+        # The port-unreachable errors each of those draws go back as one
+        # more event, where the per-packet path sends one per error.
+        assert burst_errors and single_errors == []
         assert single.network.scheduler.executed \
             - burst.network.scheduler.executed \
-            == sum(size - 1 for size, _, _ in burst_bursts)
+            == sum(size - 1 for size, _, _ in burst_bursts) \
+            + sum(size - 1 for size in burst_errors)

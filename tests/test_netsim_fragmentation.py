@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.netsim.fragmentation import (
     LINUX_FRAG_CAPACITY,
     ReassemblyCache,
+    _PartialDatagram,
     fragment_packet,
 )
 from repro.netsim.packet import Ipv4Packet, PROTO_UDP
@@ -139,3 +140,83 @@ class TestReassemblyCache:
         for fragment in fragment_packet(make_packet(bytes(100)), 68):
             cache.add(fragment, 0.0)
         assert cache.reassembled == 1
+
+    def test_time_going_backwards_raises(self):
+        fragments = fragment_packet(make_packet(bytes(100), ident=1), 68)
+        cache = ReassemblyCache()
+        cache.add(fragments[0], now=2.0)
+        cache.add(fragments[1], now=2.0)
+        with pytest.raises(ValueError, match="backwards"):
+            cache.add(fragments[2], now=1.0)
+
+
+# -- the full scans the O(1) expiry and eviction replaced -------------------
+
+
+def ref_expire(cache, now):
+    stale = [
+        key for key, partial in cache._partials.items()
+        if now - partial.first_seen > cache.timeout
+    ]
+    for key in stale:
+        del cache._partials[key]
+        cache.timeouts += 1
+
+
+def ref_add(cache, fragment, now):
+    ref_expire(cache, now)
+    key = fragment.fragment_key
+    partial = cache._partials.get(key)
+    if partial is None:
+        if len(cache._partials) >= cache.capacity:
+            oldest = min(cache._partials,
+                         key=lambda k: cache._partials[k].first_seen)
+            del cache._partials[oldest]
+            cache.evictions += 1
+        partial = _PartialDatagram(first_seen=now)
+        cache._partials[key] = partial
+    partial.add(fragment)
+    payload = partial.try_reassemble()
+    if payload is None:
+        return None
+    del cache._partials[key]
+    cache.reassembled += 1
+    return partial.template.evolve(
+        payload=payload, mf=False, frag_offset=0, udp=None, icmp=None)
+
+
+_DATAGRAMS = [fragment_packet(make_packet(bytes([ident]) * (100 + 24 * ident),
+                                          ident=ident), 68)
+              for ident in range(6)]
+
+
+class TestReassemblyCacheScans:
+    @given(capacity=st.integers(min_value=1, max_value=4),
+           steps=st.lists(st.tuples(
+               st.integers(min_value=0, max_value=5),
+               st.integers(min_value=0, max_value=5),
+               st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 6.0])),
+               max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_scans(self, capacity, steps):
+        """Prefix expiry and first-key eviction keep every counter, every
+        returned packet and the cache contents of the old scans, ties in
+        ``first_seen`` included."""
+        fast = ReassemblyCache(capacity=capacity, timeout=5.0)
+        ref = ReassemblyCache(capacity=capacity, timeout=5.0)
+        now = 0.0
+        for ident, index, step in steps:
+            now += step
+            fragments = _DATAGRAMS[ident]
+            fragment = fragments[index % len(fragments)]
+            assert fast.add(fragment, now) == ref_add(ref, fragment, now)
+            assert (fast.evictions, fast.timeouts, fast.reassembled) \
+                == (ref.evictions, ref.timeouts, ref.reassembled)
+            assert [(key, partial.first_seen, partial.spans)
+                    for key, partial in fast._partials.items()] \
+                == [(key, partial.first_seen, partial.spans)
+                    for key, partial in ref._partials.items()]
+        fast.expire(now + 5.5)
+        ref_expire(ref, now + 5.5)
+        assert fast.timeouts == ref.timeouts
+        assert list(fast._partials) == list(ref._partials)

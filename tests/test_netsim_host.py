@@ -299,8 +299,8 @@ class TestRawSendBurst:
         assert errors == errors_1 == [
             encode_ipv4(self._burst().packet(index))[:28]
             for index in (2, 3)]
-        # Four datagrams in one event, two ICMP errors in two more.
-        assert (burst_events, single_events) == (3, 6)
+        # Four datagrams in one event, two ICMP errors in one more.
+        assert (burst_events, single_events) == (2, 6)
 
     def test_burst_falls_back_on_a_watched_fabric(self):
         net, a, b = two_hosts()
@@ -488,3 +488,210 @@ class TestLazySend:
             assert net_stats.intercepted == 4
         else:
             assert net_stats.faults_delayed and net_stats.faults_duplicated
+
+
+def _closed_port_burst(df=False, count=6, dst="10.0.0.2"):
+    """Datagrams from ``a`` to closed ports on ``b``, one source port per
+    datagram so each error finds its own socket on ``a``."""
+    return UdpBurst(
+        "10.0.0.1", dst,
+        tuple(UdpDatagram(5000 + i, 9000 + i, bytes([i]) * (3 + i))
+              for i in range(count)),
+        tuple(range(100, 100 + count)), df)
+
+
+def _send_burst(lazy, host, burst):
+    """The burst as one :meth:`Host.raw_send_burst`, or as the packets
+    per-packet sends build (whose errors take the per-packet path)."""
+    if lazy:
+        host.raw_send_burst(burst)
+    else:
+        for packet in burst.packets():
+            host.raw_send(packet)
+
+
+class TestLazyIcmpErrors:
+    def test_clean_fabric_without_listener_builds_no_error(
+            self, monkeypatch):
+        from repro.netsim import wire
+
+        net, a, b = two_hosts()
+        built = []
+        monkeypatch.setattr(Ipv4Packet, "__post_init__",
+                            lambda packet: built.append(packet))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ICMP error was built")
+
+        monkeypatch.setattr(wire, "make_icmp_packet", refuse)
+        monkeypatch.setattr(wire, "encode_icmp", refuse)
+        monkeypatch.setattr("repro.netsim.host.make_icmp_packet", refuse)
+        a.raw_send_burst(_closed_port_burst())
+        net.run()
+        assert built == []
+        assert b.stats.icmp_errors_sent == b.stats.sent == 6
+        assert a.stats.received == 6
+        assert net.stats.transmitted == net.stats.delivered == 12
+        assert net.stats.per_destination["10.0.0.1"] == 6
+        # One event for the burst, one for its six errors.
+        assert net.scheduler.executed == 2
+
+    @pytest.mark.parametrize("df", [False, True])
+    @pytest.mark.parametrize("dst", ["10.0.0.2", "10.0.0.3"],
+                             ids=["primary", "secondary"])
+    def test_listener_and_error_handler_see_the_packet_path_embeds(
+            self, df, dst):
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts()
+            net.add_address(b, "10.0.0.3")
+            seen = []
+            a.icmp_listener = \
+                lambda message, src: seen.append(("listener", message, src))
+            for sport in (5001, 5003, 5004):
+                a.open_udp(sport).error_handler = \
+                    lambda message, src, sport=sport: seen.append(
+                        (sport, message, src))
+            burst = _closed_port_burst(df, dst=dst)
+            _send_burst(lazy, a, burst)
+            net.run()
+            outcomes.append((seen, net.stats, a.stats, b.stats))
+        assert outcomes[0] == outcomes[1]
+        seen = outcomes[0][0]
+        assert [who for who, _message, _src in seen] == [
+            "listener", 5001, "listener", "listener", 5003, "listener",
+            5004, "listener", "listener"]
+        listened = [message.embedded for who, message, _src in seen
+                    if who == "listener"]
+        assert listened == [encode_ipv4(packet)[:28]
+                            for packet in burst.packets()]
+        # Errors leave from the host's primary address, as send_icmp's do.
+        assert {src for _who, _message, src in seen} == {"10.0.0.2"}
+        assert all(bool(embedded[6] & 0x40) is df for embedded in listened)
+
+    def test_tapped_recipient_gets_the_packets(self):
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts()
+            tapped, seen = [], []
+            a.packet_tap = tapped.append
+            a.icmp_listener = lambda message, src: seen.append(message)
+            _send_burst(lazy, a, _closed_port_burst())
+            net.run()
+            outcomes.append((tapped, seen, a.stats, b.stats))
+        assert outcomes[0] == outcomes[1]
+        tapped, seen, a_stats, _b_stats = outcomes[0]
+        assert [packet.icmp for packet in tapped] == seen
+        assert len(seen) == a_stats.received == 6
+
+    def test_foreign_destination_reaches_only_the_tap(self):
+        from repro.netsim.packet import IcmpErrorBurst
+
+        _net, a, _b = two_hosts()
+        seen, tapped = [], []
+        a.icmp_listener = lambda message, src: seen.append(message)
+        a.packet_tap = tapped.append
+        offending = _closed_port_burst()
+        foreign = UdpBurst("10.0.0.7", offending.dst, offending.datagrams,
+                           offending.idents)
+        errors = IcmpErrorBurst("10.0.0.2", foreign, tuple(range(6)))
+        a.receive_burst(errors)
+        assert tapped == errors.packets()
+        assert [packet.dst for packet in tapped] == ["10.0.0.7"] * 6
+        assert seen == []
+        assert a.stats.received == 6
+
+    @pytest.mark.parametrize("fabric",
+                             ["trace", "loss", "interceptor", "faults"])
+    def test_watched_fabric_matches_the_packet_path(self, fabric):
+        from repro.faults.inject import FaultInjector
+        from repro.faults.spec import FaultPlan, ImpairmentSpec
+
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts()
+            claimed = []
+            if fabric == "trace":
+                net.trace_packets = True
+            elif fabric == "loss":
+                net.set_loss_model(lambda packet: packet.icmp is not None
+                                   and packet.ident % 3 == 0)
+            elif fabric == "interceptor":
+                net.add_interceptor(lambda packet, origin:
+                                    claimed.append(packet))
+            else:
+                net.set_fault_injector(FaultInjector(
+                    FaultPlan(impairments=(ImpairmentSpec(
+                        dst="10.0.0.1", jitter=0.02, reorder=0.3,
+                        duplicate=0.4),)),
+                    DeterministicRNG("faults")))
+            seen = []
+            a.icmp_listener = lambda message, src: seen.append(
+                (net.now, message))
+            for df in (False, True):
+                _send_burst(lazy, a, _closed_port_burst(df))
+            net.run()
+            log = [(event.time, event.actor, event.kind, event.detail)
+                   for event in net.log]
+            outcomes.append((seen, claimed, log, net.stats, a.stats,
+                             b.stats, net.scheduler.executed))
+        assert outcomes[0] == outcomes[1]
+        seen, _claimed, log, net_stats, *_ = outcomes[0]
+        assert seen
+        if fabric == "trace":
+            assert sum(kind == "net.tx" for _t, _a, kind, _d in log) == 24
+        elif fabric == "loss":
+            assert len(seen) < 12
+        elif fabric == "faults":
+            assert net_stats.faults_delayed and net_stats.faults_duplicated
+
+    @pytest.mark.parametrize("policy",
+                             ["global", "per-destination", "random"])
+    def test_rate_limit_jitter_and_ipids_match_the_packet_path(
+            self, policy):
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts(HostConfig(icmp_limit_randomized=True,
+                                             ipid_policy=policy))
+            idents = []
+            a.packet_tap = lambda packet: idents.append(packet.ident)
+            burst = _closed_port_burst(count=40)
+            for _ in range(3):
+                _send_burst(lazy, a, burst)
+                net.run()
+            outcomes.append((
+                idents, b.stats, b.rng.getstate(),
+                [b.ipid.next_id(dst)
+                 for dst in ("10.0.0.1", "10.0.0.7", "10.0.0.1")]))
+        assert outcomes[0] == outcomes[1]
+        b_stats = outcomes[0][1]
+        assert b_stats.icmp_errors_sent and b_stats.icmp_errors_suppressed
+        assert b_stats.icmp_errors_sent + b_stats.icmp_errors_suppressed \
+            == b_stats.udp_to_closed_port == 120
+
+    def test_open_port_handler_events_keep_the_packet_path_order(self):
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts()
+            order = []
+            a.icmp_listener = lambda message, src: order.append(
+                ("error", message.embedded[20:22]))
+            latency = net.latency_between("10.0.0.2", "10.0.0.1")
+
+            def handler(datagram, src, dst):
+                # Same instant as the errors' delivery, and right now.
+                net.scheduler.schedule(latency, order.append, "handler")
+                net.scheduler.schedule(0.0, order.append, "now")
+
+            b.open_udp(53, handler)
+            burst = UdpBurst("10.0.0.1", "10.0.0.2", (
+                UdpDatagram(5000, 9), UdpDatagram(5001, 53),
+                UdpDatagram(5002, 9), UdpDatagram(5003, 10)), (1, 2, 3, 4))
+            _send_burst(lazy, a, burst)
+            net.run()
+            outcomes.append((order, net.stats, a.stats, b.stats))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [
+            "now", ("error", (5000).to_bytes(2, "big")), "handler",
+            ("error", (5002).to_bytes(2, "big")),
+            ("error", (5003).to_bytes(2, "big"))]
