@@ -24,6 +24,7 @@ The numbers Table 6 reports (hitrate ≈ 0.2%, ≈ 497 triggered queries,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 from repro.attacks.base import AttackResult, OffPathAttacker, cache_poisoned
 from repro.attacks.trigger import QueryTrigger
@@ -34,7 +35,7 @@ from repro.dns.records import ResourceRecord, TYPE_A, rr_a
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import encode_message
 from repro.netsim.network import Network
-from repro.netsim.packet import UdpBurst, UdpDatagram
+from repro.netsim.packet import TxidSweep, UdpBurst, UdpDatagram
 
 DNS_PORT = 53
 EPHEMERAL_LOW = 1024
@@ -140,23 +141,23 @@ class SadDnsAttack:
         then the verification probe from the attacker's own address.
         Returns True when the verification elicited an ICMP error,
         i.e. some candidate did *not* burn a token because it was open.
+        The fillers count up from port 2 and skip the resolver's own
+        DNS port, which is open and so burns no token.
         """
         config = self.config
         resolver_ip = self.resolver.address
         ns_ip = self.nameserver.address
-        filler_port = 2
         batch = list(candidate_ports)
-        while len(batch) < config.batch_size:
-            batch.append(filler_port)
-            filler_port += 1
+        fillers = (port for port in count(2) if port != DNS_PORT)
+        batch += islice(fillers, max(0, config.batch_size - len(batch)))
         attacker = self.attacker
         attacker.drain_icmp()
-        pick = attacker.rng.pick_txid  # the ident draws of ``spoof_udp``
         attacker.inject_burst(UdpBurst(
             ns_ip, resolver_ip,
-            tuple(UdpDatagram(DNS_PORT, port, b"\x00\x00probe")
-                  for port in batch),
-            tuple(pick() for _ in batch)))
+            tuple([UdpDatagram(DNS_PORT, port, b"\x00\x00probe")
+                   for port in batch]),
+            # The ident draws of ``spoof_udp``, in batch order.
+            tuple(attacker.rng.pick_txids(len(batch)))))
         # Verification probe, same instant: the deterministic scheduler
         # delivers it after the batch, before any token refill.
         attacker.send_udp(resolver_ip, config.verification_port,
@@ -194,16 +195,17 @@ class SadDnsAttack:
 
         The 2^16 forged responses differ only in the DNS TXID (the first
         payload word): the response is encoded once, and each
-        ``txid_flood_chunk`` of datagrams leaves as one :class:`UdpBurst`
+        ``txid_flood_chunk`` of TXIDs leaves as one :class:`UdpBurst`
+        whose datagrams are a :class:`TxidSweep` over that encoded tail,
         with one IP ident drawn per datagram, in flood order.  The
         resolver gets what per-packet sends would deliver, in the same
-        order (see :meth:`OffPathAttacker.inject_burst`).
+        order (see :meth:`OffPathAttacker.inject_burst`), and its socket
+        rejects the sweep's forgeries in bulk.
         """
         config = self.config
         resolver_ip = self.resolver.address
         ns_ip = self.nameserver.address
         attacker = self.attacker
-        pick = attacker.rng.pick_txid
         # Encode once; only the two TXID bytes change across the flood.
         tail = encode_message(attacker.forge_response(
             names.normalise(qname), TYPE_A, 0, self.malicious_records,
@@ -212,11 +214,8 @@ class SadDnsAttack:
             txids = range(start,
                           min(start + config.txid_flood_chunk, 0x10000))
             attacker.inject_burst(UdpBurst(
-                ns_ip, resolver_ip,
-                tuple([UdpDatagram(DNS_PORT, port,
-                                   txid.to_bytes(2, "big") + tail)
-                       for txid in txids]),
-                tuple([pick() for _ in txids])))
+                ns_ip, resolver_ip, TxidSweep(DNS_PORT, port, txids, tail),
+                tuple(attacker.rng.pick_txids(len(txids)))))
             # Give the chunk a full propagation delay before checking.
             self.network.run(0.012)
             if cache_poisoned(self.resolver, qname,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 
 _sha256 = hashlib.sha256
 # The C-level Mersenne seeding, bypassing random.py's seed() wrapper on
@@ -107,6 +108,27 @@ class DeterministicRNG(random.Random):
         while value >= 0x10000:
             value = getrandbits(17)
         return value
+
+    def pick_txids(self, n: int) -> list[int]:
+        """Draw ``n`` 16-bit identifiers at once.
+
+        Bit-identical to ``[pick_txid() for _ in range(n)]``, values and
+        final state alike.  Each :meth:`pick_txid` keeps the top 17 bits
+        of one 32-bit Mersenne word and rejects the word when its top
+        bit is set.  ``getrandbits(32 * k)`` returns the next ``k``
+        words, the first in the lowest bits, so each round draws
+        exactly as many words as draws are still missing (never one
+        past the last one the loop would take) and filters them.
+        """
+        out: list[int] = []
+        need = n
+        while need > 0:
+            words = struct.unpack(
+                f"<{need}I",
+                self.getrandbits(32 * need).to_bytes(4 * need, "little"))
+            out += [word >> 15 for word in words if word < 0x80000000]
+            need = n - len(out)
+        return out
 
     def chance(self, probability: float) -> bool:
         """Return True with the given probability (clamped to [0, 1])."""

@@ -43,7 +43,7 @@ from repro.dns.records import (
 )
 from repro.dns.wire import decode_message, encode_message, well_formed
 from repro.netsim.host import Host, UdpSocket
-from repro.netsim.packet import UdpDatagram
+from repro.netsim.packet import TxidSweep, UdpDatagram
 
 DNS_PORT = 53
 
@@ -191,7 +191,7 @@ class _Resolution:
             if not resolver.config.new_port_per_retry:
                 # Keep the same socket (and source port) across
                 # retransmissions — the behaviour SadDNS depends on.
-                self.socket.handler = self._on_datagram
+                self._take(self.socket)
                 return
             self.socket.close()
         if resolver.config.port_policy == "fixed":
@@ -199,13 +199,19 @@ class _Resolution:
             existing = resolver.host.open_ports()
             if port in existing:
                 # Reuse: fixed-port resolvers share one socket.
-                self.socket = resolver._fixed_socket
-                self.socket.handler = self._on_datagram
+                self._take(resolver._fixed_socket)
                 return
-            self.socket = resolver.host.open_udp(port, self._on_datagram)
-            resolver._fixed_socket = self.socket
+            resolver._fixed_socket = self._take(resolver.host.open_udp(port))
         else:
-            self.socket = resolver.host.open_udp(None, self._on_datagram)
+            self._take(resolver.host.open_udp(None))
+
+    def _take(self, socket: UdpSocket) -> UdpSocket:
+        """Make ``socket`` this lookup's, for single datagrams and for
+        TXID sweeps alike."""
+        socket.handler = self._on_datagram
+        socket.sweep_handler = self._on_sweep
+        self.socket = socket
+        return socket
 
     def _close_socket(self) -> None:
         if self.socket is not None and not self.socket.closed:
@@ -275,6 +281,36 @@ class _Resolution:
             return
         self._close_socket()
         self._process(response)
+
+    def _on_sweep(self, sweep: TxidSweep, index: int, src: str,
+                  dst: str) -> int:
+        """:meth:`_on_datagram` for ``sweep[index:]``, in bulk.
+
+        The datagrams share everything but the TXID, so the checks that
+        reject them on header bytes have one answer for all of them,
+        and the TXID check has one datagram that passes, found by
+        arithmetic.  The datagrams before it are counted as rejected
+        (if the shared tail parses) and that one goes through
+        :meth:`_on_datagram`.  Returns the index after the last datagram
+        taken: the host asks the socket again for the rest, since the
+        accepted datagram may have closed it.
+        """
+        end = len(sweep)
+        if self.finished:
+            return end
+        stats = self.resolver.stats
+        if src != self.current_server:
+            if well_formed(b"\x00\x00" + sweep.tail):
+                stats.rejected_source += end - index
+            return end
+        match = self.txid - sweep.txids.start
+        stop = match if index <= match < end else end
+        if stop > index and well_formed(b"\x00\x00" + sweep.tail):
+            stats.rejected_txid += stop - index
+        if stop == end:
+            return end
+        self._on_datagram(sweep[match], src, dst)
+        return match + 1
 
     def _retry_over_tcp(self) -> None:
         resolver = self.resolver

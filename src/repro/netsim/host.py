@@ -32,6 +32,7 @@ from repro.netsim.packet import (
     IcmpErrorBurst,
     IcmpMessage,
     Ipv4Packet,
+    TxidSweep,
     UdpBurst,
     UdpDatagram,
 )
@@ -47,6 +48,9 @@ if TYPE_CHECKING:
     from repro.netsim.network import Network
 
 UdpHandler = Callable[[UdpDatagram, str, str], None]
+# Takes ``sweep[index:]`` from (src, dst) and returns the index of the
+# first datagram it did not consume (at most ``len(sweep)``).
+SweepHandler = Callable[[TxidSweep, int, str, str], int]
 IcmpErrorHandler = Callable[[IcmpMessage, str], None]
 
 # Modern Linux refuses PTB-advertised MTUs below this for path MTU
@@ -111,7 +115,12 @@ class HostStats:
 
 
 class UdpSocket:
-    """A bound UDP endpoint on a :class:`Host`."""
+    """A bound UDP endpoint on a :class:`Host`.
+
+    ``handler`` takes one datagram at a time.  An owner that can take a
+    :class:`TxidSweep` in bulk also sets ``sweep_handler``, which must
+    treat the sweep's datagrams as ``handler`` would, one after another.
+    """
 
     def __init__(self, host: "Host", local_ip: str, port: int,
                  handler: UdpHandler | None):
@@ -119,6 +128,7 @@ class UdpSocket:
         self.local_ip = local_ip
         self.port = port
         self.handler = handler
+        self.sweep_handler: SweepHandler | None = None
         self.error_handler: IcmpErrorHandler | None = None
         self.closed = False
 
@@ -388,6 +398,13 @@ class Host:
         order.  A burst that needs more (a tap is set, or the
         destination is not ours) goes through :meth:`receive` one packet
         at a time.
+
+        A SadDNS flood chunk (its datagrams a :class:`TxidSweep`) that
+        reaches an open socket with a ``sweep_handler`` is handed over
+        in bulk: ``stop = sweep_handler(sweep, index, src, dst)`` takes
+        datagrams ``index`` to ``stop - 1``, and the socket is looked up
+        again before datagram ``stop``.  Datagrams that find the port
+        closed still go to the rate limiter one by one.
         """
         if type(burst) is IcmpErrorBurst:
             self._receive_port_unreachables(burst)
@@ -397,6 +414,9 @@ class Host:
                 self.receive(packet)
             return
         self.stats.received += len(burst.datagrams)
+        if type(burst.datagrams) is TxidSweep:
+            self._receive_sweep(burst)
+            return
         src, dst = burst.src, burst.dst
         deliver = self._deliver_udp
         sockets = self._sockets
@@ -411,6 +431,40 @@ class Host:
                     and self._port_unreachable_allowed():
                 errors.append(index)
                 idents.append(self.ipid.next_id(src))
+        if errors:
+            self._send_port_unreachables(burst, errors, idents)
+
+    def _receive_sweep(self, burst: UdpBurst) -> None:
+        """:meth:`receive_burst` for a burst whose datagrams are a
+        :class:`TxidSweep`: every datagram goes to one port."""
+        sweep = burst.datagrams
+        src, dst = burst.src, burst.dst
+        port = sweep.dport
+        sockets = self._sockets
+        stats = self.stats
+        errors: list[int] = []
+        idents: list[int] = []
+        index, end = 0, len(sweep)
+        while index < end:
+            socket = sockets.get(port)
+            if errors and socket is not None:
+                # The handler may schedule events: earlier errors go first.
+                self._send_port_unreachables(burst, errors, idents)
+                errors, idents = [], []
+            if socket is None or socket.closed:
+                # No datagram is built unless an error embeds it.
+                stats.udp_to_closed_port += 1
+                if self._port_unreachable_allowed():
+                    errors.append(index)
+                    idents.append(self.ipid.next_id(src))
+                index += 1
+            elif socket.sweep_handler is not None:
+                stop = socket.sweep_handler(sweep, index, src, dst)
+                stats.udp_delivered += stop - index
+                index = stop
+            else:
+                self._deliver_udp(sweep[index], src, dst)
+                index += 1
         if errors:
             self._send_port_unreachables(burst, errors, idents)
 

@@ -6,12 +6,16 @@ sent — mutation happens by building new packets (see :meth:`Ipv4Packet.evolve`
 which keeps traces trustworthy.
 
 Most UDP traffic never becomes an :class:`Ipv4Packet`: an ordinary
-unfragmented send and every SadDNS flood chunk or scan batch travels as
-a :class:`UdpBurst` of datagrams, and the port-unreachable errors a burst
+unfragmented send and every SadDNS scan batch travels as a
+:class:`UdpBurst` of datagrams, and the port-unreachable errors a burst
 draws travel back as one :class:`IcmpErrorBurst`.  Their packets are
 built only where something looks at one (a watched fabric, a packet tap,
 a diverted destination, an ICMP listener or socket error handler that
-reads an error's embed).
+reads an error's embed).  A SadDNS flood chunk is a :class:`UdpBurst`
+whose datagrams are a :class:`TxidSweep`: one shared payload tail behind
+a range of TXIDs.  A sweep builds a datagram only when one is read, and
+the resolver's socket, which takes a whole sweep in one call, reads just
+the one carrying the TXID it waits for.
 
 Every class here carries ``__slots__``: volume attacks construct millions
 of packets per campaign, and slotted frozen dataclasses cut both the
@@ -24,6 +28,7 @@ field values that were already validated, so it goes through
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 PROTO_ICMP = 1
@@ -52,7 +57,8 @@ class UdpDatagram:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        # Runs once per packet built, TXID floods included.
+        # Runs once per datagram built, scan batches included; a
+        # TxidSweep checks its ports once for a whole flood chunk.
         if not 0 <= self.sport <= 0xFFFF:
             raise ValueError(f"UDP sport out of range: {self.sport}")
         if not 0 <= self.dport <= 0xFFFF:
@@ -208,22 +214,65 @@ class Ipv4Packet:
 
 
 @dataclass(frozen=True, slots=True)
+class TxidSweep(Sequence):
+    """Datagrams ``sport -> dport`` that differ only in their first word.
+
+    A SadDNS flood chunk: datagram ``i`` carries the payload
+    ``txids[i].to_bytes(2, "big") + tail``, where ``txids`` is a step-1
+    range inside 0..0xFFFF.  Ports and range are checked once, here;
+    indexing builds a :class:`UdpDatagram` only when one is read.  A
+    socket with a ``sweep_handler`` takes a whole sweep in one call
+    (see :meth:`Host.receive_burst
+    <repro.netsim.host.Host.receive_burst>`).
+    """
+
+    sport: int
+    dport: int
+    txids: range
+    tail: bytes
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.sport <= 0xFFFF:
+            raise ValueError(f"UDP sport out of range: {self.sport}")
+        if not 0 <= self.dport <= 0xFFFF:
+            raise ValueError(f"UDP dport out of range: {self.dport}")
+        txids = self.txids
+        if type(txids) is not range or txids.step != 1:
+            raise ValueError("sweep TXIDs must be a step-1 range")
+        if txids and not (0 <= txids.start and txids.stop <= 0x10000):
+            raise ValueError(f"sweep TXIDs out of range: {txids}")
+
+    def __len__(self) -> int:
+        return len(self.txids)
+
+    def __getitem__(self, index: int) -> UdpDatagram:
+        # The ports were checked once, above: skip UdpDatagram's checks.
+        datagram = object.__new__(UdpDatagram)
+        setattr_ = object.__setattr__
+        setattr_(datagram, "sport", self.sport)
+        setattr_(datagram, "dport", self.dport)
+        setattr_(datagram, "payload",
+                 self.txids[index].to_bytes(2, "big") + self.tail)
+        return datagram
+
+
+@dataclass(frozen=True, slots=True)
 class UdpBurst:
     """Same-instant UDP datagrams from one ``src`` to one ``dst``.
 
     How unfragmented UDP travels: one datagram for an ordinary
-    :meth:`Host.send_udp <repro.netsim.host.Host.send_udp>`, thousands
-    for a SadDNS scan batch or TXID flood chunk.  The datagrams travel
-    as they are, and the packet around datagram ``i`` (IP ident
-    ``idents[i]``, the burst's ``df`` flag) is built by :meth:`packet`
-    only where one has to exist; an ICMP error embeds it only when
-    something reads the error (see :class:`IcmpErrorBurst`).  Ports may
-    differ per datagram.
+    :meth:`Host.send_udp <repro.netsim.host.Host.send_udp>`, fifty for a
+    SadDNS scan batch, and a :class:`TxidSweep` for a TXID flood chunk.
+    The datagrams travel as they are, and the packet around datagram
+    ``i`` (IP ident ``idents[i]``, the burst's ``df`` flag) is built by
+    :meth:`packet` only where one has to exist; an ICMP error embeds it
+    only when something reads the error (see :class:`IcmpErrorBurst`).
+    Ports may differ per datagram.
     """
 
     src: str
     dst: str
-    datagrams: tuple[UdpDatagram, ...]
+    datagrams: tuple[UdpDatagram, ...] | TxidSweep
     idents: tuple[int, ...]
     df: bool = False
 

@@ -59,6 +59,28 @@ class TestSideChannel:
         world["testbed"].run(0.06)  # refill the ICMP bucket
         assert not attack.probe_ports(list(range(20000, 20050)))
 
+    @pytest.mark.parametrize("batch_size", [61, 62])
+    def test_fillers_skip_the_resolver_dns_port(self, batch_size):
+        # 10 closed candidates need 51 or 52 fillers counting up from
+        # port 2; the 52nd would be 53, which is open and burns no
+        # ICMP token, so the verification probe would draw an error.
+        world = standard_testbed(
+            seed="pytest-saddns",
+            ns_config=NameserverConfig(rrl_enabled=True),
+            resolver_host_config=HostConfig(
+                ephemeral_low=30000, ephemeral_high=30999,
+                icmp_burst=batch_size),
+        )
+        attacker = OffPathAttacker(world["attacker"])
+        attack = build_attack(world, attacker, batch_size=batch_size)
+        _rng, bursts = _captured_bursts(attacker)
+        assert not attack.probe_ports(list(range(20000, 20010)))
+        (burst,) = bursts
+        ports = [datagram.dport for datagram in burst.datagrams]
+        assert len(ports) == batch_size and 53 not in ports
+        assert ports[10:] == [port for port in range(2, 55)
+                              if port != 53][:batch_size - 10]
+
     def test_isolation_narrows_to_exact_port(self, prepared):
         world, attacker, trigger = prepared
         attack = build_attack(world, attacker)
@@ -261,6 +283,122 @@ _FLOOD_CELLS = {
 }
 
 
+# A response header whose question name runs past the end: no TXID
+# makes it parse.
+_GARBAGE_TAIL = b"\x81\x80\x00\x01\x00\x00\x00\x00\x00\x00\xff"
+
+
+def _fixed_port():
+    from repro.dns.resolver import ResolverConfig
+
+    return ResolverConfig(allowed_clients=["30.0.0.0/24"],
+                          port_policy="fixed")
+
+
+def _use_0x20():
+    from repro.dns.resolver import ResolverConfig
+
+    return ResolverConfig(allowed_clients=["30.0.0.0/24"], use_0x20=True)
+
+
+# Per case: the resolver config, and the sweeps to send as (source,
+# TXIDs around the outstanding query's, tail).  Sources: "ns" is the
+# server queried, "other" any other address.  The ``after-icmp-flush``
+# case closes the query's socket and reopens it from inside the rate
+# limiter, while the sweep's first datagrams find the port closed, so
+# the sweep handler is entered at an index past the errors they drew.
+_SWEEP_CASES = {
+    "wrong-source": (None, [("other", (-50, 50), "forged")]),
+    "txid-below-sweep": (None, [("ns", (1, 201), "forged")]),
+    "txid-inside-sweep": (None, [("ns", (-100, 100), "forged")]),
+    "txid-above-sweep": (None, [("ns", (-200, 0), "forged")]),
+    "after-icmp-flush": (None, [("ns", (-5, 100), "forged")]),
+    "fixed-port-after-accept": (_fixed_port,
+                                [("ns", (-100, 100), "forged")]),
+    "fixed-port-finished": (_fixed_port, [("ns", (0, 1), "forged"),
+                                          ("ns", (-100, 100), "forged")]),
+    "0x20-case-reject": (_use_0x20, [("ns", (-100, 100), "forged")]),
+    "malformed-tail": (None, [("ns", (-100, 100), "garbage"),
+                              ("other", (-100, 100), "garbage")]),
+}
+
+# What each case must count, so that the case tests what it names.
+_SWEEP_EXPECT = {
+    "wrong-source": {"rejected_source": 100},
+    "txid-below-sweep": {"rejected_txid": 200},
+    "txid-inside-sweep": {"rejected_txid": 100, "resolutions": 1},
+    "txid-above-sweep": {"rejected_txid": 200},
+    "after-icmp-flush": {"resolutions": 1},
+    "fixed-port-after-accept": {"rejected_txid": 100, "resolutions": 1},
+    "fixed-port-finished": {"resolutions": 1},
+    "0x20-case-reject": {"rejected_case": 1, "rejected_txid": 199},
+    "malformed-tail": {},
+}
+
+
+def _swept_resolver(case, per_packet):
+    """Send a case's sweeps at a resolver's outstanding query.
+
+    ``per_packet`` installs an interceptor that claims nothing, so the
+    sweeps reach the resolver as packets, one ``_on_datagram`` each.
+    Returns the world, the attacker and, in arrival order, what the
+    nameserver (the resolver's ICMP errors) and the client (its
+    answers) received.
+    """
+    from repro.dns.wire import encode_message
+    from repro.netsim.packet import TxidSweep, UdpBurst
+
+    make_config, sweeps = _SWEEP_CASES[case]
+    flush = case == "after-icmp-flush"
+    world = standard_testbed(
+        seed="pytest-saddns",
+        ns_config=NameserverConfig(rrl_enabled=True),
+        resolver_config=make_config() if make_config else None,
+        resolver_host_config=HostConfig(
+            ephemeral_low=30000, ephemeral_high=30000 if flush else 30999),
+    )
+    network = world["testbed"].network
+    if per_packet:
+        network.add_interceptor(lambda packet, origin: None)
+    resolver = world["resolver"]
+    attacker = OffPathAttacker(world["attacker"])
+    attack = build_attack(world, attacker)
+    received = []
+    for host in (world["target"].server.host, world["service"]):
+        host.packet_tap = lambda packet, name=host.name: received.append(
+            (network.now, name, packet.describe()))
+    attack.mute_nameserver()
+    make_trigger(world, attacker).fire(TARGET_DOMAIN, "A")
+    world["testbed"].run(0.08)
+    (task,) = resolver._inflight.values()
+    port, txid, server = task.socket.port, task.txid, task.current_server
+    if flush:
+        # The only port in range, so the query reopens on it.
+        task.socket.close()
+        host = resolver.host
+        allowed, calls = host._port_unreachable_allowed, []
+
+        def reopen_on_fifth_call():
+            calls.append(None)
+            if len(calls) == 5:
+                task._open_socket()
+            return allowed()
+
+        host._port_unreachable_allowed = reopen_on_fifth_call
+    tails = {"forged": encode_message(attacker.forge_response(
+        TARGET_DOMAIN, TYPE_A, 0, attack.malicious_records))[2:],
+        "garbage": _GARBAGE_TAIL}
+    for source, (low, high), tail in sweeps:
+        txids = range(txid + low, txid + high)
+        assert 0 <= txids.start and txids.stop <= 0x10000
+        attacker.inject_burst(UdpBurst(
+            server if source == "ns" else SERVICE_IP, RESOLVER_IP,
+            TxidSweep(53, port, txids, tails[tail]),
+            tuple(attacker.rng.pick_txids(len(txids)))))
+    world["testbed"].run(0.05)
+    return world, attacker, received
+
+
 class TestFloodBurst:
     @pytest.mark.parametrize("defense", list(_FLOOD_CELLS))
     def test_burst_and_per_packet_paths_agree(self, defense):
@@ -309,3 +447,64 @@ class TestFloodBurst:
             - burst.network.scheduler.executed \
             == sum(size - 1 for size, _, _ in burst_bursts) \
             + sum(size - 1 for size in burst_errors)
+
+    @pytest.mark.parametrize("case", list(_SWEEP_CASES))
+    def test_sweep_and_per_packet_paths_agree(self, case):
+        """A flood chunk taken by the resolver's sweep handler counts,
+        caches and draws what its datagrams do one packet at a time."""
+        from repro.dns.wire import well_formed
+
+        assert not well_formed(b"\x00\x00" + _GARBAGE_TAIL)
+        outcomes = []
+        for per_packet in (False, True):
+            world, attacker, received = _swept_resolver(case, per_packet)
+            resolver = world["resolver"]
+            outcomes.append((
+                received,
+                resolver.stats, resolver.host.stats, attacker.host.stats,
+                world["testbed"].network.stats,
+                resolver.cache._entries, resolver.cache.stats,
+                resolver.rng.getstate(), resolver.host.rng.getstate(),
+                attacker.rng.getstate()))
+        assert outcomes[0] == outcomes[1]
+        stats = outcomes[0][1]
+        counted = {name: value for name, value in vars(stats).items()
+                   if value and name.startswith(("rejected", "resolutions"))}
+        assert counted == _SWEEP_EXPECT[case]
+        if case == "after-icmp-flush":
+            # Five datagrams before the forgery at index 5 and the 99
+            # after it find the port closed.
+            assert outcomes[0][2].udp_to_closed_port == 104
+
+    def test_clean_fabric_flood_builds_one_datagram_per_sweep_call(
+            self, monkeypatch):
+        """Against 0x20 every chunk of a flood reaches the open port and
+        is rejected in bulk: the one datagram with the query's TXID is
+        the only one built, and no packet is."""
+        from repro.dns.resolver import _Resolution
+        from repro.netsim.packet import Ipv4Packet, TxidSweep
+
+        calls, built, packets = [], [], []
+        on_sweep = _Resolution._on_sweep
+        monkeypatch.setattr(
+            _Resolution, "_on_sweep",
+            lambda task, *args: (calls.append(args[1]),
+                                 on_sweep(task, *args))[1])
+        world, attacker, _ = _swept_resolver("0x20-case-reject", False)
+        resolver = world["resolver"]
+        port = next(iter(resolver.host.open_ports() - {53}))
+        calls.clear()
+        getitem = TxidSweep.__getitem__
+        monkeypatch.setattr(
+            TxidSweep, "__getitem__",
+            lambda sweep, index: (built.append(index),
+                                  getitem(sweep, index))[1])
+        monkeypatch.setattr(Ipv4Packet, "__post_init__",
+                            lambda packet: packets.append(packet))
+        before = resolver.stats.rejected_txid
+        assert not build_attack(world, attacker).flood_txids(
+            port, TARGET_DOMAIN)
+        assert resolver.stats.rejected_case == 2
+        assert resolver.stats.rejected_txid - before == 0xFFFF
+        assert len(calls) == 17  # 16 chunks, one re-entered after the match
+        assert len(built) == 1 and packets == []

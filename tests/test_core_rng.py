@@ -58,6 +58,17 @@ class TestHelpers:
         for _ in range(100):
             assert 0 <= rng.pick_txid() <= 0xFFFF
 
+    @given(st.integers(min_value=-2**63, max_value=2**63),
+           st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=0, max_value=3))
+    def test_pick_txids_is_n_pick_txid_calls(self, seed, n, warmup):
+        bulk, single = DeterministicRNG(seed), DeterministicRNG(seed)
+        for rng in (bulk, single):
+            # Start mid-stream, at any offset into the Mersenne block.
+            rng.getrandbits(32 * warmup + 1)
+        assert bulk.pick_txids(n) == [single.pick_txid() for _ in range(n)]
+        assert bulk.getstate() == single.getstate()
+
     def test_chance_extremes(self):
         rng = DeterministicRNG(3)
         assert not rng.chance(0.0)

@@ -12,6 +12,7 @@ from repro.netsim.packet import (
     ICMP_FRAG_NEEDED,
     IcmpMessage,
     Ipv4Packet,
+    TxidSweep,
     UdpBurst,
     UdpDatagram,
 )
@@ -204,18 +205,19 @@ class TestSpoofing:
         assert got == [b"small"]
 
 
-def _flood_chunk(port=40000, count=8):
-    """A TXID-template flood chunk: one encoded response, TXID varied."""
+def _flood_tail():
     from repro.dns.message import make_query
     from repro.dns.records import TYPE_A
     from repro.dns.wire import encode_message
 
-    tail = encode_message(make_query("victim.example", TYPE_A, 0))[2:]
+    return encode_message(make_query("victim.example", TYPE_A, 0))[2:]
+
+
+def _flood_chunk(port=40000, txids=range(0xFFF8, 0x10000)):
+    """A TXID flood chunk: one encoded response, TXID varied."""
     return UdpBurst(
-        "10.0.0.9", "10.0.0.2",
-        tuple(UdpDatagram(53, port, txid.to_bytes(2, "big") + tail)
-              for txid in range(count)),
-        tuple(range(0xFFFF, 0xFFFF - count, -1)))
+        "10.0.0.9", "10.0.0.2", TxidSweep(53, port, txids, _flood_tail()),
+        tuple(range(0xFFFF, 0xFFFF - len(txids), -1)))
 
 
 class TestUdpBurst:
@@ -236,6 +238,26 @@ class TestUdpBurst:
                     assert packet == expected
                     assert packet.udp == expected.udp
                     assert encode_ipv4(packet) == encode_ipv4(expected)
+
+    def test_sweep_datagrams_are_the_txid_and_the_tail(self):
+        sweep = _flood_chunk().datagrams
+        expected = [UdpDatagram(53, 40000, txid.to_bytes(2, "big")
+                                + _flood_tail())
+                    for txid in range(0xFFF8, 0x10000)]
+        assert len(sweep) == 8
+        assert list(sweep) == [sweep[i] for i in range(8)] == expected
+        assert sweep[-1] == expected[-1]
+        with pytest.raises(IndexError):
+            sweep[8]
+
+    @pytest.mark.parametrize("args", [
+        (0x10000, 1, range(2)), (53, -1, range(2)),
+        (53, 1, range(0, 4, 2)), (53, 1, range(0xFFFF, 0x10001)),
+        (53, 1, range(-1, 2)), (53, 1, [0, 1])],
+        ids=["sport", "dport", "step", "above-range", "negative", "list"])
+    def test_bad_sweeps_raise(self, args):
+        with pytest.raises(ValueError):
+            TxidSweep(*args, b"tail")
 
     @pytest.mark.parametrize("idents", [(0, 0x10000), (-1, 0), (0,),
                                         (0, 1, 2)],
