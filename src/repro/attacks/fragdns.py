@@ -267,7 +267,8 @@ class FragDnsAttack:
             else:
                 return [(sampled + 1 + i) & 0xFFFF
                         for i in range(config.planted_per_attempt)]
-        return self._rng.sample(range(0x10000), config.planted_per_attempt)
+        return self._rng.pick_sample(range(0x10000),
+                                     config.planted_per_attempt)
 
     # -- full attack --------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from repro.dns.records import ResourceRecord, TYPE_A, rr_a
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import encode_message
 from repro.netsim.network import Network
-from repro.netsim.packet import TxidSweep, UdpBurst, UdpDatagram
+from repro.netsim.packet import PortSweep, TxidSweep, UdpBurst
 
 DNS_PORT = 53
 EPHEMERAL_LOW = 1024
@@ -142,7 +142,11 @@ class SadDnsAttack:
         Returns True when the verification elicited an ICMP error,
         i.e. some candidate did *not* burn a token because it was open.
         The fillers count up from port 2 and skip the resolver's own
-        DNS port, which is open and so burns no token.
+        DNS port, which is open and so burns no token.  The batch leaves
+        as one :class:`UdpBurst` whose datagrams are a
+        :class:`PortSweep`: the resolver counts and rate-limits its
+        closed-port probes in bulk and builds a datagram only for a
+        probe that reaches an open port.
         """
         config = self.config
         resolver_ip = self.resolver.address
@@ -154,8 +158,7 @@ class SadDnsAttack:
         attacker.drain_icmp()
         attacker.inject_burst(UdpBurst(
             ns_ip, resolver_ip,
-            tuple([UdpDatagram(DNS_PORT, port, b"\x00\x00probe")
-                   for port in batch]),
+            PortSweep(DNS_PORT, tuple(batch), b"\x00\x00probe"),
             # The ident draws of ``spoof_udp``, in batch order.
             tuple(attacker.rng.pick_txids(len(batch)))))
         # Verification probe, same instant: the deterministic scheduler
@@ -253,7 +256,8 @@ class SadDnsAttack:
             self.network.run(0.08)
             hit_batch: list[int] | None = None
             for _ in range(config.scan_batches_per_iteration):
-                batch = self._rng.sample(port_space, config.batch_size)
+                batch = self._rng.pick_sample(port_space,
+                                              config.batch_size)
                 if self.probe_ports(batch):
                     hit_batch = batch
                     break

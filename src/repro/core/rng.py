@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from collections.abc import Sequence
+from math import ceil as _ceil, log as _log
 
 _sha256 = hashlib.sha256
 # The C-level Mersenne seeding, bypassing random.py's seed() wrapper on
@@ -113,22 +115,62 @@ class DeterministicRNG(random.Random):
         """Draw ``n`` 16-bit identifiers at once.
 
         Bit-identical to ``[pick_txid() for _ in range(n)]``, values and
-        final state alike.  Each :meth:`pick_txid` keeps the top 17 bits
-        of one 32-bit Mersenne word and rejects the word when its top
-        bit is set.  ``getrandbits(32 * k)`` returns the next ``k``
-        words, the first in the lowest bits, so each round draws
-        exactly as many words as draws are still missing (never one
-        past the last one the loop would take) and filters them.
+        final state alike (see :meth:`below_many`).
         """
+        return self.below_many(0x10000, n)
+
+    def below_many(self, width: int, n: int) -> list[int]:
+        """Draw ``n`` integers from ``[0, width)`` at once.
+
+        Bit-identical to ``[randint(0, width - 1) for _ in range(n)]``,
+        values and final state alike, for ``width`` of at most 32 bits.
+        Each ``randint`` keeps the top ``width.bit_length()`` bits of one
+        32-bit Mersenne word and rejects the word when they reach
+        ``width``.  ``getrandbits(32 * k)`` returns the next ``k`` words,
+        the first in the lowest bits, so each round draws exactly as
+        many words as draws are still missing (never one past the last
+        one the loop would take) and filters them.
+        """
+        bits = width.bit_length()
+        if width <= 0 or bits > 32:
+            raise ValueError(f"below_many needs 0 < width < 2**32,"
+                             f" got {width}")
+        shift = 32 - bits
+        limit = width << shift
         out: list[int] = []
         need = n
         while need > 0:
             words = struct.unpack(
                 f"<{need}I",
                 self.getrandbits(32 * need).to_bytes(4 * need, "little"))
-            out += [word >> 15 for word in words if word < 0x80000000]
+            out += [word >> shift for word in words if word < limit]
             need = n - len(out)
         return out
+
+    def pick_sample(self, population, k: int) -> list:
+        """``sample(population, k)``, with its draws made in bulk.
+
+        Bit-identical to :meth:`random.Random.sample`, values and final
+        state alike.  For a population large against ``k``, ``sample``
+        draws indices with ``randbelow(n)`` and redraws each one already
+        taken; that is the stream of :meth:`below_many` draws with the
+        repeats dropped, so each round draws as many indices as are
+        still missing.  The small-population path (a shrinking pool)
+        and populations wider than 32 bits go to ``sample`` itself.
+        """
+        n = len(population)
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** _ceil(_log(k * 3, 4))
+        if not isinstance(population, Sequence) or not 0 <= k <= n \
+                or n <= setsize or n.bit_length() > 32:
+            return self.sample(population, k)
+        picked: dict[int, None] = {}
+        need = k
+        while need:
+            picked.update(dict.fromkeys(self.below_many(n, need)))
+            need = k - len(picked)
+        return [population[index] for index in picked]
 
     def chance(self, probability: float) -> bool:
         """Return True with the given probability (clamped to [0, 1])."""

@@ -32,6 +32,7 @@ from repro.netsim.packet import (
     IcmpErrorBurst,
     IcmpMessage,
     Ipv4Packet,
+    PortSweep,
     TxidSweep,
     UdpBurst,
     UdpDatagram,
@@ -49,9 +50,12 @@ if TYPE_CHECKING:
 
 UdpHandler = Callable[[UdpDatagram, str, str], None]
 # Takes ``sweep[index:]`` from (src, dst) and returns the index of the
-# first datagram it did not consume (at most ``len(sweep)``).
+# first datagram it did not consume: above ``index`` and at most
+# ``len(sweep)``, or the host raises ValueError.
 SweepHandler = Callable[[TxidSweep, int, str, str], int]
 IcmpErrorHandler = Callable[[IcmpMessage, str], None]
+# The lazy datagram sequences a UdpBurst may carry instead of a tuple.
+_SWEEPS = (TxidSweep, PortSweep)
 
 # Modern Linux refuses PTB-advertised MTUs below this for path MTU
 # updates (net.ipv4.route.min_pmtu); stacks that honour 68 are the
@@ -390,21 +394,19 @@ class Host:
         :meth:`raw_send_burst` or another host's port-unreachable errors.
 
         Each datagram goes to its port's socket handler as it is.  The
-        datagrams that draw an ICMP port-unreachable (the rate limiter
-        is asked per datagram, and each error takes its IP ident when
-        it is drawn) go back as one :class:`IcmpErrorBurst`; the errors
-        collected so far leave before any socket handler runs, and the
-        rest at the end, so the scheduler sees them in the per-packet
-        order.  A burst that needs more (a tap is set, or the
-        destination is not ours) goes through :meth:`receive` one packet
-        at a time.
+        datagrams that draw an ICMP port-unreachable (each error takes
+        its IP ident when it is drawn) go back as one
+        :class:`IcmpErrorBurst`; the errors collected so far leave
+        before any socket handler runs, and the rest at the end, so the
+        scheduler sees them in the per-packet order.  A burst that needs
+        more (a tap is set, or the destination is not ours) goes through
+        :meth:`receive` one packet at a time.
 
-        A SadDNS flood chunk (its datagrams a :class:`TxidSweep`) that
-        reaches an open socket with a ``sweep_handler`` is handed over
-        in bulk: ``stop = sweep_handler(sweep, index, src, dst)`` takes
-        datagrams ``index`` to ``stop - 1``, and the socket is looked up
-        again before datagram ``stop``.  Datagrams that find the port
-        closed still go to the rate limiter one by one.
+        A burst of datagram objects asks the rate limiter once per
+        closed-port datagram, as :meth:`receive` does.  A sweep (a
+        :class:`PortSweep` scan batch or a :class:`TxidSweep` flood
+        chunk) goes to :meth:`_receive_sweep`, which takes each run of
+        closed-port datagrams in one step.
         """
         if type(burst) is IcmpErrorBurst:
             self._receive_port_unreachables(burst)
@@ -414,7 +416,7 @@ class Host:
                 self.receive(packet)
             return
         self.stats.received += len(burst.datagrams)
-        if type(burst.datagrams) is TxidSweep:
+        if type(burst.datagrams) in _SWEEPS:
             self._receive_sweep(burst)
             return
         src, dst = burst.src, burst.dst
@@ -436,30 +438,48 @@ class Host:
 
     def _receive_sweep(self, burst: UdpBurst) -> None:
         """:meth:`receive_burst` for a burst whose datagrams are a
-        :class:`TxidSweep`: every datagram goes to one port."""
+        :class:`PortSweep` or a :class:`TxidSweep`.
+
+        A run of datagrams that find their ports closed is counted, rate
+        limited and answered in one step (:meth:`_closed_run`), with no
+        datagram built.  No handler runs inside a run, so no port can
+        open: a :class:`TxidSweep`'s run (one port) reaches the end of
+        the sweep, and a :class:`PortSweep`'s stops at the next port
+        that is open.  A TXID sweep that reaches an open socket with a
+        ``sweep_handler`` is handed over in bulk: ``stop =
+        sweep_handler(sweep, index, src, dst)`` takes datagrams
+        ``index`` to ``stop - 1``, and the socket is looked up again
+        before datagram ``stop``.
+        """
         sweep = burst.datagrams
+        txid_sweep = type(sweep) is TxidSweep
+        ports = None if txid_sweep else sweep.dports
         src, dst = burst.src, burst.dst
-        port = sweep.dport
         sockets = self._sockets
         stats = self.stats
         errors: list[int] = []
         idents: list[int] = []
         index, end = 0, len(sweep)
         while index < end:
-            socket = sockets.get(port)
-            if errors and socket is not None:
+            socket = sockets.get(sweep.dport if txid_sweep
+                                 else ports[index])
+            if socket is None or socket.closed:
+                stop = end if txid_sweep else index + 1
+                while stop < end and ports[stop] not in sockets:
+                    stop += 1
+                self._closed_run(src, index, stop, errors, idents)
+                index = stop
+                continue
+            if errors:
                 # The handler may schedule events: earlier errors go first.
                 self._send_port_unreachables(burst, errors, idents)
                 errors, idents = [], []
-            if socket is None or socket.closed:
-                # No datagram is built unless an error embeds it.
-                stats.udp_to_closed_port += 1
-                if self._port_unreachable_allowed():
-                    errors.append(index)
-                    idents.append(self.ipid.next_id(src))
-                index += 1
-            elif socket.sweep_handler is not None:
+            if txid_sweep and socket.sweep_handler is not None:
                 stop = socket.sweep_handler(sweep, index, src, dst)
+                if not index < stop <= end:
+                    raise ValueError(
+                        f"sweep handler of port {socket.port} returned"
+                        f" {stop} for datagrams {index}..{end - 1}")
                 stats.udp_delivered += stop - index
                 index = stop
             else:
@@ -467,6 +487,40 @@ class Host:
                 index += 1
         if errors:
             self._send_port_unreachables(burst, errors, idents)
+
+    def _closed_run(self, src: str, start: int, stop: int,
+                    errors: list[int], idents: list[int]) -> None:
+        """Datagrams ``start`` to ``stop - 1`` of a sweep from ``src``
+        found their ports closed: count them, and append to ``errors``
+        and ``idents`` the ones that draw a port-unreachable.
+
+        What :meth:`_port_unreachable_allowed` and the ident draws do
+        for each datagram in turn, in bulk: one
+        :meth:`TokenBucket.allow_run`, or under
+        ``icmp_limit_randomized`` the jitter draws at once and one
+        :meth:`TokenBucket.allow` per datagram (a later, cheaper cost
+        can still pass).
+        """
+        count = stop - start
+        self.stats.udp_to_closed_port += count
+        config = self.config
+        if not config.respond_port_unreachable:
+            return
+        bucket = self._icmp_bucket
+        if bucket is None:
+            passed = range(start, stop)
+        elif config.icmp_limit_randomized:
+            allow, now = bucket.allow, self.now
+            passed = [index for index, jitter in zip(
+                range(start, stop), self.rng.below_many(6, count))
+                if allow(now, 1 + jitter)]
+        else:
+            passed = range(start, start + bucket.allow_run(self.now, count))
+        self.stats.icmp_errors_suppressed += count - len(passed)
+        if passed:
+            next_id = self.ipid.next_id
+            errors += passed
+            idents += [next_id(src) for _ in passed]
 
     def _deliver_udp(self, datagram: UdpDatagram, src: str,
                      dst: str) -> bool:
@@ -519,8 +573,14 @@ class Host:
         self.stats.icmp_errors_sent += count
         self.stats.sent += count
         datagrams, origin_idents = burst.datagrams, burst.idents
-        offending = UdpBurst(burst.src, burst.dst,
-                             tuple([datagrams[i] for i in indices]),
+        if type(datagrams) is PortSweep:
+            offending = PortSweep(datagrams.sport,
+                                  tuple([datagrams.dports[i]
+                                         for i in indices]),
+                                  datagrams.payload)
+        else:
+            offending = tuple([datagrams[i] for i in indices])
+        offending = UdpBurst(burst.src, burst.dst, offending,
                              tuple([origin_idents[i] for i in indices]),
                              burst.df)
         self.network.transmit_burst(
@@ -543,8 +603,14 @@ class Host:
         self.stats.received += len(errors.idents)
         src = errors.src
         sockets = self._sockets
-        for index, datagram in enumerate(errors.offending.datagrams):
-            socket = sockets.get(datagram.sport)
+        datagrams = errors.offending.datagrams
+        if type(datagrams) in _SWEEPS:
+            # A sweep's datagrams share one source port: build none.
+            sports = [datagrams.sport] * len(datagrams)
+        else:
+            sports = [datagram.sport for datagram in datagrams]
+        for index, sport in enumerate(sports):
+            socket = sockets.get(sport)
             error_handler = None if socket is None else socket.error_handler
             if error_handler is None and self.icmp_listener is None:
                 continue

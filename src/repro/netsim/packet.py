@@ -6,16 +6,19 @@ sent — mutation happens by building new packets (see :meth:`Ipv4Packet.evolve`
 which keeps traces trustworthy.
 
 Most UDP traffic never becomes an :class:`Ipv4Packet`: an ordinary
-unfragmented send and every SadDNS scan batch travels as a
-:class:`UdpBurst` of datagrams, and the port-unreachable errors a burst
-draws travel back as one :class:`IcmpErrorBurst`.  Their packets are
-built only where something looks at one (a watched fabric, a packet tap,
-a diverted destination, an ICMP listener or socket error handler that
-reads an error's embed).  A SadDNS flood chunk is a :class:`UdpBurst`
-whose datagrams are a :class:`TxidSweep`: one shared payload tail behind
-a range of TXIDs.  A sweep builds a datagram only when one is read, and
-the resolver's socket, which takes a whole sweep in one call, reads just
-the one carrying the TXID it waits for.
+unfragmented send travels as a :class:`UdpBurst` of one datagram, and
+the port-unreachable errors a burst draws travel back as one
+:class:`IcmpErrorBurst`.  Their packets are built only where something
+looks at one (a watched fabric, a packet tap, a diverted destination,
+an ICMP listener or socket error handler that reads an error's embed).
+The SadDNS bursts are sweeps, read-only sequences that build a datagram
+only when one is read: a scan batch is a :class:`PortSweep` (one probe
+payload over many ports) and a flood chunk a :class:`TxidSweep` (one
+shared payload tail behind a range of TXIDs).  The receiving host
+counts and rate-limits a sweep's run of closed-port datagrams in one
+step, without building them, and the resolver's socket, which takes a
+whole TXID sweep in one call, reads just the one datagram carrying the
+TXID it waits for.
 
 Every class here carries ``__slots__``: volume attacks construct millions
 of packets per campaign, and slotted frozen dataclasses cut both the
@@ -57,8 +60,8 @@ class UdpDatagram:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        # Runs once per datagram built, scan batches included; a
-        # TxidSweep checks its ports once for a whole flood chunk.
+        # Runs once per datagram built; a sweep checks its ports once
+        # for a whole scan batch or flood chunk.
         if not 0 <= self.sport <= 0xFFFF:
             raise ValueError(f"UDP sport out of range: {self.sport}")
         if not 0 <= self.dport <= 0xFFFF:
@@ -257,12 +260,50 @@ class TxidSweep(Sequence):
 
 
 @dataclass(frozen=True, slots=True)
+class PortSweep(Sequence):
+    """Datagrams ``sport -> dports[i]`` that all carry one ``payload``.
+
+    A SadDNS scan batch: one probe per candidate port.  Ports are
+    checked once, here; indexing builds a :class:`UdpDatagram` only when
+    one is read, so the probes that find their ports closed are counted
+    (and rate limited) without ever being built (see
+    :meth:`Host.receive_burst <repro.netsim.host.Host.receive_burst>`).
+    """
+
+    sport: int
+    dports: tuple[int, ...]
+    payload: bytes
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.sport <= 0xFFFF:
+            raise ValueError(f"UDP sport out of range: {self.sport}")
+        if type(self.dports) is not tuple:
+            raise ValueError("sweep ports must be a tuple")
+        if self.dports and not (0 <= min(self.dports)
+                                and max(self.dports) <= 0xFFFF):
+            raise ValueError("UDP dport out of range in a port sweep")
+
+    def __len__(self) -> int:
+        return len(self.dports)
+
+    def __getitem__(self, index: int) -> UdpDatagram:
+        # The ports were checked once, above: skip UdpDatagram's checks.
+        datagram = object.__new__(UdpDatagram)
+        setattr_ = object.__setattr__
+        setattr_(datagram, "sport", self.sport)
+        setattr_(datagram, "dport", self.dports[index])
+        setattr_(datagram, "payload", self.payload)
+        return datagram
+
+
+@dataclass(frozen=True, slots=True)
 class UdpBurst:
     """Same-instant UDP datagrams from one ``src`` to one ``dst``.
 
     How unfragmented UDP travels: one datagram for an ordinary
-    :meth:`Host.send_udp <repro.netsim.host.Host.send_udp>`, fifty for a
-    SadDNS scan batch, and a :class:`TxidSweep` for a TXID flood chunk.
+    :meth:`Host.send_udp <repro.netsim.host.Host.send_udp>`, a
+    :class:`PortSweep` for a SadDNS scan batch, and a :class:`TxidSweep`
+    for a TXID flood chunk.
     The datagrams travel as they are, and the packet around datagram
     ``i`` (IP ident ``idents[i]``, the burst's ``df`` flag) is built by
     :meth:`packet` only where one has to exist; an ICMP error embeds it
@@ -272,7 +313,7 @@ class UdpBurst:
 
     src: str
     dst: str
-    datagrams: tuple[UdpDatagram, ...] | TxidSweep
+    datagrams: tuple[UdpDatagram, ...] | TxidSweep | PortSweep
     idents: tuple[int, ...]
     df: bool = False
 

@@ -10,6 +10,10 @@ Two limiters in the paper are attack surface:
   to mute the genuine nameserver and stretch the race window.
 
 Both are instances of :class:`TokenBucket` running on virtual time.
+A SadDNS scan batch or flood chunk whose datagrams find their ports
+closed asks the ICMP limiter for a whole run of unit-cost errors at one
+instant through :meth:`TokenBucket.allow_run`, which counts exactly what
+that many :meth:`TokenBucket.allow` calls would.
 """
 
 from __future__ import annotations
@@ -60,6 +64,27 @@ class TokenBucket:
             return True
         self.denied += 1
         return False
+
+    def allow_run(self, now: float, n: int) -> int:
+        """``n`` unit-cost :meth:`allow` calls at virtual time ``now``.
+
+        Returns how many of them pass: the first ``k = min(n,
+        floor(tokens))``.  Exact, token for token: ``t - 1`` taken ``k``
+        times is ``t - k`` in floating point for any ``k <= t < 2**53``.
+        ``n == 0`` does nothing, not even the refill, because refilling
+        at an extra instant can round differently.
+        """
+        if n < 0:
+            raise ValueError(f"run length must be non-negative, got {n}")
+        if n == 0:
+            return 0
+        self._refill(now)
+        tokens = self._tokens
+        allowed = n if tokens >= n else int(tokens)
+        self._tokens = tokens - allowed
+        self.allowed += allowed
+        self.denied += n - allowed
+        return allowed
 
     def peek(self, now: float) -> float:
         """Tokens that would be available at ``now`` (no consumption)."""

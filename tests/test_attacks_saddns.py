@@ -59,6 +59,37 @@ class TestSideChannel:
         world["testbed"].run(0.06)  # refill the ICMP bucket
         assert not attack.probe_ports(list(range(20000, 20050)))
 
+    def test_clean_fabric_probe_batch_builds_no_closed_port_datagram(
+            self, prepared, monkeypatch):
+        """A probe batch is a port sweep: the probes that find their
+        ports closed are counted, rate limited and answered without a
+        datagram built; only the probe to the open port is built, for
+        its socket's handler."""
+        from repro.netsim.packet import PortSweep
+
+        world, attacker, trigger = prepared
+        attack = build_attack(world, attacker)
+        attack.mute_nameserver()
+        trigger.fire(TARGET_DOMAIN, "A")
+        world["testbed"].run(0.08)
+        host = world["resolver"].host
+        port = next(iter(host.open_ports() - {53}))
+        built = []
+        getitem = PortSweep.__getitem__
+        monkeypatch.setattr(
+            PortSweep, "__getitem__",
+            lambda sweep, index: (built.append(sweep.dports[index]),
+                                  getitem(sweep, index))[1])
+        closed = host.stats.udp_to_closed_port
+        assert attack.probe_ports(
+            list(range(20000, 20025)) + [port] + list(range(20025, 20049)))
+        assert built == [port]
+        world["testbed"].run(0.06)
+        assert not attack.probe_ports(list(range(20000, 20050)))
+        assert built == [port]
+        # Both batches' closed probes and both verification probes.
+        assert host.stats.udp_to_closed_port - closed == 49 + 50 + 2
+
     @pytest.mark.parametrize("batch_size", [61, 62])
     def test_fillers_skip_the_resolver_dns_port(self, batch_size):
         # 10 closed candidates need 51 or 52 fillers counting up from
@@ -229,8 +260,8 @@ def _flooded_cell(defense, per_packet):
     fabric is then no longer clean, so every burst (scan batch or flood
     chunk) goes through the per-packet path instead.  Returns the built
     world, its run, the flooded ports, per burst injected its length,
-    payload kind and the scheduler entries it added, and the size of
-    each port-unreachable error burst the fabric delivered.
+    payload kind and the scheduler entries it added, and the source and
+    size of each port-unreachable error burst the fabric delivered.
     """
     from repro.defenses import DefenseStack
     from repro.defenses.ablation import defended_scenario
@@ -261,7 +292,7 @@ def _flooded_cell(defense, per_packet):
 
     def delivered(burst, target):
         if isinstance(burst, IcmpErrorBurst):
-            errors.append(len(burst.idents))
+            errors.append((burst.src, len(burst.idents)))
         deliver_burst(burst, target)
 
     built.attack.flood_txids = counted
@@ -270,16 +301,20 @@ def _flooded_cell(defense, per_packet):
     return built, built.execute(), floods, bursts, errors
 
 
-# Per stack: does the cell reach the flood, and does the attack succeed?
+# Per stack: does the cell reach the flood, does the attack succeed, and
+# does the resolver send port-unreachable errors at all?
 _FLOOD_CELLS = {
-    "0x20-encoding": (True, False),
-    "dnssec": (True, False),
+    "0x20-encoding": (True, False, True),
+    "dnssec": (True, False, True),
     # The forgery is accepted mid-chunk: the rest of the chunk hits a
     # closed port and draws rate-limited ICMP errors.
-    "rpki-rov": (True, True),
+    "rpki-rov": (True, True, True),
     # Every closed-port datagram draws budget jitter from the resolver's
     # RNG; the side channel never finds the port.
-    "randomized-icmp-limit": (False, False),
+    "randomized-icmp-limit": (False, False, True),
+    # No error ever comes back: the scan is blind, and every probe is
+    # counted closed without asking the rate limiter.
+    "no-icmp-errors": (False, False, False),
 }
 
 
@@ -303,16 +338,20 @@ def _use_0x20():
 
 # Per case: the resolver config, and the sweeps to send as (source,
 # TXIDs around the outstanding query's, tail).  Sources: "ns" is the
-# server queried, "other" any other address.  The ``after-icmp-flush``
-# case closes the query's socket and reopens it from inside the rate
-# limiter, while the sweep's first datagrams find the port closed, so
-# the sweep handler is entered at an index past the errors they drew.
+# server queried, "other" any other address.  A "probe" sweep is a scan
+# batch instead: the probe payload to the ports around the query's, so
+# the open port sits mid-batch (closed run, error flush, handler, closed
+# run).  In ``port-already-closed`` the accepted forgery closes the
+# query's socket, so the whole second sweep finds its port closed.
 _SWEEP_CASES = {
     "wrong-source": (None, [("other", (-50, 50), "forged")]),
     "txid-below-sweep": (None, [("ns", (1, 201), "forged")]),
     "txid-inside-sweep": (None, [("ns", (-100, 100), "forged")]),
     "txid-above-sweep": (None, [("ns", (-200, 0), "forged")]),
-    "after-icmp-flush": (None, [("ns", (-5, 100), "forged")]),
+    "probe-batch-open-port-mid-batch": (None,
+                                        [("ns", (-40, 40), "probe")]),
+    "port-already-closed": (None, [("ns", (0, 1), "forged"),
+                                   ("ns", (-100, 100), "forged")]),
     "fixed-port-after-accept": (_fixed_port,
                                 [("ns", (-100, 100), "forged")]),
     "fixed-port-finished": (_fixed_port, [("ns", (0, 1), "forged"),
@@ -328,7 +367,8 @@ _SWEEP_EXPECT = {
     "txid-below-sweep": {"rejected_txid": 200},
     "txid-inside-sweep": {"rejected_txid": 100, "resolutions": 1},
     "txid-above-sweep": {"rejected_txid": 200},
-    "after-icmp-flush": {"resolutions": 1},
+    "probe-batch-open-port-mid-batch": {},
+    "port-already-closed": {"resolutions": 1},
     "fixed-port-after-accept": {"rejected_txid": 100, "resolutions": 1},
     "fixed-port-finished": {"resolutions": 1},
     "0x20-case-reject": {"rejected_case": 1, "rejected_txid": 199},
@@ -341,21 +381,23 @@ def _swept_resolver(case, per_packet):
 
     ``per_packet`` installs an interceptor that claims nothing, so the
     sweeps reach the resolver as packets, one ``_on_datagram`` each.
-    Returns the world, the attacker and, in arrival order, what the
+    Returns the world, the attacker, in arrival order what the
     nameserver (the resolver's ICMP errors) and the client (its
-    answers) received.
+    answers) received, and the resolver host's stats from before the
+    sweeps.
     """
+    import dataclasses
+
     from repro.dns.wire import encode_message
-    from repro.netsim.packet import TxidSweep, UdpBurst
+    from repro.netsim.packet import PortSweep, TxidSweep, UdpBurst
 
     make_config, sweeps = _SWEEP_CASES[case]
-    flush = case == "after-icmp-flush"
     world = standard_testbed(
         seed="pytest-saddns",
         ns_config=NameserverConfig(rrl_enabled=True),
         resolver_config=make_config() if make_config else None,
         resolver_host_config=HostConfig(
-            ephemeral_low=30000, ephemeral_high=30000 if flush else 30999),
+            ephemeral_low=30000, ephemeral_high=30999),
     )
     network = world["testbed"].network
     if per_packet:
@@ -372,31 +414,23 @@ def _swept_resolver(case, per_packet):
     world["testbed"].run(0.08)
     (task,) = resolver._inflight.values()
     port, txid, server = task.socket.port, task.txid, task.current_server
-    if flush:
-        # The only port in range, so the query reopens on it.
-        task.socket.close()
-        host = resolver.host
-        allowed, calls = host._port_unreachable_allowed, []
-
-        def reopen_on_fifth_call():
-            calls.append(None)
-            if len(calls) == 5:
-                task._open_socket()
-            return allowed()
-
-        host._port_unreachable_allowed = reopen_on_fifth_call
+    before = dataclasses.replace(resolver.host.stats)
     tails = {"forged": encode_message(attacker.forge_response(
         TARGET_DOMAIN, TYPE_A, 0, attack.malicious_records))[2:],
         "garbage": _GARBAGE_TAIL}
     for source, (low, high), tail in sweeps:
-        txids = range(txid + low, txid + high)
-        assert 0 <= txids.start and txids.stop <= 0x10000
+        if tail == "probe":
+            sweep = PortSweep(53, tuple(range(port + low, port + high)),
+                              b"\x00\x00probe")
+        else:
+            txids = range(txid + low, txid + high)
+            assert 0 <= txids.start and txids.stop <= 0x10000
+            sweep = TxidSweep(53, port, txids, tails[tail])
         attacker.inject_burst(UdpBurst(
-            server if source == "ns" else SERVICE_IP, RESOLVER_IP,
-            TxidSweep(53, port, txids, tails[tail]),
-            tuple(attacker.rng.pick_txids(len(txids)))))
+            server if source == "ns" else SERVICE_IP, RESOLVER_IP, sweep,
+            tuple(attacker.rng.pick_txids(len(sweep)))))
     world["testbed"].run(0.05)
-    return world, attacker, received
+    return world, attacker, received, before
 
 
 class TestFloodBurst:
@@ -404,7 +438,7 @@ class TestFloodBurst:
     def test_burst_and_per_packet_paths_agree(self, defense):
         import dataclasses
 
-        floods, success = _FLOOD_CELLS[defense]
+        floods, success, icmp_errors = _FLOOD_CELLS[defense]
         burst, burst_run, burst_floods, burst_bursts, burst_errors = \
             _flooded_cell(defense, False)
         single, single_run, single_floods, single_bursts, single_errors = \
@@ -442,11 +476,14 @@ class TestFloodBurst:
         assert all(added == size for size, _, added in single_bursts)
         # The port-unreachable errors each of those draws go back as one
         # more event, where the per-packet path sends one per error.
-        assert burst_errors and single_errors == []
+        resolver_ip = burst.resolver.address
+        assert any(src == resolver_ip for src, _ in burst_errors) \
+            is icmp_errors
+        assert single_errors == []
         assert single.network.scheduler.executed \
             - burst.network.scheduler.executed \
             == sum(size - 1 for size, _, _ in burst_bursts) \
-            + sum(size - 1 for size in burst_errors)
+            + sum(size - 1 for _, size in burst_errors)
 
     @pytest.mark.parametrize("case", list(_SWEEP_CASES))
     def test_sweep_and_per_packet_paths_agree(self, case):
@@ -457,7 +494,8 @@ class TestFloodBurst:
         assert not well_formed(b"\x00\x00" + _GARBAGE_TAIL)
         outcomes = []
         for per_packet in (False, True):
-            world, attacker, received = _swept_resolver(case, per_packet)
+            world, attacker, received, before = _swept_resolver(
+                case, per_packet)
             resolver = world["resolver"]
             outcomes.append((
                 received,
@@ -465,16 +503,29 @@ class TestFloodBurst:
                 world["testbed"].network.stats,
                 resolver.cache._entries, resolver.cache.stats,
                 resolver.rng.getstate(), resolver.host.rng.getstate(),
-                attacker.rng.getstate()))
+                attacker.rng.getstate(), before))
         assert outcomes[0] == outcomes[1]
         stats = outcomes[0][1]
         counted = {name: value for name, value in vars(stats).items()
                    if value and name.startswith(("rejected", "resolutions"))}
         assert counted == _SWEEP_EXPECT[case]
-        if case == "after-icmp-flush":
-            # Five datagrams before the forgery at index 5 and the 99
-            # after it find the port closed.
-            assert outcomes[0][2].udp_to_closed_port == 104
+        host_stats, before = outcomes[0][2], outcomes[0][-1]
+        closed, sent, suppressed = (
+            host_stats.udp_to_closed_port - before.udp_to_closed_port,
+            host_stats.icmp_errors_sent - before.icmp_errors_sent,
+            host_stats.icmp_errors_suppressed
+            - before.icmp_errors_suppressed)
+        burst = int(world["resolver"].host.config.icmp_burst)
+        if case == "probe-batch-open-port-mid-batch":
+            # 40 probes before the open port draw 40 errors, which leave
+            # before its handler runs; of the 39 after it, only 10 find
+            # a token left.
+            assert (closed, sent, suppressed) == (79, burst, 29)
+            assert host_stats.udp_delivered - before.udp_delivered == 1
+        elif case == "port-already-closed":
+            # The bucket is full when the second sweep arrives: it pays
+            # for one error per token and no more.
+            assert (closed, sent, suppressed) == (200, burst, 200 - burst)
 
     def test_clean_fabric_flood_builds_one_datagram_per_sweep_call(
             self, monkeypatch):
@@ -490,7 +541,7 @@ class TestFloodBurst:
             _Resolution, "_on_sweep",
             lambda task, *args: (calls.append(args[1]),
                                  on_sweep(task, *args))[1])
-        world, attacker, _ = _swept_resolver("0x20-case-reject", False)
+        world, attacker, _, _ = _swept_resolver("0x20-case-reject", False)
         resolver = world["resolver"]
         port = next(iter(resolver.host.open_ports() - {53}))
         calls.clear()

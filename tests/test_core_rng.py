@@ -1,5 +1,6 @@
 """Tests for deterministic namespaced randomness."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.rng import DeterministicRNG, derive_rng
@@ -68,6 +69,52 @@ class TestHelpers:
             rng.getrandbits(32 * warmup + 1)
         assert bulk.pick_txids(n) == [single.pick_txid() for _ in range(n)]
         assert bulk.getstate() == single.getstate()
+
+    @given(st.integers(min_value=-2**63, max_value=2**63),
+           st.sampled_from([1, 6, 1000, 2**16, 2**31, 2**32 - 1]),
+           st.integers(min_value=0, max_value=600),
+           st.integers(min_value=0, max_value=3))
+    def test_below_many_is_n_randint_calls(self, seed, width, n, warmup):
+        bulk, single = DeterministicRNG(seed), DeterministicRNG(seed)
+        for rng in (bulk, single):
+            rng.getrandbits(32 * warmup + 1)
+        assert bulk.below_many(width, n) \
+            == [single.randint(0, width - 1) for _ in range(n)]
+        assert bulk.getstate() == single.getstate()
+
+    @pytest.mark.parametrize("width", [2**32, 2**40, 0, -6])
+    def test_below_many_rejects_widths_it_cannot_draw(self, width):
+        rng = DeterministicRNG(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            rng.below_many(width, 3)
+        assert rng.getstate() == state
+
+    # (population size, k): CPython's pool path for a population no
+    # larger than a k-set (``n <= setsize``), its set path beyond that,
+    # and populations wider than 32 bits.
+    @pytest.mark.parametrize("n, k", [
+        (1, 1), (10, 0), (10, 10), (21, 5), (277, 50),    # pool
+        (22, 5), (100, 3), (278, 50), (1000, 50), (64511, 50),
+        (0x10000, 64), (20000, 4000),                     # set
+        (2**32, 7), (2**40, 7)])                          # wide
+    @given(seed=st.integers(min_value=-2**63, max_value=2**63),
+           warmup=st.integers(min_value=0, max_value=3))
+    def test_pick_sample_is_sample(self, n, k, seed, warmup):
+        bulk, single = DeterministicRNG(seed), DeterministicRNG(seed)
+        for rng in (bulk, single):
+            rng.getrandbits(32 * warmup + 1)
+        population = range(n) if n > 5000 else list(range(n, 2 * n))
+        assert bulk.pick_sample(population, k) == single.sample(population, k)
+        assert bulk.getstate() == single.getstate()
+
+    @pytest.mark.parametrize("population, k, error", [
+        (range(300), 301, ValueError), (range(300), -1, ValueError),
+        (set(range(300)), 5, TypeError)])
+    def test_pick_sample_raises_what_sample_raises(self, population, k,
+                                                   error):
+        with pytest.raises(error):
+            DeterministicRNG(1).pick_sample(population, k)
 
     def test_chance_extremes(self):
         rng = DeterministicRNG(3)

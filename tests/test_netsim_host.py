@@ -12,6 +12,7 @@ from repro.netsim.packet import (
     ICMP_FRAG_NEEDED,
     IcmpMessage,
     Ipv4Packet,
+    PortSweep,
     TxidSweep,
     UdpBurst,
     UdpDatagram,
@@ -220,6 +221,12 @@ def _flood_chunk(port=40000, txids=range(0xFFF8, 0x10000)):
         tuple(range(0xFFFF, 0xFFFF - len(txids), -1)))
 
 
+def _probe_batch(dports=(2, 30000, 65535, 3), idents=(0, 7, 0xFFFF, 12)):
+    """A SadDNS scan batch: the probe payload to each of ``dports``."""
+    return UdpBurst("10.0.0.9", "10.0.0.2",
+                    PortSweep(53, tuple(dports), b"\x00\x00probe"), idents)
+
+
 class TestUdpBurst:
     def test_packets_are_what_make_udp_packet_builds(self):
         batch = UdpBurst(
@@ -227,7 +234,7 @@ class TestUdpBurst:
             tuple(UdpDatagram(53, dport, b"\x00\x00probe")
                   for dport in (2, 30000, 65535, 3)),
             (0, 7, 0xFFFF, 12))
-        for burst in (_flood_chunk(), batch):
+        for burst in (_flood_chunk(), batch, _probe_batch()):
             packets = burst.packets()
             assert len(packets) == len(burst.datagrams)
             for index, datagram in enumerate(burst.datagrams):
@@ -258,6 +265,24 @@ class TestUdpBurst:
     def test_bad_sweeps_raise(self, args):
         with pytest.raises(ValueError):
             TxidSweep(*args, b"tail")
+
+    def test_port_sweep_datagrams_are_the_ports_and_the_payload(self):
+        sweep = _probe_batch().datagrams
+        expected = [UdpDatagram(53, dport, b"\x00\x00probe")
+                    for dport in (2, 30000, 65535, 3)]
+        assert len(sweep) == 4
+        assert list(sweep) == [sweep[i] for i in range(4)] == expected
+        assert sweep[-1] == expected[-1]
+        with pytest.raises(IndexError):
+            sweep[4]
+
+    @pytest.mark.parametrize("args", [
+        (0x10000, (1, 2)), (-1, (1, 2)), (53, (1, 0x10000)), (53, (-1, 2)),
+        (53, [1, 2])],
+        ids=["sport", "negative-sport", "dport", "negative-dport", "list"])
+    def test_bad_port_sweeps_raise(self, args):
+        with pytest.raises(ValueError):
+            PortSweep(*args, b"probe")
 
     @pytest.mark.parametrize("idents", [(0, 0x10000), (-1, 0), (0,),
                                         (0, 1, 2)],
@@ -369,6 +394,21 @@ class TestRawSendBurst:
             b.raw_send_burst(self._burst())
         assert b.stats.sent == 0
         assert net.stats.transmitted == 0
+
+    @pytest.mark.parametrize("stop", [
+        lambda index, end: index, lambda index, end: index - 1,
+        lambda index, end: end + 1],
+        ids=["no-progress", "backwards", "past-the-end"])
+    def test_bad_sweep_handler_return_raises(self, stop):
+        """A handler that takes nothing would spin the sweep loop
+        forever, and one that claims datagrams past the end would
+        over-count deliveries."""
+        _net, _a, b = two_hosts()
+        b.open_udp(40000).sweep_handler = \
+            lambda sweep, index, src, dst: stop(index, len(sweep))
+        with pytest.raises(ValueError, match="sweep handler"):
+            b.receive_burst(_flood_chunk())
+        assert b.stats.udp_delivered == 0
 
 
 def _packet_path_send(host, src, sport, dst, dport, payload, df=False):
@@ -691,13 +731,84 @@ class TestLazyIcmpErrors:
         assert b_stats.icmp_errors_sent + b_stats.icmp_errors_suppressed \
             == b_stats.udp_to_closed_port == 120
 
-    def test_open_port_handler_events_keep_the_packet_path_order(self):
+    @pytest.mark.parametrize("kind", ["ports", "txids-closed",
+                                      "txids-closed-by-handler"])
+    @pytest.mark.parametrize("config", [
+        {}, {"icmp_limit_randomized": True, "ipid_policy": "global"},
+        {"icmp_limit_randomized": True},
+        {"icmp_limit_randomized": True, "ipid_policy": "random"},
+        {"icmp_rate_limited": False}, {"respond_port_unreachable": False}],
+        ids=["limited", "jitter-global", "jitter-per-destination",
+             "jitter-random", "unlimited", "silent"])
+    def test_sweep_closed_runs_match_the_packet_path(self, kind, config):
+        """A sweep's closed-port runs are counted and rate limited in
+        bulk: the same tokens, jitter draws, IP idents, counters and
+        errors, in the same order around the handlers, as per-packet
+        receives.  A port sweep's runs end at each open port; a TXID
+        sweep's one port closes under its handler mid-sweep."""
+        if kind == "ports":
+            ports = (*range(9000, 9030), 53, *range(9030, 9060), 54, 9060)
+            sweep = PortSweep(5000, ports, b"\x00\x00probe")
+        else:
+            sweep = TxidSweep(5000, 53 if kind.endswith("handler") else 9,
+                              range(100, 163), _flood_tail())
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts(HostConfig(**config))
+            seen = []
+
+            def handler(datagram, src, dst, b=b, net=net, seen=seen):
+                seen.append(("handler", net.now, datagram))
+                if datagram.payload[:2] == (102).to_bytes(2, "big"):
+                    b._sockets[datagram.dport].close()
+
+            for port in (53, 54):
+                b.open_udp(port, handler)
+            a.icmp_listener = lambda message, src, net=net, seen=seen: \
+                seen.append(("error", net.now, message))
+            a.open_udp(5000).error_handler = \
+                lambda message, src, net=net, seen=seen: seen.append(
+                    ("socket", net.now, message))
+            burst = UdpBurst("10.0.0.1", "10.0.0.2", sweep,
+                             tuple(range(len(sweep))))
+            for _ in range(3):
+                _send_burst(lazy, a, burst)
+                net.run()
+                for port in (53, 54):
+                    if port not in b.open_ports():
+                        b.open_udp(port, handler)
+            bucket = b._icmp_bucket
+            outcomes.append((
+                seen, net.stats, a.stats, b.stats, b.rng.getstate(),
+                None if bucket is None else vars(bucket),
+                [b.ipid.next_id(dst)
+                 for dst in ("10.0.0.1", "10.0.0.7", "10.0.0.1")]))
+        assert outcomes[0] == outcomes[1]
+        b_stats = outcomes[0][3]
+        closed = {"ports": 61, "txids-closed": 63,
+                  "txids-closed-by-handler": 60}[kind]
+        assert b_stats.udp_to_closed_port == 3 * closed
+        assert b_stats.icmp_errors_sent + b_stats.icmp_errors_suppressed \
+            == (0 if config.get("respond_port_unreachable") is False
+                else 3 * closed)
+        if config in ({}, {"icmp_limit_randomized": True}):
+            assert b_stats.icmp_errors_sent and b_stats.icmp_errors_suppressed
+
+    @pytest.mark.parametrize("sweep", [False, True],
+                             ids=["datagrams", "port-sweep"])
+    def test_open_port_handler_events_keep_the_packet_path_order(
+            self, sweep):
+        if sweep:
+            datagrams = PortSweep(5000, (9, 53, 11, 10), b"")
+        else:
+            datagrams = (UdpDatagram(5000, 9), UdpDatagram(5001, 53),
+                         UdpDatagram(5002, 11), UdpDatagram(5003, 10))
         outcomes = []
         for lazy in (True, False):
             net, a, b = two_hosts()
             order = []
             a.icmp_listener = lambda message, src: order.append(
-                ("error", message.embedded[20:22]))
+                ("error", message.embedded[20:24]))
             latency = net.latency_between("10.0.0.2", "10.0.0.1")
 
             def handler(datagram, src, dst):
@@ -706,14 +817,16 @@ class TestLazyIcmpErrors:
                 net.scheduler.schedule(0.0, order.append, "now")
 
             b.open_udp(53, handler)
-            burst = UdpBurst("10.0.0.1", "10.0.0.2", (
-                UdpDatagram(5000, 9), UdpDatagram(5001, 53),
-                UdpDatagram(5002, 9), UdpDatagram(5003, 10)), (1, 2, 3, 4))
+            burst = UdpBurst("10.0.0.1", "10.0.0.2", datagrams, (1, 2, 3, 4))
             _send_burst(lazy, a, burst)
             net.run()
             outcomes.append((order, net.stats, a.stats, b.stats))
         assert outcomes[0] == outcomes[1]
+
+        def error(index):
+            datagram = datagrams[index]
+            return ("error", datagram.sport.to_bytes(2, "big")
+                    + datagram.dport.to_bytes(2, "big"))
+
         assert outcomes[0][0] == [
-            "now", ("error", (5000).to_bytes(2, "big")), "handler",
-            ("error", (5002).to_bytes(2, "big")),
-            ("error", (5003).to_bytes(2, "big"))]
+            "now", error(0), "handler", error(2), error(3)]

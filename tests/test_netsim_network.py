@@ -1,6 +1,7 @@
 """Tests for the network fabric: delivery, interception, streams."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.netsim.addresses import (
     int_to_ip,
@@ -120,6 +121,37 @@ class TestTokenBucket:
             bucket.allow(0.5)
         # Equal timestamps are fine (same-instant bursts).
         assert bucket.allow(1.0)
+
+    @given(st.sampled_from([0.0, 0.3, 7.0, 1000.0, 1e6]),
+           st.sampled_from([0.5, 1.0, 3.7, 50.0, 1000.0]),
+           st.lists(st.tuples(
+               st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+               st.integers(0, 60), st.booleans()), max_size=12))
+    def test_allow_run_is_n_unit_allow_calls(self, rate, burst, steps):
+        """Over fractional, drained and refilled buckets, ``n = 0``
+        included: the same verdicts, tokens, clock and counters."""
+        bulk, single = TokenBucket(rate, burst), TokenBucket(rate, burst)
+        now = 0.0
+        for advance, n, drain in steps:
+            now += advance
+            if drain:
+                bulk.drain(now)
+                single.drain(now)
+            passed = [single.allow(now) for _ in range(n)]
+            allowed = bulk.allow_run(now, n)
+            assert passed == [True] * allowed + [False] * (n - allowed)
+            assert (bulk._tokens, bulk._last, bulk.allowed, bulk.denied) \
+                == (single._tokens, single._last, single.allowed,
+                    single.denied)
+
+    def test_empty_run_does_not_refill(self):
+        bucket = TokenBucket(rate=10, burst=3)
+        assert bucket.allow(0.0)
+        assert bucket.allow_run(0.25, 0) == 0
+        assert bucket._last == 0.0 and bucket.allowed == 1
+        assert bucket.denied == 0
+        with pytest.raises(ValueError, match="non-negative"):
+            bucket.allow_run(0.25, -1)
 
     def test_denied_counter_increments(self):
         bucket = TokenBucket(rate=1, burst=2)
