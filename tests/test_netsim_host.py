@@ -794,15 +794,18 @@ class TestLazyIcmpErrors:
         if config in ({}, {"icmp_limit_randomized": True}):
             assert b_stats.icmp_errors_sent and b_stats.icmp_errors_suppressed
 
-    @pytest.mark.parametrize("sweep", [False, True],
-                             ids=["datagrams", "port-sweep"])
-    def test_open_port_handler_events_keep_the_packet_path_order(
-            self, sweep):
-        if sweep:
-            datagrams = PortSweep(5000, (9, 53, 11, 10), b"")
-        else:
-            datagrams = (UdpDatagram(5000, 9), UdpDatagram(5001, 53),
-                         UdpDatagram(5002, 11), UdpDatagram(5003, 10))
+    def test_open_port_handler_events_keep_the_packet_path_order(self):
+        self._check_open_port_handler_event_order(
+            (UdpDatagram(5000, 9), UdpDatagram(5001, 53),
+             UdpDatagram(5002, 11), UdpDatagram(5003, 10)))
+
+    def test_port_sweep_open_port_handler_events_keep_the_packet_path_order(
+            self):
+        self._check_open_port_handler_event_order(
+            PortSweep(5000, (9, 53, 11, 10), b""))
+
+    @staticmethod
+    def _check_open_port_handler_event_order(datagrams):
         outcomes = []
         for lazy in (True, False):
             net, a, b = two_hosts()
