@@ -10,6 +10,13 @@ vector operation over all B streams — bit-identical to seeding B
 independent ``random.Random`` instances, at a fraction of the per-
 stream cost.
 
+The walk never materialises the ``init_genrand(19650218)`` start state,
+which is the same for every stream.  Until the first loop wraps, each
+step reads one row that no step has written yet, so it XORs that row's
+scalar init constant; only the steps after the wrap read stored rows.
+Filling the matrix first would write 624 rows (30 MB at the kernel's
+batch size) only to read 623 of them back once.
+
 Output generation mirrors CPython exactly: after seeding, ``mti`` sits
 at 624, so the first tempered outputs come from a (partial) twist of
 the freshly seeded state.  :meth:`LockstepMT.words` materialises
@@ -39,28 +46,27 @@ N_MT = 624          # state words per stream
 M_MT = 397          # twist offset
 _PARTIAL_LIMIT = N_MT - M_MT  # rows producible before a full twist: 227
 
+
+def _init_genrand(seed: int) -> list[int]:
+    """CPython's ``init_genrand`` state words."""
+    init = [seed]
+    for i in range(1, N_MT):
+        prev = init[i - 1]
+        init.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+    return init
+
+
 if HAVE_NUMPY:
     _MATRIX_A = np.uint32(0x9908B0DF)
     _UPPER = np.uint32(0x80000000)
     _LOWER = np.uint32(0x7FFFFFFF)
     _ONE = np.uint32(1)
-
-    def _init_genrand_column() -> "np.ndarray":
-        """The init_genrand(19650218) state shared by every stream."""
-        init = [19650218]
-        for i in range(1, N_MT):
-            prev = init[i - 1]
-            init.append(
-                (1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
-        return np.array(init, dtype=np.uint32)
-
-    _INIT_COLUMN = None
-
-    def _init_column() -> "np.ndarray":
-        global _INIT_COLUMN
-        if _INIT_COLUMN is None:
-            _INIT_COLUMN = _init_genrand_column()
-        return _INIT_COLUMN
+    # Every init_by_array walk starts from init_genrand(19650218); its
+    # step 0 reads only rows 0 and 1, both still those constants.
+    _INIT_WORDS = _init_genrand(19650218)
+    _INIT = [np.uint32(word) for word in _INIT_WORDS]
+    _STEP0 = np.uint32(_INIT_WORDS[1] ^ (1664525 * (
+        _INIT_WORDS[0] ^ (_INIT_WORDS[0] >> 30)) & 0xFFFFFFFF))
 
 
 def key_words(materials: "np.ndarray | bytes") -> "np.ndarray":
@@ -82,22 +88,55 @@ def seed_states(key: "np.ndarray") -> "np.ndarray":
     generator position at 624 (a twist precedes the first output),
     matching ``random.Random(seed_int)`` for every stream whose key
     really is ``key_len`` words (see :attr:`LockstepMT.irregular`).
+
+    The matrix is never filled with the ``init_genrand`` column.  The
+    first loop's steps 0..622 write rows 1..623 in order, and step *s*
+    reads row ``s + 1`` before any step has written it, so that read is
+    the same init constant for every stream: a scalar XOR instead of a
+    row load.  Step 0 also reads row 0 before the wrap, so it is a
+    single add of a constant.  Only from the wrap (``mt[0] = mt[623]``
+    after step 622) on do the steps read stored rows, and by then every
+    row has been written.
     """
     key_len, batch = key.shape
+    init = _INIT
+    rshift = np.right_shift
+    xor = np.bitwise_xor
+    mul = np.multiply
+    add = np.add
+    sub = np.subtract
+    thirty = np.uint32(30)
+    mult_key = np.uint32(1664525)
+    mult_mix = np.uint32(1566083941)
     mt = np.empty((N_MT, batch), dtype=np.uint32)
-    mt[:] = _init_column()[:, None]
     # key[j] + j is loop-invariant per key row; hoist the add.
     keyj = [key[j] + np.uint32(j) for j in range(key_len)]
     scratch = np.empty(batch, dtype=np.uint32)
-    i = 1
-    j = 0
-    for _step in range(max(N_MT, key_len)):
+    # Step 0 reads only init constants.
+    add(keyj[0], _STEP0, out=mt[1])
+    # Steps 1..622: row i is still init[i], so XOR the scalar.
+    j = 1 % key_len
+    for i in range(2, N_MT):
         prev = mt[i - 1]
-        np.right_shift(prev, np.uint32(30), out=scratch)
-        np.bitwise_xor(prev, scratch, out=scratch)
-        np.multiply(scratch, np.uint32(1664525), out=scratch)
-        np.bitwise_xor(mt[i], scratch, out=scratch)
-        np.add(scratch, keyj[j], out=mt[i])
+        rshift(prev, thirty, out=scratch)
+        xor(prev, scratch, out=scratch)
+        mul(scratch, mult_key, out=scratch)
+        xor(scratch, init[i], out=scratch)
+        add(scratch, keyj[j], out=mt[i])
+        j += 1
+        if j >= key_len:
+            j = 0
+    mt[0] = mt[N_MT - 1]
+    i = 1
+    # The rest of the first loop (one step for keys up to 624 words)
+    # reads the stored rows.
+    for _step in range(max(N_MT, key_len) - (N_MT - 1)):
+        prev = mt[i - 1]
+        rshift(prev, thirty, out=scratch)
+        xor(prev, scratch, out=scratch)
+        mul(scratch, mult_key, out=scratch)
+        xor(mt[i], scratch, out=scratch)
+        add(scratch, keyj[j], out=mt[i])
         i += 1
         j += 1
         if i >= N_MT:
@@ -107,16 +146,16 @@ def seed_states(key: "np.ndarray") -> "np.ndarray":
             j = 0
     for _step in range(N_MT - 1):
         prev = mt[i - 1]
-        np.right_shift(prev, np.uint32(30), out=scratch)
-        np.bitwise_xor(prev, scratch, out=scratch)
-        np.multiply(scratch, np.uint32(1566083941), out=scratch)
-        np.bitwise_xor(mt[i], scratch, out=scratch)
-        np.subtract(scratch, np.uint32(i), out=mt[i])
+        rshift(prev, thirty, out=scratch)
+        xor(prev, scratch, out=scratch)
+        mul(scratch, mult_mix, out=scratch)
+        xor(mt[i], scratch, out=scratch)
+        sub(scratch, np.uint32(i), out=mt[i])
         i += 1
         if i >= N_MT:
             mt[0] = mt[N_MT - 1]
             i = 1
-    mt[0] = np.uint32(0x80000000)
+    mt[0] = _UPPER
     return mt
 
 

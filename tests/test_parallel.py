@@ -34,8 +34,14 @@ from repro.parallel.claim import (
     merge_claimed,
     release_shard,
 )
-from repro.parallel.kernel import scan_range, vector_available
-from repro.parallel.mt import HAVE_NUMPY, LockstepMT
+from repro.parallel import kernel as kernel_module
+from repro.parallel.kernel import VectorScanner, scan_range, vector_available
+from repro.parallel.mt import (
+    HAVE_NUMPY,
+    LockstepMT,
+    WordBudgetExceeded,
+    seed_states,
+)
 from repro.parallel.scheduler import run_stealing
 from repro.parallel.workers import (
     DEFAULT_CAP,
@@ -43,6 +49,9 @@ from repro.parallel.workers import (
     parse_workers,
     resolve_workers,
 )
+
+if HAVE_NUMPY:
+    import numpy as np
 
 
 def checksum(aggregate: ScanAggregate) -> str:
@@ -85,6 +94,25 @@ class TestLockstepMT:
         # ``irregular`` lists the column indices the kernel must route
         # through the scalar fallback — only the crafted one.
         assert list(mt.irregular) == [1]
+
+    @pytest.mark.parametrize("key_len",
+                             [1, 2, 7, 8, 623, 624, 625, 700, 1300])
+    def test_seed_states_match_cpython_for_any_key_length(self, key_len):
+        # Keys shorter than the state skip nothing; keys longer than
+        # 624 words run past the first wrap, where the walk starts
+        # reading stored rows instead of init constants.
+        rng = random.Random(key_len)
+        seeds = [rng.getrandbits(32 * key_len) | 1 << (32 * key_len - 1)
+                 for _ in range(3)]
+        key = np.array([[(seed >> (32 * word)) & 0xFFFFFFFF
+                         for seed in seeds] for word in range(key_len)],
+                       dtype=np.uint32)
+        state = seed_states(key)
+        for column, seed in enumerate(seeds):
+            reference = random.Random(seed).getstate()[1]
+            assert reference[-1] == 624      # position: twist first
+            assert state[:, column].tolist() == list(reference[:624]), \
+                f"column {column} diverged"
 
 
 # -- worker resolution --------------------------------------------------------
@@ -161,6 +189,67 @@ class TestKernelBitIdentity:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(
                 ["scan", "--dataset", "open", "--kernel", "python"])
+
+
+def _flag_column_3(monkeypatch) -> None:
+    """Make every lockstep batch wider than 3 treat column 3 as a
+    short-key stream, which only occurs naturally with P ~ 2^-32."""
+    class Flagged(LockstepMT):
+        def __init__(self, materials):
+            super().__init__(materials)
+            if self.batch > 3:
+                self.irregular = np.array([3], dtype=np.intp)
+
+    monkeypatch.setattr(kernel_module, "LockstepMT", Flagged)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestVectorFallbacks:
+    @pytest.mark.parametrize("dataset", ["open", "alexa"])
+    def test_irregular_stream_folds_through_scalar_path(self, dataset,
+                                                        monkeypatch):
+        _flag_column_3(monkeypatch)
+        spec = find_dataset(dataset)
+        got = VectorScanner(spec, 0).scan(0, 400)
+        assert got.count == 400
+        assert checksum(got) == checksum(serial_aggregate(spec, 0, 0, 400))
+
+    @pytest.mark.parametrize("dataset", ["open", "alexa"])
+    def test_forced_fallback_counts_irregular_stream_once(self, dataset,
+                                                          monkeypatch):
+        _flag_column_3(monkeypatch)
+
+        def runaway(self):
+            raise WordBudgetExceeded(625)
+
+        monkeypatch.setattr(kernel_module._Draws, "_rows", runaway)
+        spec = find_dataset(dataset)
+        got = VectorScanner(spec, 0).scan(0, 400)
+        assert got.count == 400
+        assert checksum(got) == checksum(serial_aggregate(spec, 0, 0, 400))
+
+    @pytest.mark.parametrize("dataset", ["open", "alexa"])
+    def test_multi_batch_uneven_cuts_match_serial(self, dataset,
+                                                  monkeypatch):
+        monkeypatch.setattr(kernel_module, "VEC_BATCH", 97)
+        batches = []
+        materials = VectorScanner._materials
+
+        def spy(self, lo, hi):
+            batches.append((lo, hi))
+            return materials(self, lo, hi)
+
+        monkeypatch.setattr(VectorScanner, "_materials", spy)
+        spec = find_dataset(dataset)
+        sinks = [(lo, hi, ScanAggregate(kind=dataset_kind(spec)))
+                 for lo, hi in [(0, 50), (50, 233), (233, 400)]]
+        VectorScanner(spec, 0).scan_spans(sinks)
+        # 400 entities over ceil(400 / 97) = 5 even batches of 80, so
+        # every cut boundary falls inside a batch.
+        assert batches == [(lo, lo + 80) for lo in range(0, 400, 80)]
+        for lo, hi, aggregate in sinks:
+            assert checksum(aggregate) == \
+                checksum(serial_aggregate(spec, 0, lo, hi)), (lo, hi)
 
 
 # -- work stealing under adversarial completion order ------------------------
