@@ -60,7 +60,6 @@ from repro.atlas.calibrate import (
 from repro.atlas.pipeline import (
     AtlasScanReport,
     all_dataset_specs,
-    run_tasks,
     scan_dataset,
     scan_many,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "iter_front_ends",
     "population_spec_hash",
     "profile_for_stratum",
-    "run_tasks",
     "scan_dataset",
     "scan_many",
     "shard_ranges",

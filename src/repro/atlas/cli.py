@@ -36,7 +36,7 @@ from repro.measurements.population import (
 )
 from repro.measurements.report import render_table
 from repro.parallel.kernel import KERNELS
-from repro.parallel.workers import parse_workers
+from repro.parallel.workers import parse_seed, parse_workers
 
 #: Calibration drift allowed between a full-scale scan and the paper's
 #: measured percentages (points).  The generator draws joint
@@ -46,15 +46,6 @@ DEFAULT_TOLERANCE = 8.0
 
 #: Datasets too small for percentage comparisons to mean anything.
 MIN_TOLERANCE_SIZE = 2_000
-
-
-def parse_seed(value: str) -> int | str:
-    """Numeric seeds become ints so ``--seed 0`` names the same
-    population as the API's ``seed=0`` (the spec hash covers the seed)."""
-    try:
-        return int(value)
-    except ValueError:
-        return value
 
 
 def _selected_specs(dataset: str) -> list[ResolverDatasetSpec

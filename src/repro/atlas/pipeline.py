@@ -1,12 +1,13 @@
 """Parallel scan pipeline: shard producers × Section 5 scanners.
 
-Each shard is one task — ``(spec, seed, lo, hi)`` — shipped to a
-``concurrent.futures`` process worker that *streams* its entities
-through the scanners and returns only a mergeable
-:class:`repro.atlas.aggregate.ScanAggregate`, never the entities
-themselves.  Because every entity is seeded by its own index
+A scan is one :func:`repro.parallel.taskmap.run_map` over the
+population's shards.  Each batch — a contiguous run of shards on the
+serial path, one shard per batch on a pool — *streams* its entities
+through the scanners and returns only mergeable
+:class:`repro.atlas.aggregate.ScanAggregate` records, never the
+entities themselves.  Because every entity is seeded by its own index
 (:mod:`repro.atlas.synth`), the merged result is bit-identical across
-the serial and process executors and across any shard count.
+the executors and across any shard count.
 
 With a :class:`repro.atlas.store.AtlasStore` attached, completed shards
 are appended as they finish and a rerun of an interrupted scan
@@ -15,21 +16,20 @@ recomputes only the shards the store is missing.
 
 from __future__ import annotations
 
+import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.atlas.aggregate import ScanAggregate
 from repro.obs import OBS
-from repro.obs.profile import STAGE_EDGES_MS, stage
+from repro.obs.profile import STAGE_EDGES_MS
 from repro.parallel.kernel import (
     VectorScanner,
     scan_range,
     vector_available,
 )
-from repro.parallel.scheduler import run_stealing
-from repro.parallel.workers import resolve_workers
+from repro.parallel.taskmap import run_map
 from repro.atlas.shards import (
     DatasetSpec,
     ShardRange,
@@ -41,135 +41,93 @@ from repro.atlas.store import AtlasStore, ShardRecord, records_in_layout
 from repro.measurements.population import DOMAIN_DATASETS, RESOLVER_DATASETS
 from repro.measurements.scanner import SurveySummary
 
-EXECUTORS = ("process", "serial")
 
+def scan_shards(world: tuple[DatasetSpec, Any, str, str],
+                batch: list[ShardRange]) -> list[ShardRecord]:
+    """Task-map ``run_batch``: scan a contiguous run of shards.
 
-def run_tasks(fn: Callable[[Any], Any], tasks: list[Any],
-              workers: int | str | None = None,
-              executor: str = "process",
-              on_result: Callable[[int, Any], None] | None = None
-              ) -> tuple[list[Any], str, int]:
-    """Map picklable tasks over a process pool (or the serial reference).
-
-    Returns ``(results, executor_used, workers_used)``; the pool
-    downgrades to the serial loop when it could not help (one worker or
-    one task), mirroring the campaign runner's behaviour so 1-vCPU
-    hosts document serial parity instead of paying pool overhead.
-
-    Results stream: ``on_result(index, result)`` fires as each task
-    finishes (completion order on the pool, task order on the serial
-    loop), so callers can merge aggregates or append to stores while
-    later tasks are still computing instead of waiting on an eager
-    end-of-run list.  The returned list is always in task order.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; pick one of {EXECUTORS}")
-    count = resolve_workers(workers)
-    count = min(count, len(tasks)) or 1
-    if executor == "process" and count == 1:
-        executor = "serial"
-    if executor == "serial":
-        results = []
-        for index, task in enumerate(tasks):
-            result = fn(task)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
-        return results, "serial", 1
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        # Work-stealing dispatch: a bounded window of in-flight futures
-        # keeps every worker busy regardless of per-shard skew, and the
-        # first result merges before the last shard is computed.
-        results = run_stealing(pool, fn, tasks, window=2 * count,
-                               on_result=on_result)
-    return results, "process", count
-
-
-def _scan_shard(task: tuple[DatasetSpec, Any, ShardRange, str, str]
-                ) -> ShardRecord:
-    """Worker entry point: scan one shard into an aggregate.
-
-    Dispatches to the batch-vectorised columnar kernel — bit-identical
-    to streaming the shard's entities through the serial observers,
-    which ``kernel="scalar"`` still does.
-    """
-    spec, seed, shard, spec_hash, kernel = task
-    kind = dataset_kind(spec)
-    started = time.perf_counter()
-    aggregate = scan_range(spec, seed, shard.lo, shard.hi, kernel=kernel)
-    return ShardRecord(
-        spec_hash=spec_hash,
-        shard_id=shard.shard_id,
-        dataset=spec.key,
-        kind=kind,
-        lo=shard.lo,
-        hi=shard.hi,
-        wall_time=time.perf_counter() - started,
-        aggregate=aggregate,
-    )
-
-
-def _observe_shard(record: ShardRecord) -> None:
-    """Coordinator-side obs for one finished shard (call only behind
-    an ``OBS.enabled`` check): counters, wall histogram, and a span
-    synthesized from the wall time the worker already measured — no
-    worker-side instrumentation, so the scan payloads never change."""
-    entities = record.hi - record.lo
-    OBS.counter("atlas.shards_computed_total",
-                dataset=record.dataset).inc()
-    OBS.counter("atlas.entities_scanned_total",
-                dataset=record.dataset).inc(entities)
-    OBS.histogram("atlas.shard_wall_ms", edges=STAGE_EDGES_MS,
-                  dataset=record.dataset).observe(
-        record.wall_time * 1000.0)
-    OBS.spans.record("atlas.shard", record.wall_time,
-                     shard=record.shard_id, entities=entities)
-
-
-def _scan_missing_serial(spec, seed, missing: list[ShardRange],
-                         spec_hash: str, kernel: str,
-                         on_result: Callable[[int, ShardRecord], None]
-                         ) -> list[ShardRecord]:
-    """Serial scan of the missing shards, batched *across* shards.
-
-    Contiguous runs of missing shards are scanned as one columnar span
-    (per-shard aggregates are sliced out of shared batches), so many
-    small shards cost the same as one big one.  Wall time is
+    ``world`` is ``(spec, seed, spec_hash, kernel)``.  The run is one
+    columnar span (per-shard aggregates are sliced out of shared
+    batches), so many small shards cost the same as one big one; the
+    scalar reference kernel scans shard by shard.  Wall time is
     apportioned to shards by entity count.
     """
+    spec, seed, spec_hash, kernel = world
     kind = dataset_kind(spec)
-    records: list[ShardRecord] = []
+    sinks = [(shard.lo, shard.hi, ScanAggregate(kind=kind))
+             for shard in batch]
+    started = time.perf_counter()
+    if kernel in ("auto", "vector") and vector_available():
+        VectorScanner(spec, seed).scan_spans(sinks)
+    else:
+        for lo, hi, aggregate in sinks:
+            scan_range(spec, seed, lo, hi, aggregate, kernel=kernel)
+    elapsed = time.perf_counter() - started
+    total = sum(shard.size for shard in batch) or 1
+    records = [
+        ShardRecord(spec_hash=spec_hash, shard_id=shard.shard_id,
+                    dataset=spec.key, kind=kind, lo=shard.lo, hi=shard.hi,
+                    wall_time=elapsed * shard.size / total,
+                    aggregate=aggregate)
+        for shard, (_, _, aggregate) in zip(batch, sinks)]
+    if OBS.enabled:
+        # Counters, wall histogram, and a span synthesized from the
+        # measured wall time; a process worker ships them back with
+        # its results.
+        for record in records:
+            size = record.hi - record.lo
+            OBS.counter("atlas.shards_computed_total",
+                        dataset=spec.key).inc()
+            OBS.counter("atlas.entities_scanned_total",
+                        dataset=spec.key).inc(size)
+            OBS.histogram("atlas.shard_wall_ms", edges=STAGE_EDGES_MS,
+                          dataset=spec.key).observe(
+                record.wall_time * 1000.0)
+            OBS.spans.record("atlas.shard", record.wall_time,
+                             shard=record.shard_id, entities=size)
+    return records
+
+
+def _plan_shards(world, missing: list[ShardRange], workers: int):
+    """Task-map ``plan``: one shard per batch on a pool; contiguous runs
+    of missing shards when serial."""
+    if workers > 1:
+        return world, [[shard] for shard in missing]
     runs: list[list[ShardRange]] = []
     for shard in missing:
         if runs and runs[-1][-1].hi == shard.lo:
             runs[-1].append(shard)
         else:
             runs.append([shard])
-    scanner = VectorScanner(spec, seed) if kernel in ("auto", "vector") \
-        and vector_available() else None
-    for run in runs:
-        sinks = [(shard.lo, shard.hi, ScanAggregate(kind=kind))
-                 for shard in run]
-        started = time.perf_counter()
-        if scanner is not None:
-            scanner.scan_spans(sinks)
-        else:
-            for cut_lo, cut_hi, aggregate in sinks:
-                scan_range(spec, seed, cut_lo, cut_hi, aggregate,
-                           kernel=kernel)
-        elapsed = time.perf_counter() - started
-        total = sum(shard.hi - shard.lo for shard in run) or 1
-        for shard, (_, _, aggregate) in zip(run, sinks):
-            record = ShardRecord(
-                spec_hash=spec_hash, shard_id=shard.shard_id,
-                dataset=spec.key, kind=kind, lo=shard.lo, hi=shard.hi,
-                wall_time=elapsed * (shard.hi - shard.lo) / total,
-                aggregate=aggregate,
-            )
-            records.append(record)
-            on_result(len(records) - 1, record)
-    return records
+    return world, runs
+
+
+class _ShardStore:
+    """The task map's view of an :class:`AtlasStore` for one population.
+
+    Keys are shard ranges: a stored record counts only under the shard
+    layout it was scanned with.
+    """
+
+    def __init__(self, store: AtlasStore, spec_hash: str):
+        self.store = store
+        self.spec_hash = spec_hash
+        self.notes: list[str] = []
+
+    def load(self, ranges: list[ShardRange]
+             ) -> dict[ShardRange, ShardRecord]:
+        stored = self.store.load(self.spec_hash)
+        cached = records_in_layout(stored, ranges)
+        self.notes.extend(f"stored shard {shard_id} has a different "
+                          "range; recomputing"
+                          for shard_id in stored if shard_id not in cached)
+        return {shard: cached[shard.shard_id] for shard in ranges
+                if shard.shard_id in cached}
+
+    def record_many(self, results: list[tuple[ShardRange, ShardRecord]]
+                    ) -> None:
+        for _shard, record in results:
+            self.store.append(record)
 
 
 @dataclass
@@ -224,72 +182,31 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
     loaded instead of scanned.
     """
     kind = dataset_kind(spec)
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; pick one of {EXECUTORS}")
     if entities is not None and entities < 0:
         raise ValueError(f"entities must be >= 0, got {entities}")
     total = min(entities, spec.full_size) if entities is not None \
         else spec.full_size
     spec_hash = population_spec_hash(spec, seed, total)
     ranges = shard_ranges(total, shards)
-    notes: list[str] = []
+    world = (spec, seed, spec_hash, kernel)
+    shard_store = _ShardStore(store, spec_hash) if store is not None \
+        else None
+    mapped = run_map(ranges, functools.partial(_plan_shards, world),
+                     scan_shards, keys=ranges, store=shard_store,
+                     workers=workers, executor=executor, name="atlas.scan",
+                     dataset=spec.key)
 
-    cached: dict[int, ShardRecord] = {}
-    if store is not None:
-        stored = store.load(spec_hash)
-        cached = records_in_layout(stored, ranges)
-        notes.extend(f"stored shard {shard_id} has a different range; "
-                     "recomputing"
-                     for shard_id in stored if shard_id not in cached)
-    missing = [r for r in ranges if r.shard_id not in cached]
-
-    scan_span = None
-    if OBS.enabled:
-        scan_span = OBS.spans.start(
-            "atlas.scan", dataset=spec.key, entities=total,
-            shards=len(ranges), missing=len(missing))
-        if cached:
-            OBS.counter("atlas.shards_cached_total",
-                        dataset=spec.key).inc(len(cached))
-    try:
-        with stage("atlas.scan", dataset=spec.key) as timer:
-            # Stream every completed shard straight into the store: an
-            # interrupted scan keeps everything finished so far, and
-            # memory never holds more than the (small) aggregate records.
-            def on_result(_index: int, record: ShardRecord) -> None:
-                if OBS.enabled:
-                    _observe_shard(record)
-                if store is not None:
-                    store.append(record)
-
-            count = min(resolve_workers(workers), len(missing)) or 1
-            if executor == "serial" or count == 1:
-                fresh = _scan_missing_serial(
-                    spec, seed, missing, spec_hash, kernel, on_result)
-                executor_used, workers_used = "serial", 1
-            else:
-                tasks = [(spec, seed, shard, spec_hash, kernel)
-                         for shard in missing]
-                fresh, executor_used, workers_used = run_tasks(
-                    _scan_shard, tasks, workers=count,
-                    executor=executor, on_result=on_result)
-    finally:
-        if scan_span is not None:
-            OBS.spans.finish(scan_span)
-    wall_clock = timer.elapsed
-
-    ordered = sorted(list(cached.values()) + fresh,
-                     key=lambda record: record.shard_id)
-    aggregate = ScanAggregate.merged(kind, [r.aggregate for r in ordered])
+    computed = [mapped.results[index] for index in mapped.computed]
+    computed_ids = [record.shard_id for record in computed]
+    notes = shard_store.notes if shard_store is not None else []
+    cached = len(ranges) - len(computed)
     if cached:
         notes.append(
-            f"resumed: {len(cached)}/{len(ranges)} shards loaded from "
+            f"resumed: {cached}/{len(ranges)} shards loaded from "
             "the store, only the rest recomputed")
-    if executor == "process" and executor_used == "serial" and missing:
-        notes.append("process executor downgraded to serial "
-                     "(one worker or one shard)")
-    report = AtlasScanReport(
+    aggregate = ScanAggregate.merged(
+        kind, [record.aggregate for record in mapped.results])
+    return AtlasScanReport(
         dataset=spec.key,
         label=spec.label,
         kind=kind,
@@ -297,17 +214,17 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
         entities=total,
         full_size=spec.full_size,
         shard_count=len(ranges),
-        computed_shards=[r.shard_id for r in fresh],
-        cached_shards=sorted(cached),
-        computed_entities=sum(r.hi - r.lo for r in fresh),
-        wall_clock=wall_clock,
-        executor=executor_used,
-        workers=workers_used,
+        computed_shards=computed_ids,
+        cached_shards=sorted({record.shard_id for record in mapped.results}
+                             - set(computed_ids)),
+        computed_entities=sum(record.hi - record.lo for record in computed),
+        wall_clock=mapped.wall_clock,
+        executor=mapped.executor,
+        workers=mapped.workers,
         aggregate=aggregate,
         summary=aggregate.to_summary(spec.label, spec.full_size),
-        notes=notes,
+        notes=notes + mapped.notes,
     )
-    return report
 
 
 def scan_many(specs: Iterable[DatasetSpec], seed: int | str = 0,

@@ -6,20 +6,19 @@ query, and the experiment observes whether the A query was answered
 from cache (no new upstream query) — exactly the paper's test.
 
 The five implementation cells are independent seeded testbeds, so they
-run through the same :func:`repro.atlas.pipeline.run_tasks` worker pool
-the population scans use — ``run(workers=4)`` fans them out across
-processes with bit-identical verdicts.
+run through the same :func:`repro.parallel.taskmap.run_map` the
+population scans and campaigns use — ``run(workers=4)`` fans them out
+across processes with bit-identical verdicts.
 """
 
 from __future__ import annotations
 
-from repro.atlas.pipeline import run_tasks
 from repro.dns.impls import ALL_IMPLEMENTATIONS, TABLE5_EXPECTED
 from repro.dns.records import QTYPE_ANY, TYPE_A, rr_a, rr_mx, rr_txt
-from repro.dns.resolver import ResolverConfig
 from repro.dns.stub import StubResolver
 from repro.experiments.base import ExperimentResult
 from repro.measurements.report import render_table
+from repro.parallel.taskmap import run_map
 from repro.testbed import Testbed
 
 
@@ -51,11 +50,13 @@ def _test_implementation(profile, seed: str) -> tuple[bool, str]:
     return False, "not cached"
 
 
-def _run_cell(task) -> tuple[str, bool, str]:
-    """Worker entry point: one implementation's caching test."""
-    profile, seed = task
-    vulnerable, note = _test_implementation(profile, seed=seed)
-    return f"{profile.name} {profile.version}", vulnerable, note
+def _run_cells(_world, batch) -> list[tuple[str, bool, str]]:
+    """Task-map ``run_batch``: each implementation's caching test."""
+    cells = []
+    for profile, seed in batch:
+        vulnerable, note = _test_implementation(profile, seed=seed)
+        cells.append((f"{profile.name} {profile.version}", vulnerable, note))
+    return cells
 
 
 def run(seed: int = 0, workers: int | None = None) -> ExperimentResult:
@@ -70,12 +71,11 @@ def run(seed: int = 0, workers: int | None = None) -> ExperimentResult:
     matches = 0
     tasks = [(profile, f"table5-{seed}-{profile.name}")
              for profile in ALL_IMPLEMENTATIONS]
-    cells, executor, _pool_size = run_tasks(
-        _run_cell, tasks, workers=workers if workers is not None else 1,
-        executor="process" if workers is not None and workers > 1
-        else "serial",
-    )
-    for label, vulnerable, note in cells:
+    mapped = run_map(
+        tasks, lambda missing, _workers: (None, [[task] for task in missing]),
+        _run_cells, workers=workers if workers is not None else 1,
+        name="table5.run")
+    for label, vulnerable, note in mapped.results:
         rows.append([label, "yes" if vulnerable else "no", note])
         expected = TABLE5_EXPECTED.get(label)
         if expected is not None \
@@ -88,7 +88,7 @@ def run(seed: int = 0, workers: int | None = None) -> ExperimentResult:
         rows=rows,
         paper_reference=TABLE5_EXPECTED,
         data={"matches": matches, "total": len(ALL_IMPLEMENTATIONS),
-              "executor": executor},
+              "executor": mapped.executor},
     )
     result.rendered = render_table(headers, rows, title=result.title)
     result.notes.append(

@@ -24,6 +24,10 @@ import sys
 
 from repro.faults.policy import RunPolicy
 from repro.faults.spec import FaultError, FaultPlan, parse_impairment
+from repro.parallel.workers import parse_workers
+from repro.scenario.campaign import Campaign
+from repro.scenario.presets import budget_capped_overrides
+from repro.scenario.spec import AttackScenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "heals under the retry policy (repeatable)")
     parser.add_argument("--executor", default="serial",
                         choices=("serial", "thread", "process"))
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=parse_workers, default=None,
+                        help="worker count, or 'auto' for every CPU")
     parser.add_argument("--store", default=None,
                         help="append results to this SQLite run store")
     parser.add_argument("--max-events", type=int, default=50_000_000,
@@ -68,11 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Imported after parsing so `--help` stays instant.
-    from repro.scenario.campaign import Campaign
-    from repro.scenario.presets import budget_capped_overrides
-    from repro.scenario.spec import AttackScenario
-
     try:
         impairments = tuple(parse_impairment(text)
                             for text in args.impair)

@@ -190,11 +190,6 @@ class Obs:
             return chunk.runs
         return chunk
 
-    @staticmethod
-    def chunk_runs(chunk):
-        """Unwrap without absorbing (for re-traversals of results)."""
-        return chunk.runs if isinstance(chunk, ObsChunk) else chunk
-
 
 #: The process-wide instance every instrumented layer shares.
 OBS = Obs()

@@ -1,13 +1,16 @@
 """repro.parallel — the parallel execution plane.
 
-Three pillars, all bit-identical to the serial reference paths:
+Four pillars, all bit-identical to the serial reference paths:
 
+* :mod:`repro.parallel.taskmap` — the one durable task map every
+  campaign and atlas scan runs through: store lookup, executor choice,
+  work-stealing dispatch (:mod:`repro.parallel.scheduler`), persistence
+  in completion order, and the in-order splice,
 * :mod:`repro.parallel.kernel` — batch-vectorised columnar atlas scan
   (lockstep MT19937 over numpy, the per-entity scalar scan as the
   reference),
-* :mod:`repro.parallel.scheduler` + :mod:`repro.parallel.workers` —
-  work-stealing shard dispatch and the shared ``--workers auto``
-  resolver,
+* :mod:`repro.parallel.workers` — the shared ``--workers auto``
+  resolver and the ``--seed``/``--workers`` argparse types,
 * :mod:`repro.parallel.claim` — multi-process/multi-host shard leasing
   over the atlas JSONL store with TTL expiry and idempotent re-claims.
 
@@ -44,6 +47,7 @@ from repro.parallel.claim import (
 )
 from repro.parallel.kernel import VectorScanner, scan_range, vector_available
 from repro.parallel.scheduler import run_stealing
+from repro.parallel.taskmap import run_map
 from repro.parallel.workers import cpu_count, resolve_workers
 
 __all__ = [
@@ -55,6 +59,7 @@ __all__ = [
     "merge_claimed",
     "release_shard",
     "resolve_workers",
+    "run_map",
     "run_stealing",
     "scan_range",
     "vector_available",

@@ -30,11 +30,10 @@ from pathlib import Path
 
 from repro.atlas.shards import (
     DatasetSpec,
-    dataset_kind,
     population_spec_hash,
     shard_ranges,
 )
-from repro.atlas.store import AtlasStore, ShardRecord, records_in_layout
+from repro.atlas.store import AtlasStore, records_in_layout
 from repro.obs import OBS
 
 #: Default lease time-to-live.  Heartbeats refresh the lease after
@@ -136,10 +135,11 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
     """
     if store is None:
         raise ValueError("claim mode requires a store")
-    from repro.parallel.kernel import scan_range
+    # Imported here: the pipeline imports the task map from this
+    # package, so a module-level import would be circular.
+    from repro.atlas.pipeline import scan_shards
 
     worker = worker or f"{os.uname().nodename}-{os.getpid()}"
-    kind = dataset_kind(spec)
     total = min(entities, spec.full_size) if entities is not None \
         else spec.full_size
     spec_hash = population_spec_hash(spec, seed, total)
@@ -164,22 +164,11 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
                                 worker=worker).inc()
                 continue
             claimed_any = True
-            started = time.perf_counter()
-            aggregate = scan_range(spec, seed, shard.lo, shard.hi,
-                                   kernel=kernel)
-            record = ShardRecord(
-                spec_hash=spec_hash, shard_id=shard.shard_id,
-                dataset=spec.key, kind=kind, lo=shard.lo, hi=shard.hi,
-                wall_time=time.perf_counter() - started,
-                aggregate=aggregate,
-            )
+            record, = scan_shards((spec, seed, spec_hash, kernel), [shard])
             store.append(record)
             release_shard(store, spec_hash, shard.shard_id)
             outcome.scanned.append(shard.shard_id)
             if OBS.enabled:
-                from repro.atlas.pipeline import _observe_shard
-
-                _observe_shard(record)
                 OBS.counter("claim.shards_scanned_total",
                             worker=worker).inc()
         if not claimed_any:
@@ -205,8 +194,6 @@ def merge_claimed(spec: DatasetSpec, seed: int | str = 0,
     """
     if store is None:
         raise ValueError("claim mode requires a store")
-    # Imported here: the pipeline itself imports the kernel from this
-    # package, so a module-level import would be circular.
     from repro.atlas.pipeline import scan_dataset
 
     return scan_dataset(spec, seed=seed, entities=entities,

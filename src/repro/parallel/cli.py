@@ -18,14 +18,13 @@ import argparse
 import hashlib
 import json
 
-from repro.atlas.cli import parse_seed
 from repro.obs.profile import stage
 from repro.atlas.pipeline import scan_dataset
 from repro.atlas.shards import find_dataset
 from repro.atlas.store import AtlasStore
 from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
 from repro.parallel.kernel import KERNELS, vector_available
-from repro.parallel.workers import (cpu_count, parse_workers,
+from repro.parallel.workers import (cpu_count, parse_seed, parse_workers,
                                     resolve_workers)
 
 

@@ -9,6 +9,9 @@ scattered through the CLI, pipeline, campaign runner and benchmarks:
 * the ``REPRO_WORKERS`` environment variable overrides the *defaults*
   (``auto``/``None``) without touching explicit requests — handy for
   CI runners and shared hosts.
+
+:func:`parse_workers` and :func:`parse_seed` are the argparse types
+every CLI shares for ``--workers`` and ``--seed``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,16 @@ def parse_workers(value: str) -> int | str:
     if value.strip().lower() == "auto":
         return "auto"
     return int(value)
+
+
+def parse_seed(value: str) -> int | str:
+    """argparse type for ``--seed``, shared by every CLI: numeric seeds
+    become ints so ``--seed 0`` names the same population or cell as the
+    API's ``seed=0`` (the spec hashes cover the seed)."""
+    try:
+        return int(value)
+    except ValueError:
+        return value
 
 
 def resolve_workers(workers: int | str | None = None,

@@ -15,21 +15,15 @@ material of the paper's Table 6 rows.
 
 from __future__ import annotations
 
-import functools
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import ScenarioError
 from repro.defenses.base import DefenseStack
 from repro.faults.policy import RunPolicy, execute_cell
-from repro.obs import OBS, ObsChunk
-from repro.obs.profile import stage
+from repro.obs import OBS
 from repro.scenario.spec import AttackScenario, ScenarioRun
 from repro.workload.report import LoadReport
-
-EXECUTORS = ("process", "thread", "serial")
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -46,76 +40,24 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
 
-def _execute_task(task: tuple[AttackScenario, Any],
-                  policy: RunPolicy | None = None) -> ScenarioRun:
-    """Worker entry point: one (scenario, seed) cell of the sweep."""
-    scenario, seed = task
-    return execute_cell(scenario, seed, policy)
+def _execute_batch(world: tuple[Sequence[AttackScenario], RunPolicy | None],
+                   batch: list[tuple[int, Any]]) -> list[ScenarioRun]:
+    """Task-map ``run_batch``: one batch of (scenario-table index, seed)
+    cells.
 
-
-# -- shared-world workers ----------------------------------------------------
-#
-# The sweep's world template — the distinct scenario table — is the
-# only expensive pickle in a campaign.  The process pool's initializer
-# materialises it exactly once per worker process; every batch after
-# that references its scenario by table index, and the per-seed RNG is
-# rederived in place by the deterministic testbed the cell builds.
-# (The old path re-pickled the scenario with every batch submitted.)
-
-_WORKER_WORLD: tuple[list[AttackScenario], RunPolicy | None] = ([], None)
-
-
-def _init_worker(payload: bytes) -> None:
-    """Unpack the (scenario table, policy) world once per worker.
-
-    With the obs plane on, the payload grows a third element — the
-    coordinator's ``(trace_id, parent_id)`` — which the worker adopts
-    so its cell spans join the sweep's trace.  Disabled sweeps ship
-    the same two-tuple bytes they always did.
+    The world — the sweep's distinct-scenario table and its policy — is
+    the only expensive pickle in a campaign; the task map ships it once
+    per pool worker, and batches name their scenario by table index.
+    With the plane on, the batch runs under a ``campaign.batch`` span.
     """
-    global _WORKER_WORLD
-    world = pickle.loads(payload)
-    if len(world) == 3:
-        table, policy, obs_ctx = world
-        OBS.adopt(obs_ctx)
-        _WORKER_WORLD = (table, policy)
-    else:
-        _WORKER_WORLD = world
-
-
-def _execute_shared(batch: tuple[int, tuple[Any, ...]]):
-    """Worker entry point: (scenario-table index, seed batch).
-
-    When the plane is on, the batch runs under a ``campaign.batch``
-    span and comes back wrapped in an :class:`repro.obs.ObsChunk`
-    carrying this worker's metric/span delta; the coordinator absorbs
-    it in ``merge_chunk``.  Off, the raw run list travels unchanged.
-    """
-    index, seeds = batch
-    scenarios, policy = _WORKER_WORLD
-    scenario = scenarios[index]
-    if not OBS.enabled:
-        return [execute_cell(scenario, seed, policy) for seed in seeds]
-    with OBS.span("campaign.batch", table_index=str(index),
-                  cells=len(seeds)):
-        runs = [execute_cell(scenario, seed, policy) for seed in seeds]
-    return ObsChunk(runs=runs, payload=OBS.flush())
-
-
-def _execute_indexed(batch: tuple[int, tuple[Any, ...]],
-                     table: Sequence[AttackScenario],
-                     policy: RunPolicy | None = None) -> list[ScenarioRun]:
-    """Thread-executor twin of :func:`_execute_shared`: same batch
-    shape, but the table is shared by reference (no process boundary),
-    so spans/metrics land in the coordinator's registry directly."""
-    index, seeds = batch
+    table, policy = world
     if not OBS.enabled:
         return [execute_cell(table[index], seed, policy)
-                for seed in seeds]
-    with OBS.span("campaign.batch", table_index=str(index),
-                  cells=len(seeds)):
+                for index, seed in batch]
+    with OBS.span("campaign.batch", table_index=str(batch[0][0]),
+                  cells=len(batch)):
         return [execute_cell(table[index], seed, policy)
-                for seed in seeds]
+                for index, seed in batch]
 
 
 def _batch_tasks(tasks: list[tuple[AttackScenario, Any]],
@@ -273,10 +215,8 @@ class CampaignResult:
     workers: int
     executor: str
     notes: list[str] = field(default_factory=list)
-    #: Streaming :class:`repro.store.RunTotals` over the whole sweep:
-    #: cached cells fold in at load time and executed chunks fold in as
-    #: they complete on the pool, so the totals exist without any
-    #: end-of-run pass over ``runs`` (None on reconstructed results).
+    #: :class:`repro.store.RunTotals` over the whole sweep, cached and
+    #: executed cells alike (None on reconstructed results).
     totals: Any = None
 
     @property
@@ -480,10 +420,11 @@ class Campaign:
     ``workers`` accepts a count, ``"auto"`` (every schedulable CPU) or
     ``None`` (the historical capped default); the ``REPRO_WORKERS``
     environment variable overrides the defaults — see
-    :func:`repro.parallel.workers.resolve_workers`.  The process
-    executor ships the sweep's distinct-scenario table to each worker
-    exactly once (pool initializer) and steals work batch by batch, so
-    a slow cell never idles the rest of the pool.
+    :func:`repro.parallel.workers.resolve_workers`.  Sweeps run through
+    :func:`repro.parallel.taskmap.run_map`: the process executor ships
+    the sweep's distinct-scenario table to each worker exactly once and
+    steals work batch by batch, so a slow cell never idles the rest of
+    the pool.
 
     ``policy`` (a :class:`repro.faults.RunPolicy`) makes the sweep
     degrade gracefully: each cell gets a scheduler watchdog, transient
@@ -495,9 +436,7 @@ class Campaign:
     def __init__(self, workers: int | str | None = None,
                  executor: str = "process",
                  policy: RunPolicy | None = None):
-        if executor not in EXECUTORS:
-            raise ScenarioError(
-                f"unknown executor {executor!r}; pick one of {EXECUTORS}")
+        _check_executor(executor)
         self.workers = workers
         self.executor = executor
         self.policy = policy
@@ -555,13 +494,11 @@ class Campaign:
         if not tasks:
             raise ScenarioError("no scenario/seed pairs to run")
         kind = executor if executor is not None else self.executor
-        if kind not in EXECUTORS:
-            raise ScenarioError(
-                f"unknown executor {kind!r}; pick one of {EXECUTORS}")
+        _check_executor(kind)
         # Imported here: the parallel package's claim module reaches
         # back through the atlas (whose calibration bridge imports this
         # module), so a top-level import would cycle.
-        from repro.parallel.scheduler import run_stealing
+        from repro.parallel.taskmap import run_map
         from repro.parallel.workers import resolve_workers
         from repro.store.aggregate import RunTotals
 
@@ -575,148 +512,28 @@ class Campaign:
             raise ScenarioError(str(error)) from None
         if policy is None:
             policy = self.policy
-        notes: list[str] = []
-        cached: dict[int, ScenarioRun] = {}
-        missing = tasks
-        spec_hashes: dict[int, str] = {}
-        workload_hashes: dict[int, str] = {}
-        if store is not None:
-            # Imported here: the store schema imports the scenario spec,
-            # so a top-level import would cycle through the package.
-            from repro.store.db import RunStore
-            from repro.store.schema import (scenario_spec_hash, seed_key,
-                                            workload_spec_hash)
+        cells = _CellStore(store, tasks) if store is not None else None
 
-            store = RunStore.open(store)
-            keys = []
-            for scenario, seed in tasks:
-                marker = id(scenario)
-                if marker not in spec_hashes:
-                    spec_hashes[marker] = scenario_spec_hash(scenario)
-                    workload_hashes[marker] = \
-                        workload_spec_hash(scenario.workload)
-                keys.append((spec_hashes[marker], seed_key(seed),
-                             scenario.defense_key))
-            stored = store.load_cells(spec_hashes.values())
-            missing = []
-            requeued_failures = 0
-            for index, (task, key) in enumerate(zip(tasks, keys)):
-                record = stored.get(key)
-                if record is not None and not record.failed:
-                    cached[index] = record.to_run()
-                else:
-                    # Failed records don't satisfy a cell: the resume
-                    # re-executes them, and an ok result heals the
-                    # stored failure in place (see RunStore.record).
-                    if record is not None:
-                        requeued_failures += 1
-                    missing.append(task)
-            if cached:
-                notes.append(
-                    f"store: {len(cached)}/{len(tasks)} cells loaded "
-                    f"from {store.path}")
-            if requeued_failures:
-                notes.append(
-                    f"store: {requeued_failures} failed cells re-queued")
-        if not missing:
-            kind = "serial"     # fully cached: nothing to execute
-        elif kind != "serial" and (count == 1 or len(missing) == 1):
-            notes.append(
-                f"{kind} executor downgraded to serial"
-                f" ({'one worker' if count == 1 else 'one task'})")
-            kind = "serial"
-        if kind == "process" and not _picklable(missing):
-            notes.append(
-                "scenario not picklable (callable trigger?);"
-                " fell back to the thread executor")
-            kind = "thread"
+        def plan(missing, pool_size):
+            # A serial sweep runs one-cell batches, so every cell is
+            # durable as soon as it finishes.
+            table, batches = _batch_tasks(
+                missing, pool_size if pool_size > 1 else len(missing))
+            return (table, policy), [[(index, seed) for seed in seeds]
+                                     for index, seeds in batches]
+
+        mapped = run_map(tasks, plan, _execute_batch,
+                         keys=cells.keys if cells else None, store=cells,
+                         workers=count, executor=kind,
+                         name="campaign.sweep")
         totals = RunTotals(key="campaign")
-        for run in cached.values():
+        for run in mapped.results:
             totals.note_run(run)
-        sweep_span = None
-        if OBS.enabled:
-            sweep_span = OBS.spans.start(
-                "campaign.sweep", cells=len(tasks),
-                missing=len(missing), executor=kind, workers=count)
-            OBS.counter("campaign.sweeps_total").inc()
-            if cached:
-                OBS.counter("campaign.cached_cells_total").inc(
-                    len(cached))
-        prev_ambient = OBS.spans.ambient_parent
-        try:
-            with stage("campaign.sweep", executor=kind) as timer:
-                if kind == "serial":
-                    fresh = []
-                    for task in missing:
-                        run = _execute_task(task, policy)
-                        _record_run(store, run, task[0], spec_hashes,
-                                    workload_hashes)
-                        totals.note_run(run)
-                        fresh.append(run)
-                else:
-                    # Batches name their scenario by table index; the
-                    # table itself crosses the process boundary exactly
-                    # once, inside the worker initializer (pickled here
-                    # once so the pool ships identical bytes to every
-                    # worker instead of re-serialising the world per
-                    # worker, let alone per batch).
-                    table, batches = _batch_tasks(missing, count)
-                    if kind == "thread":
-                        pool_cls: Any = ThreadPoolExecutor
-                        pool_kwargs: dict[str, Any] = {}
-                        execute: Any = functools.partial(
-                            _execute_indexed, table=table, policy=policy)
-                        if sweep_span is not None:
-                            # Pool threads have empty span stacks; the
-                            # ambient parent nests their batch spans
-                            # under this sweep.
-                            OBS.spans.ambient_parent = sweep_span.span_id
-                    else:
-                        world: tuple = (table, policy)
-                        if OBS.enabled:
-                            world = (table, policy, OBS.worker_context())
-                        pool_cls = ProcessPoolExecutor
-                        pool_kwargs = {
-                            "initializer": _init_worker,
-                            "initargs": (pickle.dumps(world),),
-                        }
-                        execute = _execute_shared
-
-                    def merge_chunk(index: int, chunk) -> None:
-                        # Fires in *completion* order: every finished
-                        # batch is durable and folded into the streaming
-                        # totals before later batches land, so a killed
-                        # sweep resumes with only the missing/failed
-                        # cells and the aggregate never waits on an
-                        # end-of-run barrier list.  Worker obs deltas
-                        # are absorbed here, also exactly once.
-                        runs = OBS.absorb_chunk(chunk)
-                        _record_chunk(store, runs,
-                                      table[batches[index][0]],
-                                      spec_hashes, workload_hashes)
-                        for run in runs:
-                            totals.note_run(run)
-
-                    with pool_cls(max_workers=count, **pool_kwargs) as pool:
-                        ordered = run_stealing(pool, execute, batches,
-                                               window=2 * count,
-                                               on_result=merge_chunk)
-                    fresh = [run for chunk in ordered
-                             for run in OBS.chunk_runs(chunk)]
-        finally:
-            OBS.spans.ambient_parent = prev_ambient
-            if sweep_span is not None:
-                OBS.spans.finish(sweep_span)
-        wall_clock = timer.elapsed
-        # Reassemble in original task order: batching preserves the
-        # missing-task order, so splicing fresh runs into the cached
-        # gaps reproduces the uninterrupted sweep's run list exactly.
-        fresh_iter = iter(fresh)
-        runs = [cached[index] if index in cached else next(fresh_iter)
-                for index in range(len(tasks))]
-        return CampaignResult(runs=runs, wall_clock=wall_clock,
-                              workers=count, executor=kind, notes=notes,
-                              totals=totals)
+        return CampaignResult(
+            runs=mapped.results, wall_clock=mapped.wall_clock,
+            workers=mapped.workers, executor=mapped.executor,
+            notes=(cells.notes if cells else []) + mapped.notes,
+            totals=totals)
 
     def run_grid(self, base: AttackScenario,
                  axes: dict[str, Iterable[Any]],
@@ -783,45 +600,65 @@ class Campaign:
                         executor=executor, store=store, policy=policy)
 
 
-def _record_run(store: Any, run: ScenarioRun, scenario: AttackScenario,
-                spec_hashes: dict[int, str],
-                workload_hashes: dict[int, str]) -> None:
-    """Append one finished cell to the run store (no-op without one)."""
-    if store is None:
-        return
-    from repro.store.schema import RunRecord
+def _check_executor(executor: str) -> None:
+    from repro.parallel.taskmap import EXECUTORS
 
-    marker = id(scenario)
-    store.record(RunRecord.from_run(
-        run, spec_hash=spec_hashes[marker],
-        workload_hash=workload_hashes[marker]))
+    if executor not in EXECUTORS:
+        raise ScenarioError(
+            f"unknown executor {executor!r}; pick one of {EXECUTORS}")
 
 
-def _record_chunk(store: Any, runs: list[ScenarioRun],
-                  scenario: AttackScenario,
-                  spec_hashes: dict[int, str],
-                  workload_hashes: dict[int, str]) -> None:
-    """Persist one completed batch in a single transaction."""
-    if store is None or not runs:
-        return
-    from repro.store.schema import RunRecord
+class _CellStore:
+    """The task map's view of a :class:`repro.store.RunStore`.
 
-    marker = id(scenario)
-    store.record_many([
-        RunRecord.from_run(run, spec_hash=spec_hashes[marker],
-                           workload_hash=workload_hashes[marker])
-        for run in runs])
+    Keys are ``(spec_hash, seed, defense)`` cells, one per task.  Failed
+    records don't satisfy a cell: the resume re-executes them, and an
+    ok result heals the stored failure in place (see
+    ``RunStore.record``).
+    """
 
+    def __init__(self, store: Any, tasks: list[tuple[AttackScenario, Any]]):
+        # Imported here: the store schema imports the scenario spec, so
+        # a top-level import would cycle through the package.
+        from repro.store.db import RunStore
+        from repro.store.schema import (scenario_spec_hash, seed_key,
+                                        workload_spec_hash)
 
-def _picklable(tasks: list[tuple[AttackScenario, Any]]) -> bool:
-    # Probe one representative task per distinct scenario object: the
-    # pool pickles everything again anyway, so serialising the whole
-    # sweep here would just double that work.
-    probes: dict[int, tuple[AttackScenario, Any]] = {}
-    for task in tasks:
-        probes.setdefault(id(task[0]), task)
-    try:
-        pickle.dumps(list(probes.values()))
-    except Exception:
-        return False
-    return True
+        self.store = RunStore.open(store)
+        self.notes: list[str] = []
+        self.workload_hashes: dict[str, str] = {}
+        spec_hashes: dict[int, str] = {}
+        self.keys = []
+        for scenario, seed in tasks:
+            spec_hash = spec_hashes.get(id(scenario))
+            if spec_hash is None:
+                spec_hash = spec_hashes[id(scenario)] = \
+                    scenario_spec_hash(scenario)
+                self.workload_hashes[spec_hash] = \
+                    workload_spec_hash(scenario.workload)
+            self.keys.append((spec_hash, seed_key(seed),
+                              scenario.defense_key))
+
+    def load(self, keys: list[tuple[str, str, str]]
+             ) -> dict[tuple[str, str, str], ScenarioRun]:
+        stored = self.store.load_cells(self.workload_hashes)
+        records = [(key, stored[key]) for key in keys if key in stored]
+        found = {key: record.to_run() for key, record in records
+                 if not record.failed}
+        requeued = sum(1 for _key, record in records if record.failed)
+        if len(records) > requeued:
+            self.notes.append(f"store: {len(records) - requeued}/"
+                              f"{len(keys)} cells loaded from "
+                              f"{self.store.path}")
+        if requeued:
+            self.notes.append(f"store: {requeued} failed cells re-queued")
+        return found
+
+    def record_many(self, results: list[tuple[tuple[str, str, str],
+                                              ScenarioRun]]) -> None:
+        from repro.store.schema import RunRecord
+
+        self.store.record_many([
+            RunRecord.from_run(run, spec_hash=key[0],
+                               workload_hash=self.workload_hashes[key[0]])
+            for key, run in results])

@@ -21,19 +21,11 @@ import sys
 from repro.apps.driver import AppSpec, available_apps, resolve_driver
 from repro.defenses import DefenseStack
 from repro.measurements.report import render_table
-from repro.parallel.workers import parse_workers
+from repro.parallel.workers import parse_seed, parse_workers
 from repro.scenario.campaign import Campaign, CampaignResult
 from repro.scenario.presets import budget_capped_overrides, killchain_scenarios
 from repro.scenario.registry import available_methods, resolve_method
 from repro.scenario.spec import AttackScenario, TriggerSpec
-
-
-def parse_seed(value: str) -> int | str:
-    """Numeric seeds become ints, mirroring the atlas CLI."""
-    try:
-        return int(value)
-    except ValueError:
-        return value
 
 
 def _split_csv(values: list[str] | None) -> list[str] | None:

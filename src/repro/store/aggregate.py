@@ -60,14 +60,10 @@ class RunTotals:
     def note_run(self, run: Any) -> None:
         """Fold one live :class:`repro.scenario.spec.ScenarioRun` in.
 
-        The campaign runner streams worker chunks through here in
-        completion order, so sweep totals accumulate while later
-        batches are still executing — no end-of-run pass over the run
-        list.  Folding a run live and folding its stored
-        :class:`RunRecord` later produce identical totals; the integer
-        counters are exact under any fold order, while the float sums
-        (``duration``, ``wall_time``) agree only up to float-addition
-        associativity across completion orders.
+        Folding a run live and folding its stored :class:`RunRecord`
+        later produce identical totals; the integer counters are exact
+        under any fold order, while the float sums (``duration``,
+        ``wall_time``) agree only up to float-addition associativity.
         """
         self.runs += 1
         self.successes += 1 if run.success else 0

@@ -18,19 +18,12 @@ import json
 import sys
 
 from repro.core.rng import DeterministicRNG
+from repro.parallel.workers import parse_seed
 from repro.scenario.registry import available_methods, resolve_method
 from repro.scenario.spec import AttackScenario
 from repro.workload.population import WorkloadSpec
 from repro.workload.report import LoadReport
 from repro.workload.trace import QueryTrace, synthesize_trace
-
-
-def parse_seed(value: str) -> int | str:
-    """Numeric seeds become ints, mirroring the other CLIs."""
-    try:
-        return int(value)
-    except ValueError:
-        return value
 
 
 def _spec_from_args(args: argparse.Namespace,

@@ -6,7 +6,7 @@ import pytest
 from repro.atlas.aggregate import ScanAggregate, stratum_key
 from repro.atlas.calibrate import calibrate_population, profile_for_stratum
 from repro.atlas.cli import main as atlas_main
-from repro.atlas.pipeline import run_tasks, scan_dataset
+from repro.atlas.pipeline import scan_dataset
 from repro.atlas.shards import (
     dataset_kind,
     find_dataset,
@@ -22,6 +22,7 @@ from repro.atlas.synth import (
     stream_checksum,
 )
 from repro.measurements.population import DOMAIN_DATASETS, RESOLVER_DATASETS
+from repro.parallel.taskmap import run_map
 
 OPEN = find_dataset("open")
 ALEXA = find_dataset("alexa")
@@ -188,11 +189,17 @@ class TestScanPipeline:
         with pytest.raises(ValueError, match="entities"):
             scan_dataset(OPEN, entities=-5)
 
-    def test_run_tasks_validates(self):
+    def test_task_map_validates(self):
+        def plan(missing, _workers):
+            return None, [[task] for task in missing]
+
+        def run_batch(_world, batch):
+            return [str(task) for task in batch]
+
         with pytest.raises(ValueError, match="executor"):
-            run_tasks(str, [1], executor="carrier-pigeon")
+            run_map([1], plan, run_batch, executor="carrier-pigeon")
         with pytest.raises(ValueError, match="workers"):
-            run_tasks(str, [1], workers=0)
+            run_map([1], plan, run_batch, workers=0)
 
 
 class TestStoreAndResume:
@@ -228,6 +235,23 @@ class TestStoreAndResume:
                                executor="serial", store=store)
         assert resumed.cached_shards == [0, 1, 2]
         assert resumed.computed_shards == [3, 4]
+        assert resumed.aggregate.to_json() == full.aggregate.to_json()
+
+    def test_resume_scans_non_adjacent_missing_shards(self, tmp_path):
+        full = scan_dataset(OPEN, seed=2, entities=1000, shards=5,
+                            executor="serial")
+        store = AtlasStore(tmp_path / "atlas")
+        scan_dataset(OPEN, seed=2, entities=1000, shards=5,
+                     executor="serial", store=store)
+        path = store.path_for(full.spec_hash)
+        lines = path.read_text().splitlines()
+        # Keep shards 0, 2 and 4: the missing shards are two runs.
+        path.write_text("\n".join(lines[index] for index in (0, 2, 4))
+                        + "\n")
+        resumed = scan_dataset(OPEN, seed=2, entities=1000, shards=5,
+                               executor="serial", store=store)
+        assert resumed.cached_shards == [0, 2, 4]
+        assert resumed.computed_shards == [1, 3]
         assert resumed.aggregate.to_json() == full.aggregate.to_json()
 
     def test_different_shard_layout_recomputes(self, tmp_path):

@@ -284,6 +284,16 @@ class TestFaultsCli:
         assert "degraded gracefully" in out
         assert RunStore(db).count(status="failed") == 1
 
+    def test_workers_auto_parses_and_runs(self, capsys):
+        from repro.faults.cli import build_parser, main
+
+        assert build_parser().parse_args(["--workers", "auto"]).workers \
+            == "auto"
+        rc = main(["--method", "hijack", "--seeds", "1",
+                   "--workers", "auto"])
+        assert rc == 0
+        assert "1 runs in" in capsys.readouterr().out
+
     def test_bad_impairment_is_an_error(self, capsys):
         from repro.faults.cli import main
 

@@ -332,6 +332,13 @@ class TestBitIdentity:
                     if metric.name == "campaign.cells_total")
         assert total == len(result.runs) == 6
 
+    def test_forked_workers_report_only_their_own_work(self, obs_on):
+        # A forked worker starts with a copy of the coordinator's
+        # registry; its deltas must not send those counts back.
+        Campaign(executor="process", workers=2).run(
+            sweep_scenarios(), seeds=range(2))
+        assert OBS.registry.value("campaign.sweeps_total") == 1
+
 
 class TestSpanCorrelation:
     def test_process_workers_parent_into_the_sweep(self, obs_on):

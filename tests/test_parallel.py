@@ -312,15 +312,18 @@ class TestWorkStealing:
         # A full scan_dataset through a pool that finishes shards in
         # reverse order: the report aggregate AND the persisted store
         # records must match the serial run bit for bit.
-        import repro.atlas.pipeline as pipeline
+        import repro.parallel.taskmap as taskmap
 
         spec = find_dataset("open")
         serial = scan_dataset(spec, seed=0, entities=900, shards=6,
                               executor="serial")
 
         class AdversarialProcessPool(AdversarialPool):
-            def __init__(self, max_workers=None, **_kwargs):
+            def __init__(self, max_workers=None, initializer=None,
+                         initargs=(), **_kwargs):
                 super().__init__(total=6, batch=3, order="reverse")
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -328,7 +331,7 @@ class TestWorkStealing:
             def __exit__(self, *exc):
                 return False
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+        monkeypatch.setattr(taskmap, "ProcessPoolExecutor",
                             AdversarialProcessPool)
         store = AtlasStore(tmp_path / "scrambled")
         scrambled = scan_dataset(spec, seed=0, entities=900, shards=6,
@@ -348,7 +351,7 @@ class TestWorkStealing:
         # shim: the initializer materialises the scenario table
         # in-process and batches complete in reverse, yet runs, stats
         # and streaming totals match the serial reference.
-        import repro.scenario.campaign as campaign_module
+        import repro.parallel.taskmap as taskmap
         from repro.scenario import Campaign, sweep_scenarios
 
         scenarios = sweep_scenarios()
@@ -367,7 +370,7 @@ class TestWorkStealing:
             def __exit__(self, *exc):
                 return False
 
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor",
+        monkeypatch.setattr(taskmap, "ProcessPoolExecutor",
                             AdversarialCampaignPool)
         scrambled = Campaign(executor="process").run(
             scenarios, seeds=range(4), workers=4)
