@@ -9,8 +9,7 @@ benches can flip single knobs.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import WireFormatError
@@ -22,8 +21,6 @@ from repro.netsim.packet import (
     ICMP_DEST_UNREACHABLE,
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
-    ICMP_FRAG_NEEDED,
-    ICMP_PORT_UNREACHABLE,
     IPV4_HEADER_LEN,
     MIN_IPV4_MTU,
     PROTO_ICMP,
@@ -40,7 +37,6 @@ from repro.netsim.packet import (
 from repro.netsim.ratelimit import TokenBucket
 from repro.netsim.wire import (
     attach_transport,
-    encode_ipv4,
     make_icmp_packet,
     make_udp_packet,
 )
@@ -56,6 +52,7 @@ SweepHandler = Callable[[TxidSweep, int, str, str], int]
 IcmpErrorHandler = Callable[[IcmpMessage, str], None]
 # The lazy datagram sequences a UdpBurst may carry instead of a tuple.
 _SWEEPS = (TxidSweep, PortSweep)
+_Datagrams = tuple[UdpDatagram, ...] | TxidSweep | PortSweep
 
 # Modern Linux refuses PTB-advertised MTUs below this for path MTU
 # updates (net.ipv4.route.min_pmtu); stacks that honour 68 are the
@@ -383,9 +380,8 @@ class Host:
                 self.stats.checksum_drops += 1
                 return
         if packet.proto == PROTO_UDP and packet.udp is not None:
-            if not self._deliver_udp(packet.udp, packet.src, packet.dst) \
-                    and self._port_unreachable_allowed():
-                self._send_port_unreachable(packet)
+            self._receive_udp(packet.src, packet.dst, (packet.udp,),
+                              (packet.ident,), packet.df)
         elif packet.proto == PROTO_ICMP and packet.icmp is not None:
             self._deliver_icmp(packet)
 
@@ -393,20 +389,9 @@ class Host:
         """Network entry point for a burst from :meth:`send_udp`,
         :meth:`raw_send_burst` or another host's port-unreachable errors.
 
-        Each datagram goes to its port's socket handler as it is.  The
-        datagrams that draw an ICMP port-unreachable (each error takes
-        its IP ident when it is drawn) go back as one
-        :class:`IcmpErrorBurst`; the errors collected so far leave
-        before any socket handler runs, and the rest at the end, so the
-        scheduler sees them in the per-packet order.  A burst that needs
-        more (a tap is set, or the destination is not ours) goes through
-        :meth:`receive` one packet at a time.
-
-        A burst of datagram objects asks the rate limiter once per
-        closed-port datagram, as :meth:`receive` does.  A sweep (a
-        :class:`PortSweep` scan batch or a :class:`TxidSweep` flood
-        chunk) goes to :meth:`_receive_sweep`, which takes each run of
-        closed-port datagrams in one step.
+        A burst of datagrams goes to :meth:`_receive_udp`.  A burst that
+        needs more (a tap is set, or the destination is not ours) goes
+        through :meth:`receive` one packet at a time.
         """
         if type(burst) is IcmpErrorBurst:
             self._receive_port_unreachables(burst)
@@ -416,66 +401,55 @@ class Host:
                 self.receive(packet)
             return
         self.stats.received += len(burst.datagrams)
-        if type(burst.datagrams) in _SWEEPS:
-            self._receive_sweep(burst)
-            return
-        src, dst = burst.src, burst.dst
-        deliver = self._deliver_udp
-        sockets = self._sockets
-        errors: list[int] = []
-        idents: list[int] = []
-        for index, datagram in enumerate(burst.datagrams):
-            if errors and datagram.dport in sockets:
-                # The handler may schedule events: earlier errors go first.
-                self._send_port_unreachables(burst, errors, idents)
-                errors, idents = [], []
-            if not deliver(datagram, src, dst) \
-                    and self._port_unreachable_allowed():
-                errors.append(index)
-                idents.append(self.ipid.next_id(src))
-        if errors:
-            self._send_port_unreachables(burst, errors, idents)
+        self._receive_udp(burst.src, burst.dst, burst.datagrams,
+                          burst.idents, burst.df)
 
-    def _receive_sweep(self, burst: UdpBurst) -> None:
-        """:meth:`receive_burst` for a burst whose datagrams are a
-        :class:`PortSweep` or a :class:`TxidSweep`.
+    def _receive_udp(self, src: str, dst: str, datagrams: _Datagrams,
+                     idents: tuple[int, ...], df: bool) -> None:
+        """Hand ``datagrams`` from ``src`` to ``dst`` (IP idents
+        ``idents``, DF flag ``df``) to their ports' sockets, in order.
 
-        A run of datagrams that find their ports closed is counted, rate
+        The one place a UDP datagram meets a socket: :meth:`receive`
+        passes one datagram, :meth:`receive_burst` a whole burst.  A run
+        of datagrams that find their ports closed is counted, rate
         limited and answered in one step (:meth:`_closed_run`), with no
         datagram built.  No handler runs inside a run, so no port can
         open: a :class:`TxidSweep`'s run (one port) reaches the end of
-        the sweep, and a :class:`PortSweep`'s stops at the next port
-        that is open.  A TXID sweep that reaches an open socket with a
-        ``sweep_handler`` is handed over in bulk: ``stop =
-        sweep_handler(sweep, index, src, dst)`` takes datagrams
-        ``index`` to ``stop - 1``, and the socket is looked up again
-        before datagram ``stop``.
+        the sweep, and any other run stops at the next port that is
+        open.  The errors collected so far leave before any socket
+        handler runs, and the rest at the end, so the scheduler sees
+        them in the order one receive per datagram would give.  A TXID
+        sweep that reaches an open socket with a ``sweep_handler`` is
+        handed over in bulk: ``stop = sweep_handler(sweep, index, src,
+        dst)`` takes datagrams ``index`` to ``stop - 1``, and the socket
+        is looked up again before datagram ``stop``.
         """
-        sweep = burst.datagrams
-        txid_sweep = type(sweep) is TxidSweep
-        ports = None if txid_sweep else sweep.dports
-        src, dst = burst.src, burst.dst
+        txid_sweep = type(datagrams) is TxidSweep
+        ports = (None if txid_sweep
+                 else datagrams.dports if type(datagrams) is PortSweep
+                 else [datagram.dport for datagram in datagrams])
         sockets = self._sockets
         stats = self.stats
         errors: list[int] = []
-        idents: list[int] = []
-        index, end = 0, len(sweep)
+        error_idents: list[int] = []
+        index, end = 0, len(datagrams)
         while index < end:
-            socket = sockets.get(sweep.dport if txid_sweep
+            socket = sockets.get(datagrams.dport if txid_sweep
                                  else ports[index])
             if socket is None or socket.closed:
                 stop = end if txid_sweep else index + 1
                 while stop < end and ports[stop] not in sockets:
                     stop += 1
-                self._closed_run(src, index, stop, errors, idents)
+                self._closed_run(src, index, stop, errors, error_idents)
                 index = stop
                 continue
             if errors:
                 # The handler may schedule events: earlier errors go first.
-                self._send_port_unreachables(burst, errors, idents)
-                errors, idents = [], []
+                self._send_port_unreachables(src, dst, datagrams, idents,
+                                             df, errors, error_idents)
+                errors, error_idents = [], []
             if txid_sweep and socket.sweep_handler is not None:
-                stop = socket.sweep_handler(sweep, index, src, dst)
+                stop = socket.sweep_handler(datagrams, index, src, dst)
                 if not index < stop <= end:
                     raise ValueError(
                         f"sweep handler of port {socket.port} returned"
@@ -483,21 +457,29 @@ class Host:
                 stats.udp_delivered += stop - index
                 index = stop
             else:
-                self._deliver_udp(sweep[index], src, dst)
+                stats.udp_delivered += 1
+                if socket.handler is not None:
+                    socket.handler(datagrams[index], src, dst)
                 index += 1
         if errors:
-            self._send_port_unreachables(burst, errors, idents)
+            self._send_port_unreachables(src, dst, datagrams, idents, df,
+                                         errors, error_idents)
 
     def _closed_run(self, src: str, start: int, stop: int,
                     errors: list[int], idents: list[int]) -> None:
-        """Datagrams ``start`` to ``stop - 1`` of a sweep from ``src``
+        """Datagrams ``start`` to ``stop - 1`` of a receive from ``src``
         found their ports closed: count them, and append to ``errors``
-        and ``idents`` the ones that draw a port-unreachable.
+        and ``idents`` the ones that draw a port-unreachable (each error
+        takes its IP ident when it is drawn).
 
-        What :meth:`_port_unreachable_allowed` and the ident draws do
-        for each datagram in turn, in bulk: one
-        :meth:`TokenBucket.allow_run`, or under
-        ``icmp_limit_randomized`` the jitter draws at once and one
+        The only code that counts closed-port datagrams and spends the
+        ICMP limiter's tokens.  It asks the limiter for the whole run:
+        one :meth:`TokenBucket.allow_run`, which counts what one
+        :meth:`TokenBucket.allow` per datagram would.  Under
+        ``icmp_limit_randomized`` (patched kernels randomise the
+        effective budget, so the attacker can no longer count errors
+        deterministically) each datagram costs ``1 + jitter`` tokens:
+        the jitter draws come at once, then one
         :meth:`TokenBucket.allow` per datagram (a later, cheaper cost
         can still pass).
         """
@@ -522,57 +504,24 @@ class Host:
             errors += passed
             idents += [next_id(src) for _ in passed]
 
-    def _deliver_udp(self, datagram: UdpDatagram, src: str,
-                     dst: str) -> bool:
-        """Hand ``datagram`` to its port's socket; False (and counted)
-        when the port is closed."""
-        socket = self._sockets.get(datagram.dport)
-        if socket is not None and not socket.closed:
-            self.stats.udp_delivered += 1
-            if socket.handler is not None:
-                socket.handler(datagram, src, dst)
-            return True
-        self.stats.udp_to_closed_port += 1
-        return False
+    def _send_port_unreachables(self, src: str, dst: str,
+                                datagrams: _Datagrams,
+                                idents: tuple[int, ...], df: bool,
+                                indices: list[int],
+                                error_idents: list[int]) -> None:
+        """Send the port-unreachable errors for the datagrams at
+        ``indices`` of a receive (IP idents ``error_idents``) as one
+        :class:`IcmpErrorBurst`.
 
-    def _port_unreachable_allowed(self) -> bool:
-        """Whether a datagram to a closed port may draw an ICMP error now
-        (spends the rate limiter's tokens; counts a suppressed error)."""
-        if not self.config.respond_port_unreachable:
-            return False
-        if self._icmp_bucket is not None:
-            if self.config.icmp_limit_randomized:
-                # Patched kernels randomise the effective budget, so the
-                # attacker can no longer count errors deterministically.
-                jitter = self.rng.randint(0, 5)
-                allowed = self._icmp_bucket.allow(self.now, cost=1 + jitter)
-            else:
-                allowed = self._icmp_bucket.allow(self.now)
-            if not allowed:
-                self.stats.icmp_errors_suppressed += 1
-                return False
-        return True
-
-    def _send_port_unreachable(self, packet: Ipv4Packet) -> None:
-        self.stats.icmp_errors_sent += 1
-        embedded = encode_ipv4(packet)[:28]  # IP header + 8 payload bytes
-        self.send_icmp(
-            packet.src,
-            IcmpMessage(icmp_type=ICMP_DEST_UNREACHABLE,
-                        code=ICMP_PORT_UNREACHABLE, embedded=embedded),
-        )
-
-    def _send_port_unreachables(self, burst: UdpBurst, indices: list[int],
-                                idents: list[int]) -> None:
-        """Send the errors for ``burst``'s datagrams at ``indices`` (IP
-        idents ``idents``) as one :class:`IcmpErrorBurst`: the errors
-        :meth:`_send_port_unreachable` sends one packet at a time."""
+        The offending datagrams, with their IP idents and ``df``, become
+        the error burst's :class:`UdpBurst`: an error's embed is the
+        packet around its datagram as ``make_udp_packet`` builds it.
+        """
         if self.network is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
         count = len(indices)
         self.stats.icmp_errors_sent += count
         self.stats.sent += count
-        datagrams, origin_idents = burst.datagrams, burst.idents
         if type(datagrams) is PortSweep:
             offending = PortSweep(datagrams.sport,
                                   tuple([datagrams.dports[i]
@@ -580,11 +529,10 @@ class Host:
                                   datagrams.payload)
         else:
             offending = tuple([datagrams[i] for i in indices])
-        offending = UdpBurst(burst.src, burst.dst, offending,
-                             tuple([origin_idents[i] for i in indices]),
-                             burst.df)
+        offending = UdpBurst(src, dst, offending,
+                             tuple([idents[i] for i in indices]), df)
         self.network.transmit_burst(
-            IcmpErrorBurst(self.address, offending, tuple(idents)),
+            IcmpErrorBurst(self.address, offending, tuple(error_idents)),
             origin=self)
 
     def _receive_port_unreachables(self, errors: IcmpErrorBurst) -> None:

@@ -86,7 +86,6 @@ class Network:
         self._interceptors: list[Interceptor] = []
         self._interceptor_names: dict[Interceptor, str] = {}
         self._latency_overrides: dict[tuple[str, str], float] = {}
-        self._loss: Callable[[Ipv4Packet], bool] | None = None
         self._faults = None
         self.trace_packets = False
 
@@ -129,11 +128,6 @@ class Network:
     def latency_between(self, src: str, dst: str) -> float:
         """One-way latency used for a packet from ``src`` to ``dst``."""
         return self._latency_overrides.get((src, dst), self.default_latency)
-
-    def set_loss_model(self,
-                       predicate: Callable[[Ipv4Packet], bool] | None) -> None:
-        """Install a loss model; ``predicate(pkt) == True`` drops the packet."""
-        self._loss = predicate
 
     def set_fault_injector(self, injector) -> None:
         """Install a :class:`repro.faults.inject.FaultInjector` (or None).
@@ -179,8 +173,6 @@ class Network:
                 src_actor=origin.name if origin is not None else None,
                 dst_actor=self._destination_name(packet),
             )
-        if self._loss is not None and self._loss(packet):
-            return
         if self._interceptors:
             target = self._route(packet, origin)
         else:
@@ -213,17 +205,17 @@ class Network:
 
         Every unfragmented UDP send arrives here, one datagram from
         :meth:`Host.send_udp` and many from :meth:`Host.raw_send_burst`,
-        and so do the port-unreachable errors a host sends back for a
-        burst's closed-port datagrams.  On a clean fabric every packet
+        and so does every port-unreachable error a host sends, as one
+        burst per receive.  On a clean fabric every packet
         would take the same route at the same latency, so the burst
         becomes one heap entry that delivers the packets in order, with
         the deliveries and stats of :meth:`transmit` called per packet.
-        A fabric that looks at packets one by one (packet tracing, a loss
-        model, interceptors or a fault injector) gets each packet built
-        and transmitted.
+        A fabric that looks at packets one by one (packet tracing,
+        interceptors or a fault injector) gets each packet built and
+        transmitted.
         """
-        if self.trace_packets or self._loss is not None \
-                or self._interceptors or self._faults is not None:
+        if self.trace_packets or self._interceptors \
+                or self._faults is not None:
             for packet in burst.packets():
                 self.transmit(packet, origin)
             return

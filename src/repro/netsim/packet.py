@@ -7,18 +7,19 @@ which keeps traces trustworthy.
 
 Most UDP traffic never becomes an :class:`Ipv4Packet`: an ordinary
 unfragmented send travels as a :class:`UdpBurst` of one datagram, and
-the port-unreachable errors a burst draws travel back as one
-:class:`IcmpErrorBurst`.  Their packets are built only where something
-looks at one (a watched fabric, a packet tap, a diverted destination,
-an ICMP listener or socket error handler that reads an error's embed).
+the port-unreachable errors that any receive draws, a burst's or one
+packet's, travel back as one :class:`IcmpErrorBurst`.  Their packets
+are built only where something looks at one (a watched fabric, a
+packet tap, a diverted destination, an ICMP listener or socket error
+handler that reads an error's embed).
 The SadDNS bursts are sweeps, read-only sequences that build a datagram
 only when one is read: a scan batch is a :class:`PortSweep` (one probe
 payload over many ports) and a flood chunk a :class:`TxidSweep` (one
 shared payload tail behind a range of TXIDs).  The receiving host
-counts and rate-limits a sweep's run of closed-port datagrams in one
-step, without building them, and the resolver's socket, which takes a
-whole TXID sweep in one call, reads just the one datagram carrying the
-TXID it waits for.
+counts and rate-limits each run of closed-port datagrams in one step,
+a sweep's without building them, and the resolver's socket, which
+takes a whole TXID sweep in one call, reads just the one datagram
+carrying the TXID it waits for.
 
 Every class here carries ``__slots__``: volume attacks construct millions
 of packets per campaign, and slotted frozen dataclasses cut both the
@@ -225,8 +226,8 @@ class TxidSweep(Sequence):
     range inside 0..0xFFFF.  Ports and range are checked once, here;
     indexing builds a :class:`UdpDatagram` only when one is read.  A
     socket with a ``sweep_handler`` takes a whole sweep in one call
-    (see :meth:`Host.receive_burst
-    <repro.netsim.host.Host.receive_burst>`).
+    (see :meth:`Host._receive_udp
+    <repro.netsim.host.Host._receive_udp>`).
     """
 
     sport: int
@@ -267,7 +268,7 @@ class PortSweep(Sequence):
     checked once, here; indexing builds a :class:`UdpDatagram` only when
     one is read, so the probes that find their ports closed are counted
     (and rate limited) without ever being built (see
-    :meth:`Host.receive_burst <repro.netsim.host.Host.receive_burst>`).
+    :meth:`Host._receive_udp <repro.netsim.host.Host._receive_udp>`).
     """
 
     sport: int
@@ -307,8 +308,9 @@ class UdpBurst:
     The datagrams travel as they are, and the packet around datagram
     ``i`` (IP ident ``idents[i]``, the burst's ``df`` flag) is built by
     :meth:`packet` only where one has to exist; an ICMP error embeds it
-    only when something reads the error (see :class:`IcmpErrorBurst`).
-    Ports may differ per datagram.
+    only when something reads the error (see :class:`IcmpErrorBurst`),
+    even when the datagram arrived as a packet or was reassembled from
+    fragments.  Ports may differ per datagram.
     """
 
     src: str
@@ -345,14 +347,14 @@ class UdpBurst:
 class IcmpErrorBurst:
     """Same-instant ICMP port-unreachable errors from one host.
 
-    What :meth:`Host.receive_burst
-    <repro.netsim.host.Host.receive_burst>` sends back for the datagrams
-    of a :class:`UdpBurst` that hit closed ports: ``offending`` holds
-    only those datagrams (with their IP idents), and error ``i``, from
-    ``src`` to ``offending.src`` with IP ident ``idents[i]``, is the
-    error a per-packet receive sends for ``offending.packet(i)``.  Its
-    message (:meth:`message`) and packet (:meth:`packet`) are built only
-    where something reads them.
+    How a host answers the datagrams of one receive that hit closed
+    ports (see :meth:`Host._receive_udp
+    <repro.netsim.host.Host._receive_udp>`): ``offending`` holds only
+    those datagrams (with their IP idents), and error ``i``, from
+    ``src`` to ``offending.src`` with IP ident ``idents[i]``, embeds the
+    IP and UDP headers of ``offending.packet(i)``.  Its message
+    (:meth:`message`) and packet (:meth:`packet`) are built only where
+    something reads them.
     """
 
     src: str

@@ -10,10 +10,11 @@ Two limiters in the paper are attack surface:
   to mute the genuine nameserver and stretch the race window.
 
 Both are instances of :class:`TokenBucket` running on virtual time.
-A SadDNS scan batch or flood chunk whose datagrams find their ports
-closed asks the ICMP limiter for a whole run of unit-cost errors at one
-instant through :meth:`TokenBucket.allow_run`, which counts exactly what
-that many :meth:`TokenBucket.allow` calls would.
+A run of datagrams that find their ports closed at one instant (a
+single datagram, or part of a SadDNS scan batch or flood chunk) asks the
+ICMP limiter for its unit-cost errors at once through
+:meth:`TokenBucket.allow_run`, which counts exactly what that many
+:meth:`TokenBucket.allow` calls would.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
 from repro.attacks import OffPathAttacker, SpoofedClientTrigger
@@ -9,6 +11,7 @@ from repro.core.rng import DeterministicRNG
 from repro.dns.nameserver import NameserverConfig
 from repro.netsim.host import Host, HostConfig
 from repro.netsim.network import Network
+from repro.netsim.packet import Ipv4Packet
 from repro.testbed import (
     RESOLVER_IP,
     SERVICE_IP,
@@ -74,3 +77,17 @@ def make_trigger(world, attacker: OffPathAttacker) -> SpoofedClientTrigger:
         world["attacker"], RESOLVER_IP, SERVICE_IP,
         rng=attacker.rng.derive("trigger"),
     )
+
+
+def drop_packets(network: Network,
+                 predicate: Callable[[Ipv4Packet], bool]) -> None:
+    """Lose every packet on ``network`` that ``predicate`` matches.
+
+    An interceptor claims each matching packet into a sink host that no
+    network holds and that owns no routed address, so the packet
+    reaches no socket.
+    """
+    sink = Host("sink", "0.0.0.0")
+    network.add_interceptor(
+        lambda packet, origin: sink if predicate(packet) else None,
+        name="loss")

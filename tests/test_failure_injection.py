@@ -15,7 +15,7 @@ from repro.testbed import (
     Testbed,
     standard_testbed,
 )
-from tests.conftest import make_trigger
+from tests.conftest import drop_packets, make_trigger
 
 
 class TestResolutionUnderLoss:
@@ -40,7 +40,7 @@ class TestResolutionUnderLoss:
                 return True
             return False
 
-        bed.network.set_loss_model(drop_first_upstream)
+        drop_packets(bed.network, drop_first_upstream)
         answer = stub.lookup("vict.im", "A")
         assert answer.ok
         assert answer.addresses() == ["123.0.0.80"]
@@ -48,24 +48,24 @@ class TestResolutionUnderLoss:
 
     def test_total_blackhole_yields_servfail(self):
         bed, resolver, stub = self.build("loss-2")
-        bed.network.set_loss_model(
-            lambda packet: packet.dst == "123.0.0.53")
+        drop_packets(bed.network,
+                     lambda packet: packet.dst == "123.0.0.53")
         answer = stub.lookup("vict.im", "A")
         assert not answer.ok or answer.records == []
         assert resolver.stats.servfails >= 1
 
     def test_icmp_blackhole_does_not_break_resolution(self):
         bed, resolver, stub = self.build("loss-3")
-        bed.network.set_loss_model(
-            lambda packet: packet.proto == PROTO_ICMP)
+        drop_packets(bed.network,
+                     lambda packet: packet.proto == PROTO_ICMP)
         assert stub.lookup("vict.im", "A").ok
 
 
 class TestAttackRobustness:
     def test_hijack_succeeds_despite_icmp_loss(self):
         world = standard_testbed(seed="robust-1")
-        world["testbed"].network.set_loss_model(
-            lambda packet: packet.proto == PROTO_ICMP)
+        drop_packets(world["testbed"].network,
+                     lambda packet: packet.proto == PROTO_ICMP)
         attacker = OffPathAttacker(world["attacker"])
         attack = HijackDnsAttack(attacker, world["testbed"].network,
                                  world["resolver"], TARGET_DOMAIN,
@@ -83,7 +83,7 @@ class TestAttackRobustness:
                 return True
             return False
 
-        world["testbed"].network.set_loss_model(drop_first_client_query)
+        drop_packets(world["testbed"].network, drop_first_client_query)
         attacker = OffPathAttacker(world["attacker"])
         attack = HijackDnsAttack(attacker, world["testbed"].network,
                                  world["resolver"], TARGET_DOMAIN,

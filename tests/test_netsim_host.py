@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.rng import DeterministicRNG
-from repro.netsim.host import Host, HostConfig
+from repro.netsim.host import Host, HostConfig, HostStats
 from repro.netsim.network import Network
 from repro.netsim.packet import (
     ICMP_DEST_UNREACHABLE,
@@ -18,6 +18,7 @@ from repro.netsim.packet import (
     UdpDatagram,
 )
 from repro.netsim.wire import encode_ipv4, make_icmp_packet, make_udp_packet
+from tests.conftest import drop_packets
 
 
 def two_hosts(config_b: HostConfig | None = None):
@@ -480,6 +481,51 @@ class TestLazySend:
         assert a.stats.sent == net.stats.transmitted == 3
         assert b.stats.reassembled == 1
 
+    @pytest.mark.parametrize("config", [
+        {}, {"icmp_limit_randomized": True},
+        {"respond_port_unreachable": False}],
+        ids=["limited", "jitter", "silent"])
+    def test_oversize_send_to_a_closed_port_draws_the_packet_path_error(
+            self, config):
+        """A fragmented datagram to a closed port is reassembled, and its
+        error embeds the reassembled packet's headers, rebuilt from the
+        datagram, as the packet ``make_udp_packet`` builds."""
+        from repro.netsim.fragmentation import ReassemblyCache
+
+        net, a, b = two_hosts(HostConfig(**config))
+        fragments, errors = [], []
+        b.packet_tap = fragments.append
+        a.icmp_listener = lambda message, src: errors.append((message, src))
+        rng_before = b.rng.getstate()
+        payload = bytes(range(256)) * 8
+        a.send_udp("10.0.0.1", 1234, "10.0.0.2", 9, payload)
+        net.run()
+        assert len(fragments) == 2
+        ident = fragments[0].ident
+        cache = ReassemblyCache()
+        reassembled = [cache.add(fragment, 0.0) for fragment in fragments]
+        silent = config.get("respond_port_unreachable") is False
+        if silent:
+            assert errors == []
+        else:
+            embedded = encode_ipv4(make_udp_packet(
+                "10.0.0.1", "10.0.0.2", 1234, 9, payload,
+                ident=ident))[:28]
+            # What the per-packet path embedded: the reassembled packet.
+            assert embedded == encode_ipv4(reassembled[-1])[:28]
+            ((message, src),) = errors
+            assert message.is_port_unreachable
+            assert (message.embedded, src) == (embedded, "10.0.0.2")
+        sent = 0 if silent else 1
+        assert b.stats == HostStats(
+            sent=sent, received=2, udp_to_closed_port=1,
+            icmp_errors_sent=sent, reassembled=1)
+        draws = DeterministicRNG("reference")
+        draws.setstate(rng_before)
+        if config.get("icmp_limit_randomized"):
+            draws.randint(0, 5)
+        assert b.rng.getstate() == draws.getstate()
+
     def test_oversize_df_sends_are_dropped(self):
         net, a, b = two_hosts()
         b.open_udp(53)
@@ -676,8 +722,8 @@ class TestLazyIcmpErrors:
             if fabric == "trace":
                 net.trace_packets = True
             elif fabric == "loss":
-                net.set_loss_model(lambda packet: packet.icmp is not None
-                                   and packet.ident % 3 == 0)
+                drop_packets(net, lambda packet: packet.icmp is not None
+                             and packet.ident % 3 == 0)
             elif fabric == "interceptor":
                 net.add_interceptor(lambda packet, origin:
                                     claimed.append(packet))

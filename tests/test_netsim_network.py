@@ -21,6 +21,7 @@ from repro.netsim.ipid import (
 from repro.netsim.ratelimit import TokenBucket
 from repro.netsim.wire import make_udp_packet
 from repro.core.rng import DeterministicRNG
+from tests.conftest import drop_packets
 
 
 class TestAddresses:
@@ -222,7 +223,7 @@ class TestNetworkFabric:
         net = Network()
         a = net.attach(Host("a", "10.0.0.1"))
         b = net.attach(Host("b", "10.0.0.2"))
-        net.set_loss_model(lambda packet: True)
+        drop_packets(net, lambda packet: True)
         a.open_udp().sendto("10.0.0.2", 53, b"x")
         net.run()
         assert b.stats.received == 0
