@@ -1,10 +1,8 @@
-"""Bench: defense stacks — the pairwise ablation and defended sweeps."""
+"""Bench: defense stacks — the pairwise ablation."""
 
 from _helpers import publish
 
-from repro.defenses import DefenseStack
 from repro.experiments import ablation
-from repro.scenario import Campaign, sweep_scenarios
 
 
 def test_pairwise_defense_ablation(benchmark):
@@ -23,31 +21,3 @@ def test_pairwise_defense_ablation(benchmark):
     assert classes["block-fragments+randomized-icmp-limit"] \
         == "complementary"
 
-
-def test_defended_campaign_residuals(benchmark):
-    """A (method x stack) sweep reports the expected residuals."""
-    scenarios = sweep_scenarios()
-    stacks = [DefenseStack.of("rpki-rov"),
-              DefenseStack.of("dnssec"),
-              DefenseStack.of("0x20-encoding", "block-fragments")]
-    result = benchmark.pedantic(
-        lambda: Campaign(executor="serial").run_defended(
-            scenarios, stacks=stacks, seeds=range(4)),
-        rounds=1, iterations=1,
-    )
-    print()
-    print(result.describe())
-    matrix = result.defense_matrix()
-    # The undefended baseline keeps the paper's effectiveness ordering.
-    assert matrix[("none", "HijackDNS")].success_rate == 1.0
-    # ROV removes only the hijack; DNSSEC zeroes every method.
-    assert matrix[("rpki-rov", "HijackDNS")].success_rate == 0.0
-    assert matrix[("rpki-rov", "FragDNS")].success_rate \
-        == matrix[("none", "FragDNS")].success_rate
-    for method in ("HijackDNS", "SadDNS", "FragDNS"):
-        assert matrix[("dnssec", method)].success_rate == 0.0
-    # The 0x20+block-fragments pair is complementary: SadDNS and
-    # FragDNS both die while the hijack sails on.
-    pair = "0x20-encoding+block-fragments"
-    assert matrix[(pair, "HijackDNS")].success_rate == 1.0
-    assert matrix[(pair, "FragDNS")].success_rate == 0.0

@@ -375,6 +375,7 @@ def bench_obs_overhead(seeds: int, entities: int) -> dict:
     """
     from repro import obs
     from repro.atlas import find_dataset, scan_dataset
+    from repro.atlas.cli import aggregate_checksum
     from repro.scenario import Campaign, sweep_scenarios
 
     spec = find_dataset("open")
@@ -417,15 +418,11 @@ def bench_obs_overhead(seeds: int, entities: int) -> dict:
                    spans=spans)
 
 
-def aggregate_checksum(report) -> str:
-    payload = json.dumps(report.aggregate.to_json(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def bench_atlas(entities: int, dataset: str) -> dict:
     """The sharded population scan (serial, vectorised kernel when
     numpy is present), aggregate checksummed."""
     from repro.atlas import find_dataset, scan_dataset
+    from repro.atlas.cli import aggregate_checksum
 
     spec = find_dataset(dataset)
     started = time.perf_counter()
@@ -447,6 +444,7 @@ def bench_parallel(entities: int) -> dict:
     serial and pooled scans fails the bench outright, which is the
     bit-identity gate CI runs."""
     from repro.atlas import find_dataset, scan_dataset
+    from repro.atlas.cli import aggregate_checksum
     from repro.parallel import resolve_workers, vector_available
 
     spec = find_dataset("open")

@@ -191,8 +191,8 @@ Atlas quickstart — Section 5 at the paper's full dataset sizes::
     # leases shards atomically, killed workers' leases expire, and the
     # coordinator merge equals an uninterrupted serial scan::
     #
-    #   python -m repro.parallel claim --dataset open --store S &  # xN
-    #   python -m repro.parallel merge --dataset open --store S
+    #   python -m repro.atlas claim --dataset open --store S &  # xN
+    #   python -m repro.atlas merge --dataset open --store S
 
     # Validate the planner against the scanned strata end-to-end:
     from repro.atlas import calibrate_population

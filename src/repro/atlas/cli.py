@@ -1,14 +1,20 @@
 """``python -m repro.atlas`` — the attack-surface atlas command line.
 
-Four subcommands tie the subsystem together:
+Six subcommands tie the subsystem together:
 
 * ``synth`` — stream a population shard-by-shard, report throughput and
   a rolling checksum; ``--verify`` additionally streams the monolithic
   generator and proves the shard-merge is bit-identical.
 * ``scan`` — run the sharded Section 5 scan over one or all datasets at
-  full paper scale (resumable with ``--store``), print the atlas-backed
-  Tables 3/4 (and the Table 5 implementation matrix) with deviations
-  from the paper's numbers.
+  full paper scale (resumable with ``--store``), print each dataset's
+  aggregate checksum and the atlas-backed Tables 3/4 (and the Table 5
+  implementation matrix) with deviations from the paper's numbers.
+* ``claim`` — run ONE claim-mode worker: lease shards from a shared
+  store, scan, append, release.  Start as many of these as you like,
+  on as many hosts as share the store directory; kill any of them.
+* ``merge`` — coordinator: merge a claimed store into the final report
+  (scanning whatever shards every worker left behind); its aggregate
+  checksum equals a ``scan`` of the same population.
 * ``calibrate`` — stratify a scanned population by vulnerability
   profile and validate planner verdicts with a stratified campaign
   sub-sample.
@@ -18,6 +24,7 @@ Four subcommands tie the subsystem together:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -35,6 +42,7 @@ from repro.measurements.population import (
     ResolverDatasetSpec,
 )
 from repro.measurements.report import render_table
+from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
 from repro.parallel.kernel import KERNELS
 from repro.parallel.workers import parse_seed, parse_workers
 
@@ -113,6 +121,23 @@ def _render_reports(reports: list[AtlasScanReport], kind: str,
     return render_table(headers, rows, title=title), failures
 
 
+def aggregate_checksum(report: AtlasScanReport) -> str:
+    """Order-insensitive checksum of a scan's merged aggregate."""
+    payload = json.dumps(report.aggregate.to_json(), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _print_scanned(report: AtlasScanReport, verb: str) -> None:
+    print(f"{verb} {report.dataset}: {report.entities:,} entities, "
+          f"{len(report.computed_shards)} shards computed + "
+          f"{len(report.cached_shards)} cached, "
+          f"{report.wall_clock:.1f}s ({report.entities_per_second:,.0f}/s, "
+          f"{report.executor}, workers={report.workers})")
+    print(f"  aggregate checksum: {aggregate_checksum(report)}")
+    for note in report.notes:
+        print(f"  note: {note}")
+
+
 def bench_payload(reports: list[AtlasScanReport],
                   wall_clock: float) -> dict:
     """The machine-readable scan record (``BENCH_atlas.json`` shape)."""
@@ -151,8 +176,8 @@ def bench_payload(reports: list[AtlasScanReport],
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = find_dataset(args.dataset)
-    entities = min(args.entities, spec.full_size) if args.entities \
-        else spec.full_size
+    entities = spec.full_size if args.entities is None \
+        else min(args.entities, spec.full_size)
     ranges = shard_ranges(entities, args.shards)
     started = time.perf_counter()
 
@@ -187,17 +212,10 @@ def _run_scan(args: argparse.Namespace
         report = scan_dataset(
             spec, seed=args.seed, entities=args.entities,
             shards=args.shards, workers=args.workers,
-            executor=args.executor, store=store,
-            kernel=getattr(args, "kernel", "auto"),
+            executor=args.executor, store=store, kernel=args.kernel,
         )
         reports.append(report)
-        print(f"scanned {report.dataset}: {report.entities:,} entities, "
-              f"{len(report.computed_shards)} shards computed + "
-              f"{len(report.cached_shards)} cached, "
-              f"{report.wall_clock:.1f}s ({report.executor}, "
-              f"workers={report.workers})")
-        for note in report.notes:
-            print(f"  note: {note}")
+        _print_scanned(report, "scanned")
     return reports, time.perf_counter() - started
 
 
@@ -236,6 +254,31 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for failure in failures:
         print(f"DEVIATION: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def _cmd_claim(args: argparse.Namespace) -> int:
+    outcome = claim_worker(
+        find_dataset(args.dataset), seed=args.seed, entities=args.entities,
+        shards=args.shards, store=AtlasStore(args.store),
+        worker=args.worker, ttl=args.ttl, kernel=args.kernel,
+        max_shards=args.max_shards,
+    )
+    print(f"claim worker {outcome.worker}: scanned "
+          f"{len(outcome.scanned)} shards, skipped (leased elsewhere) "
+          f"{len(outcome.skipped)}, expired leases broken "
+          f"{len(outcome.broken)}")
+    print(json.dumps(outcome.to_json(), sort_keys=True))
+    return 0
+
+
+def _cmd_merge(args: argparse.Namespace) -> int:
+    report = merge_claimed(
+        find_dataset(args.dataset), seed=args.seed, entities=args.entities,
+        shards=args.shards, store=AtlasStore(args.store),
+        kernel=args.kernel,
+    )
+    _print_scanned(report, "merged")
+    return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -321,6 +364,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return status
 
 
+def _at_least(minimum: int):
+    """argparse type for a count flag: an int no smaller than
+    ``minimum``, so a bad count is a usage error, not a traceback."""
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {value!r}") from None
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {count}")
+        return count
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.atlas",
@@ -328,32 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset_default: str) -> None:
+    def population(p, dataset_default: str = "open") -> None:
         p.add_argument("--dataset", default=dataset_default,
-                       help="dataset key, or resolvers/domains/all")
-        p.add_argument("--entities", type=int, default=None,
+                       help="dataset key (scan and calibrate also take "
+                            "resolvers/domains/all)")
+        p.add_argument("--entities", type=_at_least(0), default=None,
                        help="cap entities per dataset "
                             "(default: the paper's full size)")
-        p.add_argument("--shards", type=int, default=16)
+        p.add_argument("--shards", type=_at_least(1), default=16)
         p.add_argument("--seed", type=parse_seed, default=0)
+
+    def scanned(p, dataset_default: str = "open",
+                require_store: bool = False) -> None:
+        population(p, dataset_default)
+        p.add_argument("--kernel", default="auto", choices=KERNELS,
+                       help="per-shard scan implementation (both "
+                            "bit-identical; default picks the "
+                            "vectorised kernel when numpy is present)")
+        p.add_argument("--store", required=require_store, default=None,
+                       help="shard-result store directory (enables resume)")
+
+    def pooled(p) -> None:
         p.add_argument("--workers", type=parse_workers, default=None,
                        help="worker processes, or 'auto' for all "
                             "schedulable CPUs (env: REPRO_WORKERS)")
         p.add_argument("--executor", choices=("process", "serial"),
                        default="process")
-        p.add_argument("--kernel", default="auto", choices=KERNELS,
-                       help="per-shard scan implementation (both "
-                            "bit-identical; default picks the "
-                            "vectorised kernel when numpy is present)")
-        p.add_argument("--store", default=None,
-                       help="shard-result store directory (enables resume)")
 
     synth = sub.add_parser(
         "synth", help="stream-synthesise a population, no scanning")
-    synth.add_argument("--dataset", default="open")
-    synth.add_argument("--entities", type=int, default=None)
-    synth.add_argument("--shards", type=int, default=16)
-    synth.add_argument("--seed", type=parse_seed, default=0)
+    population(synth)
     synth.add_argument("--verify", action="store_true",
                        help="also stream monolithically and compare "
                             "checksums")
@@ -361,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser(
         "scan", help="sharded Section 5 scan at population scale")
-    common(scan, "all")
+    scanned(scan, "all")
+    pooled(scan)
     scan.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                       help="allowed deviation (points) from the paper")
     scan.add_argument("--json", default=None,
@@ -370,9 +434,28 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the Table 5 implementation matrix")
     scan.set_defaults(fn=_cmd_scan)
 
+    claim = sub.add_parser(
+        "claim", help="run one lease-based claim worker against a store")
+    scanned(claim, require_store=True)
+    claim.add_argument("--worker", default="",
+                       help="worker id recorded in leases "
+                            "(default: host-pid)")
+    claim.add_argument("--ttl", type=float, default=DEFAULT_TTL,
+                       help="seconds before a silent lease is "
+                            "considered dead and re-claimed")
+    claim.add_argument("--max-shards", type=int, default=None,
+                       help="stop after scanning this many shards")
+    claim.set_defaults(fn=_cmd_claim)
+
+    merge = sub.add_parser(
+        "merge", help="coordinator merge of a claimed store")
+    scanned(merge, require_store=True)
+    merge.set_defaults(fn=_cmd_merge)
+
     calibrate = sub.add_parser(
         "calibrate", help="stratified campaign validation of a scan")
-    common(calibrate, "open")
+    scanned(calibrate)
+    pooled(calibrate)
     calibrate.add_argument("--sample-budget", type=int, default=24,
                            help="total end-to-end attack runs to allocate")
     calibrate.add_argument("--app", default=None,

@@ -30,12 +30,11 @@ Quickstart::
     # Coordinator merge (scans any shards every worker left behind):
     report = merge_claimed(spec, entities=200_000, shards=64, store=store)
 
-Command line::
+Command line (the atlas CLI drives this plane)::
 
-    python -m repro.parallel scan  --dataset open --entities 200000 --workers auto
-    python -m repro.parallel claim --dataset open --entities 200000 --store runs/atlas
-    python -m repro.parallel merge --dataset open --entities 200000 --store runs/atlas
-    python -m repro.parallel bench --entities 40000
+    python -m repro.atlas scan  --dataset open --entities 200000 --workers auto
+    python -m repro.atlas claim --dataset open --entities 200000 --store runs/atlas
+    python -m repro.atlas merge --dataset open --entities 200000 --store runs/atlas
 """
 
 from repro.parallel.claim import (

@@ -36,10 +36,10 @@ def cpu_count() -> int:
 def parse_workers(value: str) -> int | str:
     """argparse type for ``--workers``: a count or ``auto``.
 
-    Every CLI (atlas, scenario, serve, the parallel plane, the bench
-    harness) funnels through this one parser so ``--workers auto``
-    means the same thing everywhere; resolution to a concrete count
-    happens later, in :func:`resolve_workers`.
+    Every CLI (atlas, scenario, faults, serve, the bench harness)
+    funnels through this one parser so ``--workers auto`` means the
+    same thing everywhere; resolution to a concrete count happens
+    later, in :func:`resolve_workers`.
     """
     if value.strip().lower() == "auto":
         return "auto"

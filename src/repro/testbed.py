@@ -46,10 +46,9 @@ def default_resolver_config() -> ResolverConfig:
     """The victim resolver config a testbed builds when none is given.
 
     The single source of truth for "unconfigured resolver": the
-    defense-stack transforms (:mod:`repro.defenses.base`) and the
-    legacy mitigation shim materialise this same default before
-    rewriting a knob, so a defended world differs from its baseline
-    only in what the defense actually writes.
+    defense-stack transforms (:mod:`repro.defenses.base`) materialise
+    this same default before rewriting a knob, so a defended world
+    differs from its baseline only in what the defense actually writes.
     """
     return ResolverConfig(allowed_clients=[VICTIM_PREFIX])
 

@@ -330,6 +330,49 @@ class TestCalibrationBridge:
 
 
 class TestAtlasCli:
+    @pytest.mark.parametrize("command", ["synth", "scan", "calibrate",
+                                         "claim", "merge"])
+    @pytest.mark.parametrize("bad", [["--entities", "-3"],
+                                     ["--shards", "0"]])
+    def test_bad_counts_are_usage_errors(self, tmp_path, capsys,
+                                         command, bad):
+        store = (["--store", str(tmp_path)]
+                 if command in ("claim", "merge") else [])
+        with pytest.raises(SystemExit) as exit_info:
+            atlas_main([command, "--dataset", "open", *store, *bad])
+        assert exit_info.value.code == 2
+        assert bad[0] in capsys.readouterr().err
+
+    def test_synth_zero_entities_streams_none(self, capsys):
+        status = atlas_main(["synth", "--dataset", "eduroam-domains",
+                             "--entities", "0"])
+        assert status == 0
+        assert "0 entities in 1 shards" in capsys.readouterr().out
+
+    def test_claim_merge_and_scans_share_one_checksum(self, tmp_path,
+                                                      capsys):
+        population = ["--dataset", "open", "--entities", "6000",
+                      "--shards", "8"]
+        store = ["--store", str(tmp_path / "store")]
+
+        def checksum_lines(argv):
+            assert atlas_main(argv) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines()
+                    if "aggregate checksum:" in line]
+
+        assert checksum_lines(["claim", *population, *store, "--worker",
+                               "a", "--max-shards", "2"]) == []
+        assert checksum_lines(["claim", *population, *store, "--worker",
+                               "b"]) == []
+        merged = checksum_lines(["merge", *population, *store])
+        serial = checksum_lines(["scan", *population, "--executor",
+                                 "serial", "--no-table5"])
+        pooled = checksum_lines(["scan", *population, "--workers", "2",
+                                 "--no-table5"])
+        assert len(merged) == 1
+        assert merged == serial == pooled
+
     def test_synth_verify(self, capsys):
         status = atlas_main(["synth", "--dataset", "open",
                              "--entities", "500", "--shards", "4",

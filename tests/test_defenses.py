@@ -349,6 +349,28 @@ class TestDefendedCampaigns:
         assert not result.defended
         assert "Defense residuals" not in result.describe()
 
+    def test_defended_campaign_residuals(self):
+        """A (method x stack) sweep reports the expected residuals."""
+        pair = DefenseStack.of("0x20-encoding", "block-fragments")
+        result = Campaign(executor="serial").run_defended(
+            sweep_scenarios(),
+            stacks=[DefenseStack.of("rpki-rov"), DefenseStack.of("dnssec"),
+                    pair],
+            seeds=range(4))
+        matrix = result.defense_matrix()
+        # The undefended baseline keeps the paper's effectiveness ordering.
+        assert matrix[("none", "HijackDNS")].success_rate == 1.0
+        # ROV removes only the hijack; DNSSEC zeroes every method.
+        assert matrix[("rpki-rov", "HijackDNS")].success_rate == 0.0
+        assert matrix[("rpki-rov", "FragDNS")].success_rate \
+            == matrix[("none", "FragDNS")].success_rate
+        for method in ("HijackDNS", "SadDNS", "FragDNS"):
+            assert matrix[("dnssec", method)].success_rate == 0.0
+        # The 0x20+block-fragments pair is complementary: SadDNS and
+        # FragDNS both die while the hijack sails on.
+        assert matrix[(pair.key, "HijackDNS")].success_rate == 1.0
+        assert matrix[(pair.key, "FragDNS")].success_rate == 0.0
+
 
 class TestAblationGrid:
     @pytest.mark.parametrize(

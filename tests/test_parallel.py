@@ -26,7 +26,6 @@ from repro.atlas import (
     shard_ranges,
 )
 from repro.atlas import cli as atlas_cli
-from repro.parallel import cli as parallel_cli
 from repro.parallel.claim import (
     _lease_path,
     claim_shard,
@@ -184,7 +183,7 @@ class TestKernelBitIdentity:
         with pytest.raises(ValueError):
             scan_range(find_dataset("open"), 0, 0, 10, kernel="cuda")
 
-    @pytest.mark.parametrize("cli", [atlas_cli, parallel_cli])
+    @pytest.mark.parametrize("cli", [atlas_cli])
     def test_clis_reject_removed_python_kernel(self, cli):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(
