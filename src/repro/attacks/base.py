@@ -10,6 +10,7 @@ methodology classes build on it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,9 +22,13 @@ from repro.dns.records import ResourceRecord, TYPE_A, rr_rrsig
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import encode_message
 from repro.netsim.host import Host
-from repro.netsim.packet import IcmpMessage, Ipv4Packet, PROTO_UDP
+from repro.netsim.packet import (
+    FragmentSpray,
+    IcmpMessage,
+    UdpBurst,
+    UdpDatagram,
+)
 from repro.netsim.wire import encode_ipv4, encode_udp, make_icmp_packet
-from repro.netsim.packet import UdpBurst, UdpDatagram
 
 
 @dataclass
@@ -102,15 +107,16 @@ class OffPathAttacker:
         self.host.raw_send(packet)
         self.packets_sent += 1
 
-    def inject_burst(self, burst: UdpBurst) -> None:
-        """Inject a same-instant burst of (possibly spoofed) datagrams.
+    def inject_burst(self, burst: UdpBurst | FragmentSpray) -> None:
+        """Inject a same-instant burst of (possibly spoofed) packets.
 
-        The fast path for SadDNS scan batches and TXID flood chunks: the
-        burst leaves through :meth:`Host.raw_send_burst`, and each
-        datagram is accounted as one packet.
+        The fast path for SadDNS scan batches, TXID flood chunks and
+        FragDNS fragment sprays: the burst leaves through
+        :meth:`Host.raw_send_burst`, and each of its packets is
+        accounted as one.
         """
         self.host.raw_send_burst(burst)
-        self.packets_sent += len(burst.datagrams)
+        self.packets_sent += len(burst.idents)
 
     def spoof_dns(self, src: str, dst: str, dport: int,
                   message: DnsMessage, sport: int = 53) -> None:
@@ -124,19 +130,22 @@ class OffPathAttacker:
         self.host.raw_send(packet)
         self.packets_sent += 1
 
-    def spoof_fragment(self, src: str, dst: str, ident: int,
-                       frag_offset_bytes: int, payload: bytes,
-                       more_fragments: bool = False) -> None:
-        """Inject one raw IP fragment (the FragDNS planting primitive)."""
-        if frag_offset_bytes % 8:
-            raise ValueError("fragment offset must be 8-byte aligned")
-        packet = Ipv4Packet(
-            src=src, dst=dst, proto=PROTO_UDP, payload=payload,
-            ident=ident, mf=more_fragments,
-            frag_offset=frag_offset_bytes // 8,
-        )
-        self.host.raw_send(packet)
-        self.packets_sent += 1
+    def spoof_fragments(self, src: str, dst: str, idents: Sequence[int],
+                        frag_offset_bytes: int, payload: bytes,
+                        more_fragments: bool = False) -> None:
+        """Inject one raw UDP fragment per IP ident in ``idents`` (the
+        FragDNS planting primitive).
+
+        Every fragment carries ``payload`` at byte offset
+        ``frag_offset_bytes`` (8-byte aligned) with MF
+        ``more_fragments``.  The spray leaves as one
+        :class:`FragmentSpray` through :meth:`inject_burst`: on a clean
+        fabric the resolver plants it in its reassembly cache in one
+        call, building none of the fragments.
+        """
+        self.inject_burst(FragmentSpray(src, dst, frag_offset_bytes,
+                                        payload, more_fragments,
+                                        tuple(idents)))
 
     def send_udp(self, dst: str, dport: int, payload: bytes,
                  sport: int | None = None) -> None:

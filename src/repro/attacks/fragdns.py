@@ -68,7 +68,15 @@ class FragDnsConfig:
 
 
 class FragDnsAttack:
-    """Execute FragDNS against one resolver/nameserver pair."""
+    """Execute FragDNS against one resolver/nameserver pair.
+
+    Each attempt plants ``planted_per_attempt`` crafted second fragments,
+    one per predicted IP-ID, as one spray
+    (:meth:`OffPathAttacker.spoof_fragments
+    <repro.attacks.base.OffPathAttacker.spoof_fragments>`): one
+    scheduler event and one reassembly-cache call on a clean fabric,
+    with the counters and cache contents of one packet per fragment.
+    """
 
     method_name = "FragDNS"
 
@@ -299,20 +307,18 @@ class FragDnsAttack:
         ns_host = self.nameserver.host
         for attempt in range(config.max_attempts):
             result.iterations = attempt + 1
-            idents = self.predict_ipids()
-            for ident in idents:
-                self.attacker.spoof_fragment(
-                    src=self.nameserver.address, dst=self.resolver.address,
-                    ident=ident, frag_offset_bytes=boundary,
-                    payload=malicious_tail, more_fragments=False,
-                )
+            self.attacker.spoof_fragments(
+                src=self.nameserver.address, dst=self.resolver.address,
+                idents=self.predict_ipids(), frag_offset_bytes=boundary,
+                payload=malicious_tail, more_fragments=False,
+            )
             # World noise: other clients of the nameserver advance its
-            # global IP-ID between our sample and the raced response.
+            # global IP-ID (the one observable policy) between our
+            # sample and the raced response.
             lo, hi = config.cross_traffic_advance
             if ns_host.ipid.observe() is not None and hi > lo:
-                advance = self._world_rng.randint(lo, max(lo, hi - 1))
-                for _ in range(advance):
-                    ns_host.ipid.next_id("world")
+                ns_host.ipid.advance(
+                    self._world_rng.randint(lo, max(lo, hi - 1)))
             trigger.fire(qname, "A")
             result.queries_triggered += 1
             self.network.run(0.4)

@@ -53,11 +53,10 @@ def run(seed: int = 0) -> ExperimentResult:
          f"{boundary}), UDP checksum compensated via TTL",
          src_actor="attacker", dst_actor="resolver")
     idents = attack.predict_ipids()
-    for ident in idents:
-        attacker.spoof_fragment(
-            src=attack.nameserver.address, dst=RESOLVER_IP, ident=ident,
-            frag_offset_bytes=boundary, payload=tail,
-        )
+    attacker.spoof_fragments(
+        src=attack.nameserver.address, dst=RESOLVER_IP, idents=idents,
+        frag_offset_bytes=boundary, payload=tail,
+    )
     note("attacker", "plant",
          f"FragAtk planted in defrag cache for {len(idents)} predicted "
          f"IP-IDs (sampled global counter)",

@@ -11,19 +11,23 @@ reproduces the behaviours that matter:
 * first-arrival-wins on overlap, which is what lets a pre-planted spoofed
   fragment displace the genuine one;
 * a reassembly timeout (Linux default 30 s).
+
+A FragDNS spray (one :class:`~repro.netsim.packet.FragmentSpray`)
+enters the cache in one :meth:`ReassemblyCache.plant`, which leaves the
+cache as one :meth:`ReassemblyCache.add` per fragment would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netsim.packet import Ipv4Packet
+from repro.netsim.packet import PROTO_UDP, FragmentSpray, Ipv4Packet
 
 LINUX_FRAG_TIMEOUT = 30.0
 LINUX_FRAG_CAPACITY = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class _PartialDatagram:
     """Fragments collected so far for one (src, dst, proto, ident) key."""
 
@@ -66,9 +70,10 @@ class _PartialDatagram:
 class ReassemblyCache:
     """A bounded, timing-out IP defragmentation cache.
 
-    Feed fragments in with :meth:`add`; a completed datagram is returned
-    as a fresh unfragmented :class:`Ipv4Packet` (transport not yet parsed
-    — UDP checksum verification happens after reassembly, in the host).
+    Feed fragments in with :meth:`add`, or a whole spray with
+    :meth:`plant`; a completed datagram is returned as a fresh
+    unfragmented :class:`Ipv4Packet` (transport not yet parsed — UDP
+    checksum verification happens after reassembly, in the host).
 
     Virtual time never runs backwards (:meth:`add` refuses it), so the
     insertion order of the partial datagrams is their ``first_seen``
@@ -99,10 +104,7 @@ class ReassemblyCache:
             del partials[key]
             self.timeouts += 1
 
-    def add(self, fragment: Ipv4Packet, now: float) -> Ipv4Packet | None:
-        """Insert a fragment; return the reassembled packet if complete."""
-        if not fragment.is_fragment:
-            raise ValueError("add() expects a fragment")
+    def _tick(self, now: float) -> None:
         if now < self._last:
             # A backwards clock would break the first_seen order that
             # expiry and eviction rely on, so fail loudly instead.
@@ -110,6 +112,12 @@ class ReassemblyCache:
                 f"time went backwards: now={now} < last={self._last}")
         self._last = now
         self.expire(now)
+
+    def add(self, fragment: Ipv4Packet, now: float) -> Ipv4Packet | None:
+        """Insert a fragment; return the reassembled packet if complete."""
+        if not fragment.is_fragment:
+            raise ValueError("add() expects a fragment")
+        self._tick(now)
         key = fragment.fragment_key
         partial = self._partials.get(key)
         if partial is None:
@@ -132,6 +140,39 @@ class ReassemblyCache:
         return template.evolve(
             payload=payload, mf=False, frag_offset=0, udp=None, icmp=None,
         )
+
+    def plant(self, spray: FragmentSpray, now: float) -> list[Ipv4Packet]:
+        """Insert every fragment of ``spray`` as one :meth:`add` each, in
+        order, would; return the datagrams they complete, in order.
+
+        One clock check and one expiry serve the whole spray.  A
+        fragment whose ident is new starts a partial datagram without
+        being built, after evicting the oldest entry if the cache is
+        full.  One whose ident already has a partial goes through
+        :meth:`add`: it may complete a waiting genuine first fragment.
+        """
+        self._tick(now)
+        partials, capacity = self._partials, self.capacity
+        src, dst = spray.src, spray.dst
+        offset, payload = spray.frag_offset, spray.payload
+        total_length = None if spray.mf else offset + len(payload)
+        completed = []
+        evictions = 0  # add never evicts for an ident it already holds
+        for index, ident in enumerate(spray.idents):
+            key = (src, dst, PROTO_UDP, ident)
+            if key in partials:
+                packet = self.add(spray.packet(index), now)
+                if packet is not None:
+                    completed.append(packet)
+                continue
+            if len(partials) >= capacity:
+                del partials[next(iter(partials))]  # the oldest, as in add
+                evictions += 1
+            partials[key] = _PartialDatagram(
+                now, total_length, {offset: payload},
+                spray.packet(index) if offset == 0 else None)
+        self.evictions += evictions
+        return completed
 
 
 def fragment_packet(packet: Ipv4Packet, mtu: int) -> list[Ipv4Packet]:

@@ -26,6 +26,8 @@ from repro.netsim.packet import (
     PROTO_ICMP,
     PROTO_UDP,
     UDP_HEADER_LEN,
+    Burst,
+    FragmentSpray,
     IcmpErrorBurst,
     IcmpMessage,
     Ipv4Packet,
@@ -304,13 +306,14 @@ class Host:
         self.stats.sent += 1
         self.network.transmit(packet, origin=self)
 
-    def raw_send_burst(self, burst: UdpBurst) -> None:
-        """Inject a same-instant burst of (possibly spoofed) UDP datagrams.
+    def raw_send_burst(self, burst: UdpBurst | FragmentSpray) -> None:
+        """Inject a same-instant burst of (possibly spoofed) packets.
 
         The attacker's side of :meth:`send_udp`'s lazy path (SadDNS
-        scan batches and TXID flood chunks): the burst reaches the
-        network as one :meth:`Network.transmit_burst`.  Egress spoofing
-        is checked once, for the burst's shared source.
+        scan batches and TXID flood chunks, FragDNS fragment sprays):
+        the burst reaches the network as one
+        :meth:`Network.transmit_burst`.  Egress spoofing is checked
+        once, for the burst's shared source.
         """
         if self.network is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
@@ -319,9 +322,9 @@ class Host:
             raise PermissionError(
                 f"{self.name} cannot spoof {burst.src}: egress filtering"
             )
-        if not burst.datagrams:
+        if not burst.idents:
             return
-        self.stats.sent += len(burst.datagrams)
+        self.stats.sent += len(burst.idents)
         self.network.transmit_burst(burst, origin=self)
 
     def _transmit(self, packet: Ipv4Packet) -> None:
@@ -360,38 +363,50 @@ class Host:
             if not self.config.accept_fragments:
                 return  # fragment-filtering firewall (Section 6.1)
             reassembled = self.reassembly.add(packet, self.now)
-            if reassembled is None:
-                return
-            self.stats.reassembled += 1
-            try:
-                packet = attach_transport(reassembled)
-            except WireFormatError:
-                self.stats.checksum_drops += 1
-                if self.network is not None and self.network.log.enabled:
-                    self.network.log.record(
-                        self.now, self.name, "ip.checksum_drop",
-                        "reassembled datagram failed checksum",
-                    )
-                return
-        elif packet.udp is None and packet.icmp is None:
+            if reassembled is not None:
+                self._receive_reassembled(reassembled)
+            return
+        if packet.udp is None and packet.icmp is None:
             try:
                 packet = attach_transport(packet)
             except WireFormatError:
                 self.stats.checksum_drops += 1
                 return
+        self._dispatch(packet)
+
+    def _receive_reassembled(self, packet: Ipv4Packet) -> None:
+        """Take a datagram the reassembly cache completed: count it,
+        verify its checksum, and hand it to its transport."""
+        self.stats.reassembled += 1
+        try:
+            packet = attach_transport(packet)
+        except WireFormatError:
+            self.stats.checksum_drops += 1
+            if self.network is not None and self.network.log.enabled:
+                self.network.log.record(
+                    self.now, self.name, "ip.checksum_drop",
+                    "reassembled datagram failed checksum",
+                )
+            return
+        self._dispatch(packet)
+
+    def _dispatch(self, packet: Ipv4Packet) -> None:
         if packet.proto == PROTO_UDP and packet.udp is not None:
             self._receive_udp(packet.src, packet.dst, (packet.udp,),
                               (packet.ident,), packet.df)
         elif packet.proto == PROTO_ICMP and packet.icmp is not None:
             self._deliver_icmp(packet)
 
-    def receive_burst(self, burst: UdpBurst | IcmpErrorBurst) -> None:
+    def receive_burst(self, burst: Burst) -> None:
         """Network entry point for a burst from :meth:`send_udp`,
         :meth:`raw_send_burst` or another host's port-unreachable errors.
 
-        A burst of datagrams goes to :meth:`_receive_udp`.  A burst that
-        needs more (a tap is set, or the destination is not ours) goes
-        through :meth:`receive` one packet at a time.
+        A burst of datagrams goes to :meth:`_receive_udp`, and a
+        fragment spray into the reassembly cache in one
+        :meth:`ReassemblyCache.plant
+        <repro.netsim.fragmentation.ReassemblyCache.plant>`.  A burst
+        that needs more (a tap is set, or the destination is not ours)
+        goes through :meth:`receive` one packet at a time.
         """
         if type(burst) is IcmpErrorBurst:
             self._receive_port_unreachables(burst)
@@ -400,7 +415,12 @@ class Host:
             for packet in burst.packets():
                 self.receive(packet)
             return
-        self.stats.received += len(burst.datagrams)
+        self.stats.received += len(burst.idents)
+        if type(burst) is FragmentSpray:
+            if self.config.accept_fragments:
+                for packet in self.reassembly.plant(burst, self.now):
+                    self._receive_reassembled(packet)
+            return
         self._receive_udp(burst.src, burst.dst, burst.datagrams,
                           burst.idents, burst.df)
 

@@ -57,6 +57,11 @@ class GlobalCounterIPID(IPIDAllocator):
     def observe(self) -> int | None:
         return self._counter
 
+    def advance(self, count: int) -> None:
+        """Skip ``count`` IDs, as ``count`` :meth:`next_id` calls would:
+        packets the simulation does not send (other clients' traffic)."""
+        self._counter = (self._counter + count) & 0xFFFF
+
 
 class PerDestinationIPID(IPIDAllocator):
     """A counter per destination with a randomised start (modern Linux)."""

@@ -17,7 +17,7 @@ from typing import Callable
 from repro.core.clock import Scheduler
 from repro.core.eventlog import EventLog
 from repro.netsim.host import Host
-from repro.netsim.packet import IcmpErrorBurst, Ipv4Packet, UdpBurst
+from repro.netsim.packet import Burst, Ipv4Packet
 
 # An interceptor looks at an in-flight packet and may claim it by
 # returning the host that should receive it instead of the owner.
@@ -199,20 +199,19 @@ class Network:
         # No closure, no handle: deliveries are never cancelled.
         self.scheduler.schedule(latency, self._deliver, packet, target)
 
-    def transmit_burst(self, burst: UdpBurst | IcmpErrorBurst,
-                       origin: Host | None = None) -> None:
+    def transmit_burst(self, burst: Burst, origin: Host | None = None) -> None:
         """Accept a same-instant burst of packets (one src, one dst).
 
         Every unfragmented UDP send arrives here, one datagram from
         :meth:`Host.send_udp` and many from :meth:`Host.raw_send_burst`,
-        and so does every port-unreachable error a host sends, as one
-        burst per receive.  On a clean fabric every packet
-        would take the same route at the same latency, so the burst
-        becomes one heap entry that delivers the packets in order, with
-        the deliveries and stats of :meth:`transmit` called per packet.
-        A fabric that looks at packets one by one (packet tracing,
-        interceptors or a fault injector) gets each packet built and
-        transmitted.
+        and so do every FragDNS fragment spray and the port-unreachable
+        errors a host sends, one burst per receive.  On a clean fabric
+        every packet would take the same route at the same latency, so
+        the burst becomes one heap entry that delivers the packets in
+        order, with the deliveries and stats of :meth:`transmit` called
+        per packet.  A fabric that looks at packets one by one (packet
+        tracing, interceptors or a fault injector) gets each packet built
+        and transmitted.
         """
         if self.trace_packets or self._interceptors \
                 or self._faults is not None:
@@ -243,8 +242,7 @@ class Network:
         self.stats.note_delivery(packet.dst)
         target.receive(packet)
 
-    def _deliver_burst(self, burst: UdpBurst | IcmpErrorBurst,
-                       target: Host) -> None:
+    def _deliver_burst(self, burst: Burst, target: Host) -> None:
         count = len(burst.idents)
         self.stats.delivered += count
         self.stats.per_destination[burst.dst] += count

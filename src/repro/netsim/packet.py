@@ -20,6 +20,11 @@ counts and rate-limits each run of closed-port datagrams in one step,
 a sweep's without building them, and the resolver's socket, which
 takes a whole TXID sweep in one call, reads just the one datagram
 carrying the TXID it waits for.
+A FragDNS spray travels as one :class:`FragmentSpray`: fragments that
+differ only in IP ident, which the resolver plants in its reassembly
+cache in one call (:meth:`ReassemblyCache.plant
+<repro.netsim.fragmentation.ReassemblyCache.plant>`) without building
+them.
 
 Every class here carries ``__slots__``: volume attacks construct millions
 of packets per campaign, and slotted frozen dataclasses cut both the
@@ -385,3 +390,50 @@ class IcmpErrorBurst:
     def packets(self) -> list[Ipv4Packet]:
         """Every error's packet, in order."""
         return [self.packet(index) for index in range(len(self.idents))]
+
+
+@dataclass(frozen=True, slots=True)
+class FragmentSpray:
+    """Same-instant UDP fragments that differ only in their IP ident.
+
+    A FragDNS spray: fragment ``i`` carries ``payload`` at byte offset
+    ``frag_offset`` (a multiple of 8) of the datagram with IP ident
+    ``idents[i]``, from ``src`` to ``dst``, with the MF flag ``mf``.
+    Offset, flags and idents are checked once, here; :meth:`packet`
+    builds a fragment only where one has to exist (a watched fabric, a
+    packet tap, a diverted destination).
+    """
+
+    src: str
+    dst: str
+    frag_offset: int  # in bytes, unlike Ipv4Packet.frag_offset
+    payload: bytes
+    mf: bool
+    idents: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.frag_offset % 8:
+            raise ValueError("fragment offset must be 8-byte aligned")
+        if not 0 <= self.frag_offset // 8 <= 0x1FFF:
+            raise ValueError(
+                f"fragment offset out of range: {self.frag_offset}")
+        if not (self.mf or self.frag_offset):
+            raise ValueError("a spray fragment needs MF or an offset")
+        if self.idents and not (0 <= min(self.idents)
+                                and max(self.idents) <= 0xFFFF):
+            raise ValueError("spray IP ident out of range")
+
+    def packet(self, index: int) -> Ipv4Packet:
+        """Fragment ``index`` as a raw :class:`Ipv4Packet`."""
+        return Ipv4Packet(src=self.src, dst=self.dst, proto=PROTO_UDP,
+                          payload=self.payload, ident=self.idents[index],
+                          mf=self.mf, frag_offset=self.frag_offset // 8)
+
+    def packets(self) -> list[Ipv4Packet]:
+        """Every fragment's packet, in order."""
+        return [self.packet(index) for index in range(len(self.idents))]
+
+
+# Everything Network.transmit_burst carries: one heap entry per burst on
+# a clean fabric.
+Burst = UdpBurst | IcmpErrorBurst | FragmentSpray

@@ -192,3 +192,122 @@ class TestEndToEnd:
         # 40 attempts x 64/65536 ~ 4% success probability: overwhelmingly
         # this fails, demonstrating the 0.1% hitrate regime.
         assert result.iterations > 5 or result.success is False
+
+
+def _sprayed_cell(scenario, per_packet):
+    """Run ``scenario`` at seed ``spray-1``, recording the length of
+    every fragment spray the attacker sends.
+
+    ``per_packet`` installs an interceptor that claims nothing: the
+    fabric is then no longer clean, so each spray reaches the resolver
+    as packets, one reassembly-cache ``add`` each, instead of one
+    ``plant``.  Returns the built world, its run and the spray lengths.
+    """
+    from repro.netsim.packet import FragmentSpray
+
+    built = scenario.build(seed="spray-1")
+    if per_packet:
+        built.network.add_interceptor(lambda packet, origin: None)
+    sprays = []
+    attacker = built.attacker
+    inject = attacker.inject_burst
+
+    def injected(burst):
+        if type(burst) is FragmentSpray:
+            sprays.append(len(burst.idents))
+        inject(burst)
+
+    attacker.inject_burst = injected
+    return built, built.execute(), sprays
+
+
+def _blind_cell():
+    from repro.scenario import AttackScenario
+
+    return AttackScenario(
+        method="FragDNS", label="FragDNS (random IPID)",
+        ns_host_config=HostConfig(ipid_policy="random", min_accepted_mtu=68),
+        attack_config=FragDnsConfig(max_attempts=8, attempt_spacing=0.2))
+
+
+def _defended_cell(defense):
+    from repro.defenses import DefenseStack
+    from repro.defenses.ablation import defended_scenario
+
+    return defended_scenario("FragDNS", DefenseStack.of(defense),
+                             frag_attempts=20)
+
+
+def _host_stats(built):
+    return [host.stats for host in (built.resolver.host,
+                                     built.attack.nameserver.host,
+                                     built.attacker.host)]
+
+
+def _rng_states(built):
+    return [rng.getstate() for rng in (
+        built.attacker.rng, built.attack._rng, built.attack._world_rng,
+        built.resolver.rng, *(host.rng for host in built.network.hosts))]
+
+
+# Per cell: does the attack succeed, and does it spray at all?  (The
+# PMTU clamp stops it before the first attempt.)
+_SPRAY_CELLS = {
+    "0x20-encoding": (True, True),
+    # One forged fragment meets a shuffled first fragment: the
+    # reassembled datagram fails its UDP checksum.
+    "randomize-records": (False, True),
+    "block-fragments": (False, True),
+    "pmtu-clamp": (False, False),
+    "no-icmp-errors": (True, True),
+    "randomized-icmp-limit": (True, True),
+    # The forgery reassembles and fails validation.
+    "dnssec": (False, True),
+    "rpki-rov": (True, True),
+    "blind-random-ipid": (False, True),
+}
+
+
+class TestSprayDifferential:
+    @pytest.mark.parametrize("cell", list(_SPRAY_CELLS))
+    def test_spray_and_per_packet_paths_agree(self, cell):
+        """A spray planted in one reassembly-cache call leaves the run,
+        every counter, the caches and every RNG as one packet per
+        fragment does, with one scheduler event per spray."""
+        import dataclasses
+
+        from repro.defenses import ALL_DEFENSES
+
+        if cell == "blind-random-ipid":
+            scenario = _blind_cell()
+        else:
+            (defense,) = [d for d in ALL_DEFENSES if d.key == cell]
+            scenario = _defended_cell(defense)
+        (lazy, lazy_run, sprays), (single, single_run, single_sprays) = (
+            _sprayed_cell(scenario, per_packet)
+            for per_packet in (False, True))
+        success, sprayed = _SPRAY_CELLS[cell]
+        assert lazy_run.result.success is success
+        assert bool(sprays) is sprayed
+        assert sprays == single_sprays
+        assert dataclasses.replace(lazy_run, wall_time=0.0) \
+            == dataclasses.replace(single_run, wall_time=0.0)
+        assert lazy.network.stats == single.network.stats
+        assert _host_stats(lazy) == _host_stats(single)
+        assert lazy.resolver.stats == single.resolver.stats
+        assert lazy.resolver.cache._entries == single.resolver.cache._entries
+        assert lazy.resolver.cache.stats == single.resolver.cache.stats
+        lazy_cache, single_cache = (world.resolver.host.reassembly
+                                    for world in (lazy, single))
+        assert (lazy_cache.evictions, lazy_cache.timeouts,
+                lazy_cache.reassembled, list(lazy_cache._partials)) \
+            == (single_cache.evictions, single_cache.timeouts,
+                single_cache.reassembled, list(single_cache._partials))
+        if cell == "randomize-records":
+            assert lazy.resolver.host.stats.checksum_drops > 0
+        # Every RNG draw happened, in the same order.
+        assert _rng_states(lazy) == _rng_states(single)
+        # Each spray of n fragments is one scheduler event, not n.
+        assert single.network.scheduler.executed \
+            - lazy.network.scheduler.executed \
+            == sum(length - 1 for length in sprays)

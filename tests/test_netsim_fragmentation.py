@@ -9,7 +9,7 @@ from repro.netsim.fragmentation import (
     _PartialDatagram,
     fragment_packet,
 )
-from repro.netsim.packet import Ipv4Packet, PROTO_UDP
+from repro.netsim.packet import FragmentSpray, Ipv4Packet, PROTO_UDP
 
 
 def make_packet(payload: bytes, ident: int = 1,
@@ -220,3 +220,99 @@ class TestReassemblyCacheScans:
         ref_expire(ref, now + 5.5)
         assert fast.timeouts == ref.timeouts
         assert list(fast._partials) == list(ref._partials)
+
+
+# -- a spray planted in one call against one add per fragment ---------------
+
+# Two fragments per datagram at MTU 68: 48 payload bytes at offset 0
+# (MF set), then the last 32 at byte offset 48.
+_PAIRS = [fragment_packet(make_packet(bytes([ident]) * 80, ident=ident), 68)
+          for ident in range(6)]
+
+# Spray shapes as (byte offset, payload, MF): a forged last fragment,
+# which completes a waiting first fragment; a middle piece, which never
+# completes one; and a forged first fragment, whose header a genuine
+# last fragment reassembles with.
+_SPRAYS = [(48, b"\xee" * 32, False), (48, b"\xdd" * 16, True),
+           (0, b"\xcc" * 48, True)]
+
+
+def _spray(shape, idents):
+    offset, payload, mf = _SPRAYS[shape]
+    return FragmentSpray("1.1.1.1", "2.2.2.2", offset, payload, mf,
+                         tuple(idents))
+
+
+def _contents(cache):
+    return ([(key, partial.first_seen, partial.total_length, partial.spans,
+              partial.template)
+             for key, partial in cache._partials.items()],
+            cache.evictions, cache.timeouts, cache.reassembled)
+
+
+class TestReassemblyCachePlant:
+    @given(capacity=st.integers(min_value=1, max_value=4),
+           steps=st.lists(st.tuples(
+               st.sampled_from([0.0, 0.0, 0.5, 2.5, 6.0]),
+               st.one_of(
+                   # one genuine fragment: (ident, first or last)
+                   st.tuples(st.integers(min_value=0, max_value=5),
+                             st.integers(min_value=0, max_value=1)),
+                   # a spray: (shape, idents), repeats and all (never
+                   # empty: a host sends no empty burst)
+                   st.tuples(st.integers(min_value=0, max_value=2),
+                             st.lists(st.integers(min_value=0, max_value=5),
+                                      min_size=1, max_size=8)).map(
+                       lambda spray: _spray(*spray)))),
+               max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_plant_matches_one_add_per_fragment(self, capacity, steps):
+        """Returned datagrams, counters, partial contents and their
+        order, for sprays longer than the cache, repeated idents, ties
+        and expiries in time, and genuine fragments in between."""
+        bulk = ReassemblyCache(capacity=capacity, timeout=5.0)
+        single = ReassemblyCache(capacity=capacity, timeout=5.0)
+        now = 0.0
+        for step, item in steps:
+            now += step
+            if type(item) is FragmentSpray:
+                got = bulk.plant(item, now)
+                expected = [packet for packet in (
+                    single.add(fragment, now) for fragment in item.packets())
+                    if packet is not None]
+            else:
+                ident, index = item
+                got = [bulk.add(_PAIRS[ident][index], now)]
+                expected = [single.add(_PAIRS[ident][index], now)]
+            assert got == expected
+            assert [packet.payload for packet in got if packet] \
+                == [packet.payload for packet in expected if packet]
+            assert _contents(bulk) == _contents(single)
+
+    def test_plant_completes_a_waiting_first_fragment(self):
+        """An ident whose genuine first fragment waits in the cache is
+        not skipped: the forged last fragment completes the datagram,
+        in spray order, between fragments that start new partials."""
+        cache = ReassemblyCache(capacity=3)
+        first, _last = _PAIRS[2]
+        assert cache.add(first, 0.0) is None
+        (poisoned,) = cache.plant(_spray(0, [4, 2, 5]), 0.5)
+        assert poisoned.ident == 2
+        assert poisoned.payload == first.payload + b"\xee" * 32
+        assert not poisoned.is_fragment
+        assert cache.reassembled == 1
+        assert [key[3] for key in cache._partials] == [4, 5]
+        assert cache.evictions == 0
+
+    def test_plant_evicts_its_own_oldest_fragments(self):
+        cache = ReassemblyCache(capacity=2)
+        assert cache.plant(_spray(1, range(5)), 0.0) == []
+        assert [key[3] for key in cache._partials] == [3, 4]
+        assert cache.evictions == 3
+
+    def test_plant_refuses_a_backwards_clock(self):
+        cache = ReassemblyCache()
+        cache.plant(_spray(0, [1]), 2.0)
+        with pytest.raises(ValueError, match="backwards"):
+            cache.plant(_spray(0, [2]), 1.0)
+        assert len(cache) == 1

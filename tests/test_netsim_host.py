@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rng import DeterministicRNG
+from repro.netsim.fragmentation import fragment_packet
 from repro.netsim.host import Host, HostConfig, HostStats
 from repro.netsim.network import Network
 from repro.netsim.packet import (
@@ -10,6 +11,8 @@ from repro.netsim.packet import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
     ICMP_FRAG_NEEDED,
+    PROTO_UDP,
+    FragmentSpray,
     IcmpMessage,
     Ipv4Packet,
     PortSweep,
@@ -410,6 +413,131 @@ class TestRawSendBurst:
         with pytest.raises(ValueError, match="sweep handler"):
             b.receive_burst(_flood_chunk())
         assert b.stats.udp_delivered == 0
+
+
+def _genuine_fragments(ident=7):
+    """A datagram to b's port 53 at MTU 68: 48 bytes at offset 0 (MF),
+    then the last 32 at byte offset 48."""
+    return fragment_packet(make_udp_packet(
+        "10.0.0.9", "10.0.0.2", 53, 53, bytes(range(72)), ident=ident), 68)
+
+
+def _forged_spray(payload=None, idents=(3, 7, 9, 7), dst="10.0.0.2"):
+    """Forged last fragments for ``idents``; ``payload`` defaults to the
+    genuine one, so the datagram of ident 7 checks out."""
+    last = _genuine_fragments()[1]
+    return FragmentSpray("10.0.0.9", dst, last.frag_offset * 8,
+                         payload if payload is not None else last.payload,
+                         False, idents)
+
+
+def _received_spray(lazy, spray, config=None, tap=False, first=True):
+    """What b makes of ``spray``, taken as one burst (``lazy``) or as
+    one packet per fragment, after the genuine first fragment of ident
+    7 (``first``): its socket's and tap's deliveries, its stats, its
+    reassembly cache and the log."""
+    net, _a, b = two_hosts(config)
+    got, tapped = [], []
+    b.open_udp(53, lambda datagram, src, dst: got.append(datagram.payload))
+    if first:
+        b.receive(_genuine_fragments()[0])
+    if tap:
+        b.packet_tap = tapped.append
+    if lazy:
+        b.receive_burst(spray)
+    else:
+        for packet in spray.packets():
+            b.receive(packet)
+    cache = b.reassembly
+    return (got, tapped, b.stats,
+            [(key, partial.first_seen, partial.spans)
+             for key, partial in cache._partials.items()],
+            (cache.evictions, cache.timeouts, cache.reassembled),
+            [(event.kind, event.detail) for event in net.log])
+
+
+class TestFragmentSpray:
+    def test_packets_are_what_one_raw_fragment_at_a_time_builds(self):
+        spray = _forged_spray()
+        assert spray.packets() == [spray.packet(i) for i in range(4)] == [
+            Ipv4Packet(src="10.0.0.9", dst="10.0.0.2", proto=PROTO_UDP,
+                       payload=spray.payload, ident=ident,
+                       frag_offset=spray.frag_offset // 8)
+            for ident in (3, 7, 9, 7)]
+
+    @pytest.mark.parametrize("args", [
+        (44, False, (1,)), (0x2000 * 8, False, (1,)), (0, False, (1,)),
+        (48, False, (1, 0x10000)), (48, True, (-1,))],
+        ids=["misaligned", "offset-out-of-range", "not-a-fragment",
+             "ident-above-range", "negative-ident"])
+    def test_bad_sprays_raise(self, args):
+        offset, mf, idents = args
+        with pytest.raises(ValueError):
+            FragmentSpray("10.0.0.9", "10.0.0.2", offset, b"x" * 8, mf,
+                          idents)
+
+    def test_spray_is_one_event_with_the_per_packet_counters(self):
+        outcomes = []
+        for lazy in (True, False):
+            net, a, b = two_hosts()
+            b.receive(_genuine_fragments()[0])
+            got = []
+            b.open_udp(53, lambda datagram, src, dst: got.append(datagram))
+            spray = _forged_spray(idents=tuple(range(64)))
+            if lazy:
+                a.raw_send_burst(spray)
+            else:
+                for packet in spray.packets():
+                    a.raw_send(packet)
+            net.run()
+            outcomes.append((got, a.stats, b.stats, net.stats,
+                             list(b.reassembly._partials),
+                             net.scheduler.executed))
+        assert outcomes[0][:-1] == outcomes[1][:-1]
+        assert (outcomes[0][-1], outcomes[1][-1]) == (1, 64)
+        got, _a_stats, b_stats = outcomes[0][:3]
+        assert [datagram.payload for datagram in got] == [bytes(range(72))]
+        assert (b_stats.received, b_stats.reassembled) == (65, 1)
+        # Ident 7 left the cache complete; the other 63 forged
+        # fragments wait.
+        assert len(outcomes[0][4]) == 63
+
+    @pytest.mark.parametrize("case", [
+        "completes", "tapped", "checksum-fails", "fragment-filter"])
+    def test_spray_matches_the_per_packet_path(self, case):
+        spray = _forged_spray(b"\xee" * 32 if case == "checksum-fails"
+                              else None)
+        config = HostConfig(accept_fragments=False) \
+            if case == "fragment-filter" else None
+        lazy, single = (_received_spray(lazy, spray, config,
+                                        tap=case == "tapped")
+                        for lazy in (True, False))
+        assert lazy == single
+        got, tapped, stats, partials, counters, log = lazy
+        assert stats.received == 5
+        assert tapped == (spray.packets() if case == "tapped" else [])
+        if case == "fragment-filter":
+            assert (got, partials, counters) == ([], [], (0, 0, 0))
+        elif case == "checksum-fails":
+            assert got == []
+            assert stats.checksum_drops == stats.reassembled == 1
+            assert log == [("ip.checksum_drop",
+                            "reassembled datagram failed checksum")]
+        else:
+            assert got == [bytes(range(72))]
+            assert stats.checksum_drops == 0
+            # Ident 7 completed; ident 7's repeat starts a new partial.
+            assert [key[3] for key, _, _ in partials] == [3, 9, 7]
+
+    def test_spray_to_a_diverted_destination_reaches_only_the_tap(self):
+        spray = _forged_spray(dst="10.0.0.3")
+        lazy, single = (_received_spray(lazy, spray, tap=True, first=False)
+                        for lazy in (True, False))
+        assert lazy == single
+        got, tapped, stats, partials, counters, _log = lazy
+        assert tapped == spray.packets()
+        assert (got, partials, counters) == ([], [], (0, 0, 0))
+        assert stats.received == 4
 
 
 def _packet_path_send(host, src, sport, dst, dport, payload, df=False):

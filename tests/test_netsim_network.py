@@ -59,6 +59,18 @@ class TestIpid:
         assert alloc.next_id("a") == 0xFFFF
         assert alloc.next_id("a") == 0
 
+    @pytest.mark.parametrize("count", [0, 1, 319, 0x10000 + 5])
+    def test_global_counter_advance_matches_next_id_calls(self, count):
+        """The FragDNS cross-traffic advance: one call, the state of
+        ``count`` allocations, wrap-around included."""
+        bulk, single = GlobalCounterIPID(start=0xFF00), \
+            GlobalCounterIPID(start=0xFF00)
+        bulk.advance(count)
+        for _ in range(count):
+            single.next_id("world")
+        assert bulk.observe() == single.observe()
+        assert bulk.next_id("a") == single.next_id("a")
+
     def test_per_destination_isolated(self):
         alloc = PerDestinationIPID(DeterministicRNG(1))
         first_a = alloc.next_id("a")
