@@ -6,10 +6,11 @@ up to 1.58M open resolvers and 1M domains.  The sampled experiment path
 those numbers honest statistically; the atlas makes them *computable*:
 
 * **sharded synthesis** (:mod:`repro.atlas.synth`) — every entity is
-  seeded by ``(seed, dataset, index)`` and produced by the same draw
-  kernel the monolithic generator uses, so shard producers are
-  seekable, stream in constant memory, and a shard-merge equals the
-  monolithic stream bit-for-bit;
+  seeded by ``(seed, dataset, index)`` and produced by the per-entity
+  draw kernels of :mod:`repro.measurements.population`, so shard
+  producers are seekable, stream in constant memory, and a shard-merge
+  equals the one-range stream bit-for-bit; the sampled experiments
+  draw from these same streams;
 * **parallel scan pipeline** (:mod:`repro.atlas.pipeline`) — shards run
   on ``concurrent.futures`` process workers and return mergeable
   :class:`repro.atlas.aggregate.ScanAggregate` counters/histograms,

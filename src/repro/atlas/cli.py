@@ -3,8 +3,8 @@
 Six subcommands tie the subsystem together:
 
 * ``synth`` — stream a population shard-by-shard, report throughput and
-  a rolling checksum; ``--verify`` additionally streams the monolithic
-  generator and proves the shard-merge is bit-identical.
+  a rolling checksum; ``--verify`` additionally streams the whole range
+  as one stream and proves the shard-merge is bit-identical.
 * ``scan`` — run the sharded Section 5 scan over one or all datasets at
   full paper scale (resumable with ``--store``), print each dataset's
   aggregate checksum and the atlas-backed Tables 3/4 (and the Table 5

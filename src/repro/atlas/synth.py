@@ -1,13 +1,13 @@
 """Sharded population synthesis: constant-memory entity streams.
 
-The monolithic :class:`repro.measurements.population.PopulationGenerator`
-threads one RNG stream through a whole dataset, so entity *N* cannot be
-produced without first producing entities *0..N-1*.  The atlas breaks
-that dependency: every entity derives its own RNG stream from
-``(seed, kind, dataset, index)`` and its addresses from ``index`` alone,
-then runs the *same* per-entity draw kernel
-(:func:`repro.measurements.population.draw_resolver_profile` /
-:func:`draw_domain_profile`).  Consequences:
+These streams are the one source of every Table 3/4 population: the
+sampled survey tables and Figures 3-5 take a stream's first
+``sample_size`` entities, the full scans stream all of them.  Every
+entity derives its own RNG stream from ``(seed, kind, dataset, index)``
+and its addresses from ``index`` alone, then runs the per-entity draw
+kernel (:func:`repro.measurements.population.draw_resolver_profile` /
+:func:`draw_domain_profile`), so entity *N* never waits for entities
+*0..N-1*.  Consequences:
 
 * a shard producer can start at any index — shards are seekable;
 * concatenating shard streams in index order is **bit-for-bit equal**
@@ -20,7 +20,6 @@ then runs the *same* per-entity draw kernel
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro.core.rng import DeterministicRNG
@@ -36,9 +35,8 @@ from repro.measurements.population import (
     resolver_prefix_mix,
     resolver_rates,
 )
-# Same 11.0.0.0-based stride walk the monolithic generator uses, but
-# computed from the entity index so any shard can address its entities
-# without a shared counter.
+# An 11.0.0.0-based stride walk, computed from the entity index so any
+# shard can address its entities without a shared counter.
 _ADDRESS_BASE = 0x0B000000
 _ADDRESS_STRIDE = 7
 
@@ -129,7 +127,6 @@ def iter_domains(spec: DomainDatasetSpec, seed: int | str = 0,
         hi = spec.full_size
     root = _dataset_rng(seed, "domain", spec.key)
     rates = domain_rates(spec)
-    rates = replace(rates, prefix_mix=MixSampler(rates.prefix_mix))
     n_ns = spec.ns_per_domain
     subs = range(n_ns)
     key_prefix = spec.key + "-"

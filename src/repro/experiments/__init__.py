@@ -1,7 +1,10 @@
 """Experiment registry: one module per paper table/figure.
 
-Every module exposes ``run(seed=..., ...) -> ExperimentResult``; the
-benches in ``benchmarks/`` call these and print the rendered output.
+Every module exposes ``run(seed=..., ...) -> ExperimentResult``;
+``scripts/generate_experiments_md.py`` renders them into EXPERIMENTS.md
+and ``tests/test_experiments.py`` asserts their shapes.  The sampled
+surveys (Tables 3-4, Figures 3-5, §4.3) all draw from the
+:mod:`repro.atlas.synth` entity streams.
 """
 
 from repro.experiments import (

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
+from repro.atlas.shards import find_dataset
+from repro.atlas.synth import iter_entities
 from repro.experiments.base import ExperimentResult
-from repro.measurements.population import (
-    DOMAIN_DATASETS,
-    PopulationGenerator,
-    RESOLVER_DATASETS,
-)
+from repro.measurements.population import sample_size
 from repro.measurements.report import histogram, render_table
 from repro.measurements.scanner import harvest_prefix_lengths
 
@@ -19,19 +17,17 @@ POPULATIONS = [
 
 
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
-    """Histogram announced prefix lengths for the three populations."""
-    generator = PopulationGenerator(seed=seed, scale=scale)
-    spec_by_key = {spec.key: spec for spec in RESOLVER_DATASETS}
-    domain_spec = next(spec for spec in DOMAIN_DATASETS
-                       if spec.key == "alexa")
+    """Histogram announced prefix lengths for the three populations.
+
+    Each population is the ``scale`` sample Table 3/4 scans: the first
+    :func:`sample_size` entities of the dataset's atlas stream.
+    """
     series: dict[str, dict[int, float]] = {}
     for label, key in POPULATIONS:
-        if key == "alexa":
-            population = generator.domain_population(domain_spec)
-        else:
-            population = generator.resolver_population(spec_by_key[key])
-        lengths = harvest_prefix_lengths(population)
-        series[label] = histogram(lengths)
+        spec = find_dataset(key)
+        population = iter_entities(
+            spec, seed=seed, hi=sample_size(spec.full_size, scale))
+        series[label] = histogram(harvest_prefix_lengths(population))
     headers = ["Prefix length"] + [label for label, _key in POPULATIONS]
     rows = []
     for length in range(11, 25):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from repro.atlas.shards import find_dataset
+from repro.atlas.synth import iter_entities
 from repro.experiments.base import ExperimentResult
 from repro.measurements.population import (
-    PopulationGenerator,
-    RESOLVER_DATASETS,
+    alexa_nameserver_population,
+    sample_size,
 )
 from repro.measurements.report import cdf_series, render_table
 from repro.measurements.scanner import (
@@ -18,14 +20,11 @@ CDF_POINTS = [68, 292, 548, 1500, 2048, 3072, 4096]
 
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Compute both CDFs of the paper's Figure 4."""
-    generator = PopulationGenerator(seed=seed, scale=scale)
-    open_spec = next(spec for spec in RESOLVER_DATASETS
-                     if spec.key == "open")
-    front_ends = generator.resolver_population(open_spec)
-    edns_sizes = harvest_edns_sizes(front_ends)
-    alexa_ns = generator.alexa_nameserver_population(
-        count=max(500, int(4000 * scale * 25))
-    )
+    open_spec = find_dataset("open")
+    edns_sizes = harvest_edns_sizes(iter_entities(
+        open_spec, seed=seed, hi=sample_size(open_spec.full_size, scale)))
+    alexa_ns = alexa_nameserver_population(
+        seed, count=max(500, int(4000 * scale * 25)))
     frag_sizes = harvest_min_fragment_sizes(alexa_ns)
     edns_cdf = cdf_series(edns_sizes, CDF_POINTS)
     frag_cdf = cdf_series(frag_sizes, CDF_POINTS)

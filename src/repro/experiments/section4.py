@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.atlas.shards import find_dataset
+from repro.atlas.synth import iter_entities
 from repro.experiments.base import ExperimentResult
 from repro.measurements.misc import (
     assign_cached_apps,
@@ -9,22 +11,19 @@ from repro.measurements.misc import (
     measure_forwarder_coverage,
     probe_shared_caches,
 )
-from repro.measurements.population import (
-    PopulationGenerator,
-    RESOLVER_DATASETS,
-)
+from repro.measurements.population import sample_size
 from repro.measurements.report import render_table
 
 
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Reproduce the 69% shared-cache and 79% forwarder-coverage results."""
-    generator = PopulationGenerator(seed=seed, scale=scale)
-    open_spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-    adnet_spec = next(s for s in RESOLVER_DATASETS if s.key == "ad-net")
-    open_resolvers = generator.resolver_population(open_spec)
-    adnet_clients = generator.resolver_population(
-        adnet_spec, size=max(300, generator.sample_size(adnet_spec.full_size))
-    )
+    open_spec = find_dataset("open")
+    adnet_spec = find_dataset("ad-net")
+    open_resolvers = list(iter_entities(
+        open_spec, seed=seed, hi=sample_size(open_spec.full_size, scale)))
+    adnet_clients = list(iter_entities(
+        adnet_spec, seed=seed,
+        hi=max(300, sample_size(adnet_spec.full_size, scale))))
     assign_cached_apps(open_resolvers, seed=seed)
     shared = probe_shared_caches(open_resolvers)
     assign_forwarders(open_resolvers, adnet_clients, seed=seed)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.core.rng import DeterministicRNG
 from repro.experiments.base import ExperimentResult
 from repro.measurements.misc import measure_record_type_rates
-from repro.measurements.population import PopulationGenerator
+from repro.measurements.population import alexa_nameserver_population
 from repro.measurements.report import render_table
 from repro.measurements.simulate_hijack import (
     nameserver_concentration,
@@ -15,13 +15,11 @@ from repro.measurements.simulate_hijack import (
 )
 
 
-def run(seed: int = 0, trials: int = 120, scale: float = 0.01
-        ) -> ExperimentResult:
+def run(seed: int = 0, trials: int = 120) -> ExperimentResult:
     """Same-prefix hijack success, record-type fragmentation, hosting."""
     same = simulate_sameprefix_hijacks(trials=trials, seed=seed)
     sub = simulate_subprefix_hijacks(trials=max(30, trials // 3), seed=seed)
-    generator = PopulationGenerator(seed=seed, scale=scale)
-    alexa_ns = generator.alexa_nameserver_population(count=4000)
+    alexa_ns = alexa_nameserver_population(seed, count=4000)
     rates = measure_record_type_rates(alexa_ns)
     # Hosting concentration: assign nameservers to ASes with a heavy
     # tail, then compute the top-20% share.

@@ -9,10 +9,12 @@ paper's per-dataset numbers (Tables 3 and 4), and the scanners in
 same probe logic the paper used — without ever reading the ground truth
 directly.
 
-Scaling: the real datasets reach 1.58M resolvers.  ``scale`` samples the
-population while ``full_size`` is preserved for reporting, so benches
-print the paper's dataset sizes next to measured percentages from the
-sampled population.
+Scaling: the real datasets reach 1.58M resolvers.  The entities
+themselves are streamed by :mod:`repro.atlas.synth` (one derived RNG
+stream per entity, over the draw kernels below); a sampled experiment
+takes the first :func:`sample_size` entities of a stream, while
+``full_size`` is preserved for reporting, so the tables print the
+paper's dataset sizes next to percentages measured on the sample.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ def _prefix_length_distribution(slash24_mass: float,
 class MixSampler:
     """Precompiled categorical sampler over a value -> mass mix.
 
-    The cumulative masses accumulate in the mix's iteration order with
-    the same float additions as the linear scan in
-    :func:`_draw_from_mix`, and ``point <= acc`` is exactly
-    ``bisect_left(cumulative, point)``, so draws are bit-identical —
-    just without re-walking the mix per entity.
+    The cumulative masses accumulate in the mix's iteration order, and
+    one draw returns the first value whose cumulative mass reaches the
+    point (``bisect_left``), or the largest value when float rounding
+    leaves the total short of 1 — without re-walking the mix per
+    entity.
     """
 
     __slots__ = ("values", "cumulative", "fallback")
@@ -74,19 +76,6 @@ class MixSampler:
         index = bisect_left(self.cumulative, point)
         values = self.values
         return values[index] if index < len(values) else self.fallback
-
-
-def _draw_from_mix(rng: DeterministicRNG,
-                   mix: dict[int, float] | MixSampler) -> int:
-    if type(mix) is MixSampler:
-        return mix.draw(rng)
-    point = rng.random()
-    acc = 0.0
-    for value, mass in mix.items():
-        acc += mass
-        if point <= acc:
-            return value
-    return max(mix)
 
 
 @lru_cache(maxsize=None)
@@ -376,28 +365,21 @@ def resolver_rates(spec: ResolverDatasetSpec) -> ResolverRates:
 
 
 def draw_resolver_profile(rng: DeterministicRNG, spec: ResolverDatasetSpec,
-                          address: str,
-                          prefix_mix: dict[int, float] | None = None,
-                          icmp_rng: DeterministicRNG | None = None,
-                          rates: ResolverRates | None = None
-                          ) -> ResolverProfile:
+                          address: str, prefix_mix: MixSampler,
+                          icmp_rng: DeterministicRNG,
+                          rates: ResolverRates) -> ResolverProfile:
     """Draw one calibrated resolver.
 
-    This is the per-entity kernel shared by the monolithic
-    :class:`PopulationGenerator` (one sequential stream per dataset) and
-    the :mod:`repro.atlas` shard producers (one derived stream per
-    entity): both paths consume randomness in exactly this order, so the
-    distributions are identical by construction.
+    This is the per-entity kernel of the :mod:`repro.atlas` entity
+    streams (one derived stream per entity); the vector scan kernel in
+    :mod:`repro.parallel.kernel` consumes randomness in exactly this
+    order, so its verdicts are bit-identical by construction.
     """
-    if prefix_mix is None:
-        prefix_mix = resolver_prefix_mix(spec)
-    if rates is None:
-        rates = resolver_rates(spec)
     reachable = not rng.chance(spec.rate_unreachable)
     icmp = IcmpBehaviour(
         rate_limited=True,
         randomized=not rng.chance(rates.conditional_saddns),
-        rng=icmp_rng if icmp_rng is not None else rng.derive("icmp"),
+        rng=icmp_rng,
     )
     edns = draw_edns_size(rng, spec.edns_mix)
     # The fragmentation scan needs both fragment acceptance and an EDNS
@@ -407,7 +389,7 @@ def draw_resolver_profile(rng: DeterministicRNG, spec: ResolverDatasetSpec,
     return ResolverProfile(
         address=address,
         asn=rng.uniform_int(1, 60_000),
-        prefix_length=_draw_from_mix(rng, prefix_mix),
+        prefix_length=prefix_mix.draw(rng),
         reachable=reachable,
         icmp=icmp,
         accepts_fragments=accepts,
@@ -424,7 +406,7 @@ class DomainRates:
     derated as 1-(1-p)^(1/n) so the per-domain rates match the paper.
     """
 
-    prefix_mix: dict[int, float]
+    prefix_mix: MixSampler
     p_rrl: float
     p_frag_any: float
     p_global: float
@@ -444,7 +426,8 @@ def domain_rates(spec: DomainDatasetSpec) -> DomainRates:
     n_ns = spec.ns_per_domain
     per_ns_hijack = _per_item_rate(spec.expected_hijack / 100.0, n_ns)
     return DomainRates(
-        prefix_mix=_prefix_length_distribution(1.0 - per_ns_hijack),
+        prefix_mix=MixSampler(
+            _prefix_length_distribution(1.0 - per_ns_hijack)),
         p_rrl=_per_item_rate(spec.expected_saddns / 100.0, n_ns),
         p_frag_any=min(1.0, _per_item_rate(
             spec.expected_frag_any / 100.0, n_ns) / ANY_SCAN_PASS_RATE),
@@ -464,7 +447,7 @@ def draw_nameserver_profile(rng: DeterministicRNG, rates: DomainRates,
     return NameserverProfile(
         address=address,
         asn=rng.uniform_int(1, 60_000),
-        prefix_length=_draw_from_mix(rng, rates.prefix_mix),
+        prefix_length=rates.prefix_mix.draw(rng),
         honours_ptb=frag_capable,
         min_frag_size=(
             rng.choice(MIN_FRAG_CHOICES) if frag_capable else 1500
@@ -478,10 +461,8 @@ def draw_nameserver_profile(rng: DeterministicRNG, rates: DomainRates,
 
 def draw_domain_profile(rng: DeterministicRNG, spec: DomainDatasetSpec,
                         name: str, addresses: list[str],
-                        rates: DomainRates | None = None) -> DomainProfile:
+                        rates: DomainRates) -> DomainProfile:
     """Draw one calibrated domain with ``len(addresses)`` nameservers."""
-    if rates is None:
-        rates = domain_rates(spec)
     nameservers = [draw_nameserver_profile(rng, rates, address)
                    for address in addresses]
     return DomainProfile(
@@ -491,100 +472,47 @@ def draw_domain_profile(rng: DeterministicRNG, spec: DomainDatasetSpec,
     )
 
 
-class PopulationGenerator:
-    """Draws calibrated resolver/domain populations (seeded)."""
-
-    def __init__(self, seed: int | str = 0, scale: float = 0.01):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.rng = DeterministicRNG(seed)
-        self.scale = scale
-        self._next_ip = 0x0B000000  # 11.0.0.0 onwards
-
-    def sample_size(self, full_size: int) -> int:
-        """How many entities to actually instantiate for a dataset."""
-        return sample_size(full_size, self.scale)
-
-    def _address(self) -> str:
-        from repro.netsim.addresses import int_to_ip
-
-        self._next_ip += 7
-        return int_to_ip(self._next_ip & 0xDFFFFFFF | 0x0B000000)
-
-    def _edns_size(self, rng: DeterministicRNG,
-                   mix: tuple[float, float, float]) -> int:
-        return draw_edns_size(rng, mix)
-
-    def resolver_population(self, spec: ResolverDatasetSpec,
-                            size: int | None = None) -> list[FrontEnd]:
-        """Generate the front-end systems (with resolvers) for a dataset."""
-        rng = self.rng.derive(f"resolvers-{spec.key}")
-        count = size if size is not None else self.sample_size(spec.full_size)
-        prefix_mix = resolver_prefix_mix(spec)
-        front_ends: list[FrontEnd] = []
-        for index in range(count):
-            resolvers = [
-                draw_resolver_profile(
-                    rng, spec, self._address(), prefix_mix=prefix_mix,
-                    icmp_rng=rng.derive(f"icmp-{index}-{sub}"),
-                )
-                for sub in range(spec.resolvers_per_frontend)
-            ]
-            front_ends.append(FrontEnd(
-                identifier=f"{spec.key}-{index}", resolvers=resolvers,
-            ))
-        return front_ends
-
-    def domain_population(self, spec: DomainDatasetSpec,
-                          size: int | None = None) -> list[DomainProfile]:
-        """Generate the domains (with nameservers) for a dataset."""
-        rng = self.rng.derive(f"domains-{spec.key}")
-        count = size if size is not None else self.sample_size(spec.full_size)
-        rates = domain_rates(spec)
-        return [
-            draw_domain_profile(
-                rng, spec, f"{spec.key}-{index}.example",
-                [self._address() for _ns in range(spec.ns_per_domain)],
-                rates=rates,
-            )
-            for index in range(count)
-        ]
+# The §5.2.2 study's announcement mix: a 47% /24 mass.
+_ALEXA_NS_PREFIX_MIX = MixSampler(_prefix_length_distribution(0.47))
 
 
-    def alexa_nameserver_population(self, count: int = 4000
-                                    ) -> list[DomainProfile]:
-        """The §5.2.2 record-type study population (Alexa-1M nameservers).
+def alexa_nameserver_population(seed: int | str = 0,
+                                count: int = 4000) -> list[DomainProfile]:
+    """The §5.2.2 record-type study population (Alexa-1M nameservers).
 
-        Calibration: 20.5% of nameservers honour PMTUD; minimum fragment
-        sizes split 7% / 83% / 10% across 292 / 548 / 1280 bytes
-        (Figure 4); base A-response sizes are drawn wide enough that ANY
-        responses almost always exceed the floor while plain A responses
-        almost never do — reproducing the 19.5% / 0.29% / 0.44% / >10%
-        pattern for ANY / A / MX / bloated queries.
-        """
-        rng = self.rng.derive("alexa-ns")
-        domains = []
-        for index in range(count):
-            honours = rng.chance(0.205)
-            nameservers = [NameserverProfile(
-                address=self._address(),
-                asn=rng.randint(1, 60_000),
-                prefix_length=_draw_from_mix(
-                    rng, _prefix_length_distribution(0.47)),
-                honours_ptb=honours,
-                min_frag_size=(
-                    rng.choice(MIN_FRAG_CHOICES) if honours else 1500
-                ),
-                rrl_enabled=rng.chance(0.18),
-                ipid_global=honours and rng.chance(0.25),
-                supports_any=rng.chance(0.95),
-                base_response_size=max(60, int(rng.gauss(230, 75))),
-            )]
-            domains.append(DomainProfile(
-                name=f"alexa-{index}.example", nameservers=nameservers,
-                signed=rng.chance(0.02),
-            ))
-        return domains
+    Calibration: 20.5% of nameservers honour PMTUD; minimum fragment
+    sizes split 7% / 83% / 10% across 292 / 548 / 1280 bytes
+    (Figure 4); base A-response sizes are drawn wide enough that ANY
+    responses almost always exceed the floor while plain A responses
+    almost never do — reproducing the 19.5% / 0.29% / 0.44% / >10%
+    pattern for ANY / A / MX / bloated queries.  One sequential stream
+    draws the whole population; nameserver ``index`` sits at the atlas
+    address slot ``index``.
+    """
+    from repro.atlas.synth import atlas_address
+
+    rng = DeterministicRNG(seed).derive("alexa-ns")
+    domains = []
+    for index in range(count):
+        honours = rng.chance(0.205)
+        nameservers = [NameserverProfile(
+            address=atlas_address(index),
+            asn=rng.randint(1, 60_000),
+            prefix_length=_ALEXA_NS_PREFIX_MIX.draw(rng),
+            honours_ptb=honours,
+            min_frag_size=(
+                rng.choice(MIN_FRAG_CHOICES) if honours else 1500
+            ),
+            rrl_enabled=rng.chance(0.18),
+            ipid_global=honours and rng.chance(0.25),
+            supports_any=rng.chance(0.95),
+            base_response_size=max(60, int(rng.gauss(230, 75))),
+        )]
+        domains.append(DomainProfile(
+            name=f"alexa-{index}.example", nameservers=nameservers,
+            signed=rng.chance(0.02),
+        ))
+    return domains
 
 
 def _per_item_rate(aggregate: float, n: int) -> float:

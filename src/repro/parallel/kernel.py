@@ -266,7 +266,7 @@ class VectorScanner:
         else:
             rates = domain_rates(spec)
             self.rates = rates
-            self.prefix_mix = _compile_mix(MixSampler(rates.prefix_mix))
+            self.prefix_mix = _compile_mix(rates.prefix_mix)
             self.rrl_verdict = _rrl_verdict()
             self.min_frag = np.array(MIN_FRAG_CHOICES, dtype=np.int64)
             self.supported = True

@@ -1,8 +1,9 @@
 """Tests for the experiment registry (structure + key outcomes).
 
-The heavy statistics live in the benches; these tests check that every
-experiment runs, produces well-formed output, and reproduces its
-headline qualitative result.
+These tests check that every experiment runs, produces well-formed
+output, and reproduces its headline qualitative result; the survey
+tests also assert the shape of the paper's distributions at seed 0 and
+scale 0.01.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.experiments import (
     figure3,
     figure4,
     section4,
+    section5,
     table1,
     table2,
     table3,
@@ -79,11 +81,39 @@ class TestSurveys:
         assert result.data["matches"] == 5
 
     def test_figure3_has_three_series(self):
-        result = figure3.run(scale=0.005)
-        assert len(result.data["series"]) == 3
+        result = figure3.run(seed=0, scale=0.01)
+        series = result.data["series"]
+        slash24 = result.data["slash24"]
+        assert len(series) == 3
+        # Shape: the Alexa nameserver population has the largest /24 mass
+        # (least sub-prefix hijackable), matching the paper's 53% vs 70-74%.
+        assert slash24["Nameservers: Alexa"] > \
+            slash24["Resolvers: Open resolver"]
+        assert slash24["Nameservers: Alexa"] > slash24["Resolvers: Adnet"]
+        # The implied hijackable fractions match the calibration targets.
+        for label, expected in result.paper_reference["slash24_mass"].items():
+            assert abs(slash24[label] - expected) < 0.06
+        # All mass lies within /11../24.
+        for mix in series.values():
+            assert abs(sum(mix.values()) - 1.0) < 1e-6
+            assert all(11 <= length <= 24 for length in mix)
+
+    @pytest.mark.parametrize("label, key", [
+        ("Resolvers: Open resolver", "open"),
+        ("Resolvers: Adnet", "ad-net"),
+    ])
+    def test_figure3_agrees_with_table3(self, label, key):
+        """Figure 3 histograms the very sample Table 3 scans: with one
+        resolver per front end, the sub-/24 mass is the hijack rate."""
+        slash24 = figure3.run(seed=0, scale=0.01).data["slash24"][label]
+        summary = table3.run(seed=0, scale=0.01).data["summaries"][key]
+        # One entity moves either figure by 1/size (1/58 for ad-net),
+        # so 1e-12 leaves room for float rounding only.
+        assert 1 - slash24 == pytest.approx(summary.pct("hijack") / 100,
+                                            rel=0, abs=1e-12)
 
     def test_figure4_cdf_endpoints(self):
-        result = figure4.run(scale=0.005)
+        result = figure4.run(seed=0, scale=0.01)
         values = [y for _x, y in result.data["edns_cdf"]]
         assert values == sorted(values)  # a CDF is monotone
         # Most of the population is covered by the 4096-byte point
@@ -91,11 +121,43 @@ class TestSurveys:
         assert values[-1] >= 0.7
         frag_values = [y for _x, y in result.data["frag_cdf"]]
         assert frag_values[-1] == 1.0
+        edns_cdf = dict(result.data["edns_cdf"])
+        frag_cdf = dict(result.data["frag_cdf"])
+        # Shape: the resolver population splits into two groups — ~40% at
+        # 512 bytes and ~50% above 4000 bytes (the paper's partition).
+        assert 0.28 <= edns_cdf[548] <= 0.52       # the 512-byte group
+        assert edns_cdf[2048] - edns_cdf[548] <= 0.2   # the thin middle
+        assert 1.0 - edns_cdf[3072] >= 0.35        # the >=4000 group
+        # Most fragmenting nameservers go down to 548 bytes; a small
+        # fraction reaches the 292-byte floor.
+        assert frag_cdf[548] >= 0.75
+        assert 0.02 <= frag_cdf[292] <= 0.15
 
     def test_section4_rates(self):
-        result = section4.run(scale=0.005)
-        assert 0.5 < result.data["shared"] < 0.85
-        assert 0.6 < result.data["coverage"] < 0.95
+        result = section4.run(seed=0, scale=0.01)
+        # ~69% of open resolvers cache two or more applications.
+        assert abs(result.data["shared"] - 0.69) < 0.08
+        # ~79% of client resolvers are reachable through open forwarders.
+        assert abs(result.data["coverage"] - 0.79) < 0.08
+
+    def test_section5_measurements(self):
+        result = section5.run(seed=0, trials=120)
+        same = result.data["same"]
+        sub = result.data["sub"]
+        rates = result.data["rates"]
+        # Same-prefix hijacks succeed in roughly 80% of evaluations.
+        assert 0.65 <= same.success_rate <= 0.95
+        # Sub-prefix hijacks are the stronger variant.
+        assert sub.success_rate >= same.success_rate
+        # Record-type ordering: ANY >> bloated > MX >= A, with ANY around
+        # the paper's 19.5% and A well under 1%.
+        assert rates.any_rate > rates.bloated_rate > rates.a_rate
+        assert 0.12 <= rates.any_rate <= 0.30
+        assert rates.a_rate < 0.01
+        assert rates.mx_rate < 0.02
+        assert rates.bloated_rate > 0.10
+        # Nameserver hosting is heavily concentrated.
+        assert result.data["concentration"] > 0.5
 
 
 class TestFigureTraces:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.atlas.shards import find_dataset
+from repro.atlas.synth import iter_entities, stream_checksum
 from repro.core.rng import DeterministicRNG
 from repro.measurements.misc import (
     assign_cached_apps,
@@ -13,9 +15,10 @@ from repro.measurements.misc import (
 from repro.measurements.population import (
     DOMAIN_DATASETS,
     IcmpBehaviour,
-    PopulationGenerator,
     RESOLVER_DATASETS,
     _per_item_rate,
+    alexa_nameserver_population,
+    sample_size,
 )
 from repro.measurements.report import (
     cdf_series,
@@ -39,34 +42,34 @@ from repro.measurements.simulate_hijack import (
 )
 
 
-@pytest.fixture(scope="module")
-def generator():
-    return PopulationGenerator(seed=77, scale=0.01)
+def sample(key: str, size: int, seed: int = 77) -> list:
+    """The first ``size`` entities of one dataset's atlas stream."""
+    return list(iter_entities(find_dataset(key), seed=seed, hi=size))
 
 
 class TestPopulationGeneration:
-    def test_sample_size_scaling(self, generator):
-        assert generator.sample_size(1_000_000) == 10_000
-        assert generator.sample_size(10) == 10
-        assert generator.sample_size(3000) >= 30
+    def test_sample_size_scaling(self):
+        assert sample_size(1_000_000, 0.01) == 10_000
+        assert sample_size(10, 0.01) == 10
+        assert sample_size(3000, 0.01) >= 30
+        with pytest.raises(ValueError):
+            sample_size(10, 0.0)
 
     def test_deterministic_populations(self):
-        a = PopulationGenerator(seed=5).resolver_population(
-            RESOLVER_DATASETS[7], size=50)
-        b = PopulationGenerator(seed=5).resolver_population(
-            RESOLVER_DATASETS[7], size=50)
-        assert [r.resolvers[0].address for r in a] == \
-            [r.resolvers[0].address for r in b]
+        key = RESOLVER_DATASETS[7].key
+        a = stream_checksum(sample(key, 50, seed=5))
+        assert a == stream_checksum(sample(key, 50, seed=5))
+        assert a != stream_checksum(sample(key, 50, seed=6))
 
     def test_per_item_rate_inverts_any_of_n(self):
         rate = _per_item_rate(0.5, 2)
         assert abs((1 - (1 - rate) ** 2) - 0.5) < 1e-9
         assert _per_item_rate(0.3, 1) == 0.3
 
-    def test_calibration_recovered_by_scan(self, generator):
+    def test_calibration_recovered_by_scan(self):
         """The scanner must re-measure the calibrated rates."""
         spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=4000)
+        population = sample("open", 4000)
         results = [scan_front_end(f) for f in population]
         summary = summarise_resolver_scan(spec.label, spec.full_size,
                                           results)
@@ -74,9 +77,9 @@ class TestPopulationGeneration:
         assert abs(summary.pct("saddns") - spec.expected_saddns) < 4
         assert abs(summary.pct("frag") - spec.expected_frag) < 5
 
-    def test_domain_calibration_recovered(self, generator):
+    def test_domain_calibration_recovered(self):
         spec = next(s for s in DOMAIN_DATASETS if s.key == "alexa")
-        population = generator.domain_population(spec, size=4000)
+        population = sample("alexa", 4000)
         results = [scan_domain(d) for d in population]
         summary = summarise_domain_scan(spec.label, spec.full_size, results)
         assert abs(summary.pct("hijack") - spec.expected_hijack) < 6
@@ -99,9 +102,8 @@ class TestIcmpBehaviourScan:
                                   rng=DeterministicRNG(1))
         assert behaviour.errors_for_burst(51) == 51
 
-    def test_scan_skips_unreachable(self, generator):
-        spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=300)
+    def test_scan_skips_unreachable(self):
+        population = sample("open", 300)
         dead = [
             r for f in population for r in f.resolvers if not r.reachable
         ]
@@ -110,26 +112,21 @@ class TestIcmpBehaviourScan:
 
 
 class TestMiscMeasurements:
-    def test_shared_cache_probe(self, generator):
-        spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=2000)
+    def test_shared_cache_probe(self):
+        population = sample("open", 2000)
         assign_cached_apps(population, seed=3, share_rate=0.69)
         measured = probe_shared_caches(population)
         assert abs(measured - 0.69) < 0.05
 
-    def test_forwarder_coverage(self, generator):
-        open_spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        adnet_spec = next(s for s in RESOLVER_DATASETS
-                          if s.key == "ad-net")
-        open_population = generator.resolver_population(open_spec,
-                                                        size=1500)
-        clients = generator.resolver_population(adnet_spec, size=800)
+    def test_forwarder_coverage(self):
+        open_population = sample("open", 1500)
+        clients = sample("ad-net", 800)
         assign_forwarders(open_population, clients, seed=4, coverage=0.79)
         measured = measure_forwarder_coverage(open_population, clients)
         assert abs(measured - 0.79) < 0.05
 
-    def test_record_type_rates_ordering(self, generator):
-        domains = generator.alexa_nameserver_population(count=3000)
+    def test_record_type_rates_ordering(self):
+        domains = alexa_nameserver_population(77, count=3000)
         rates = measure_record_type_rates(domains)
         assert rates.any_rate > rates.bloated_rate
         assert rates.bloated_rate > rates.mx_rate >= 0
@@ -180,9 +177,8 @@ class TestReportHelpers:
         assert scale_count(5, 100, 1000) == 50
         assert scale_count(5, 0, 1000) == 0
 
-    def test_harvests(self, generator):
-        spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=300)
+    def test_harvests(self):
+        population = sample("open", 300)
         sizes = harvest_edns_sizes(population)
         assert sizes and all(s >= 512 for s in sizes)
         lengths = harvest_prefix_lengths(population)
