@@ -58,7 +58,6 @@ class FragDnsConfig:
     forced_mtu: int = 68            # the ICMP PTB advertised MTU
     planted_per_attempt: int = 64   # fill the 64-slot defrag cache
     max_attempts: int = 4000
-    ipid_strategy: str = "auto"     # "auto" | "sample-global" | "blind"
     # World model: how far the nameserver's global IP-ID counter advances
     # between the attacker's sample and the raced response, due to the
     # nameserver's other clients.  Uniform[lo, hi); hi=320 with a planted
@@ -261,18 +260,16 @@ class FragDnsAttack:
         return observed.get("ipid")
 
     def predict_ipids(self) -> list[int]:
-        """The IP-ID window to plant fragments under."""
+        """The IP-ID window to plant fragments under.
+
+        When the nameserver's counter is observable and a sample comes
+        back, the window is the ``planted_per_attempt`` idents after the
+        sample; otherwise it is a blind random pick.
+        """
         config = self.config
-        strategy = config.ipid_strategy
-        if strategy == "auto":
-            strategy = ("sample-global"
-                        if self.nameserver.host.ipid.observe() is not None
-                        else "blind")
-        if strategy == "sample-global":
+        if self.nameserver.host.ipid.observe() is not None:
             sampled = self.sample_ipid()
-            if sampled is None:
-                strategy = "blind"
-            else:
+            if sampled is not None:
                 return [(sampled + 1 + i) & 0xFFFF
                         for i in range(config.planted_per_attempt)]
         return self._rng.pick_sample(range(0x10000),

@@ -33,8 +33,6 @@ DNS_PORT = 53
 class HijackDnsConfig:
     """Tunables for the hijack attack."""
 
-    sub_prefix: bool = True       # sub-prefix vs same-prefix hijack
-    relay_other_traffic: bool = True
     hijack_duration: float = 5.0  # keep the announcement short-lived
     max_iterations: int = 3
     # The AS the malicious announcement claims to originate from; ROV
@@ -84,8 +82,7 @@ class HijackDnsAttack:
         if packet.proto == PROTO_UDP and packet.udp is not None \
                 and packet.udp.dport == DNS_PORT:
             handled = self._try_answer_query(packet)
-        if not handled and self.config.relay_other_traffic \
-                and self._campaign is not None:
+        if not handled and self._campaign is not None:
             # Stealth: everything that is not the raced DNS query flows on.
             self._campaign.relay(packet)
 
@@ -198,7 +195,6 @@ class HijackDnsAttack:
             "diverted": self._campaign.diverted,
             "relayed": self._campaign.relayed,
             "answered_queries": self._answered,
-            "hijack_kind": "sub-prefix" if self.config.sub_prefix
-            else "same-prefix",
+            "hijack_kind": "sub-prefix",
         })
         return result

@@ -50,7 +50,6 @@ class SadDnsConfig:
     scan_batches_per_iteration: int = 3
     batch_spacing: float = 0.055    # seconds for 50 tokens to refill
     mute_burst: int = 2000          # spoofed queries per muting round
-    abstract_mute: bool = True      # account the flood without 2000 events
     mute_duration: float = 2.2      # keep the server muted this long
     mute_interval: float = 0.09     # re-drain cadence while muted
     max_iterations: int = 2000
@@ -101,11 +100,11 @@ class SadDnsAttack:
         The paper's attack floods the server with thousands of queries
         per second spoofed from the resolver's address so that its
         rate limiter never accumulates a token for the genuine response.
-        Returns the number of (accounted) packets.  With
-        ``abstract_mute`` the sustained flood is modelled by re-draining
-        the limiter on the flood's cadence while only a token burst is
-        simulated packet-by-packet; the packet count reported is the
-        full flood either way.
+        Returns the number of (accounted) packets.  The sustained flood
+        is modelled by re-draining the limiter on the flood's cadence
+        while only a token burst of five packets is simulated
+        packet-by-packet; the packet count reported is the full
+        ``mute_burst``.
         """
         config = self.config
         resolver_ip = self.resolver.address
@@ -115,20 +114,19 @@ class SadDnsAttack:
             TYPE_A, self._rng.pick_txid(),
         )
         payload = encode_message(flood_query)
-        real = 5 if config.abstract_mute else config.mute_burst
+        real = 5
         for _ in range(real):
             self.attacker.spoof_udp(resolver_ip, self._rng.pick_port(),
                                     ns_ip, DNS_PORT, payload)
-        if config.abstract_mute:
-            bucket = self.nameserver._rrl_bucket
-            if bucket is not None:
-                scheduler = self.network.scheduler
-                steps = int(config.mute_duration / config.mute_interval)
-                bucket.drain(self.network.now)
-                for step in range(1, steps + 1):
-                    when = self.network.now + step * config.mute_interval
-                    scheduler.call_at(when, bucket.drain, when)
-            self.attacker.packets_sent += config.mute_burst - real
+        bucket = self.nameserver._rrl_bucket
+        if bucket is not None:
+            scheduler = self.network.scheduler
+            steps = int(config.mute_duration / config.mute_interval)
+            bucket.drain(self.network.now)
+            for step in range(1, steps + 1):
+                when = self.network.now + step * config.mute_interval
+                scheduler.call_at(when, bucket.drain, when)
+        self.attacker.packets_sent += config.mute_burst - real
         return config.mute_burst
 
     # -- step 3: the ICMP side channel ------------------------------------------

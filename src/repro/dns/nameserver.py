@@ -52,7 +52,6 @@ class NameserverConfig:
     supports_any: bool = True
     randomize_record_order: bool = False
     pad_txt_to: int = 0             # pad responses with TXT filler bytes
-    serve_tcp: bool = True
     max_udp_response: int = 4096    # clamp to the client's EDNS size too
 
 
@@ -84,8 +83,7 @@ class AuthoritativeServer:
             if self.config.rrl_enabled else None
         )
         self.socket: UdpSocket = host.open_udp(DNS_PORT, self._on_datagram)
-        if self.config.serve_tcp:
-            host.stream_handlers[DNS_PORT] = self._on_stream
+        host.stream_handlers[DNS_PORT] = self._on_stream
 
     def add_zone(self, zone: Zone) -> Zone:
         """Register an additional zone on this server."""

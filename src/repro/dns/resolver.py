@@ -62,14 +62,11 @@ class ResolverConfig:
     any_caching: str = "cache"      # "cache" | "no-cache" | "refuse"
     timeout: float = 2.0
     retries: int = 2                # attempts per nameserver
-    new_port_per_retry: bool = False  # most stacks keep the socket/port
     max_cname_depth: int = 8
     max_referral_depth: int = 24
     dedup_inflight: bool = True
     open_to_world: bool = False
     allowed_clients: list[str] = field(default_factory=list)  # prefixes
-    tcp_fallback: bool = True
-    ns_randomisation: bool = True
 
 
 @dataclass
@@ -150,8 +147,7 @@ class _Resolution:
         self.txid = 0
         self.current_server = ""
         self.finished = False
-        if resolver.config.ns_randomisation:
-            resolver.rng.shuffle(self.servers)
+        resolver.rng.shuffle(self.servers)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -188,12 +184,10 @@ class _Resolution:
     def _open_socket(self) -> None:
         resolver = self.resolver
         if self.socket is not None and not self.socket.closed:
-            if not resolver.config.new_port_per_retry:
-                # Keep the same socket (and source port) across
-                # retransmissions — the behaviour SadDNS depends on.
-                self._take(self.socket)
-                return
-            self.socket.close()
+            # Keep the same socket (and source port) across
+            # retransmissions — the behaviour SadDNS depends on.
+            self._take(self.socket)
+            return
         if resolver.config.port_policy == "fixed":
             port = resolver.config.fixed_port
             existing = resolver.host.open_ports()
@@ -232,8 +226,6 @@ class _Resolution:
         if self.attempt >= self.resolver.config.retries:
             self.attempt = 0
             self.server_index += 1
-        if self.resolver.config.new_port_per_retry:
-            self._close_socket()
         self._send_query()
 
     # -- response handling ---------------------------------------------------
@@ -276,7 +268,7 @@ class _Resolution:
             stats.rejected_question += 1
             return
         self._cancel_timer()
-        if response.truncated and self.resolver.config.tcp_fallback:
+        if response.truncated:
             self._retry_over_tcp()
             return
         self._close_socket()
@@ -448,8 +440,7 @@ class _Resolution:
             return
         self.bailiwick = child
         self.servers = addresses
-        if config.ns_randomisation:
-            resolver.rng.shuffle(self.servers)
+        resolver.rng.shuffle(self.servers)
         self.server_index = 0
         self.attempt = 0
         self._send_query()

@@ -412,6 +412,10 @@ class CampaignResult:
 class Campaign:
     """Run scenarios across seeds (and config grids) in parallel.
 
+    The constructor is the one place a sweep is configured: every run
+    method uses its ``workers``, ``executor`` and ``policy``.  A config
+    grid is ``run(base.variants(**axes))``.
+
     ``executor`` selects the ``concurrent.futures`` backend:
     ``"process"`` (default; true parallelism, scenarios must pickle),
     ``"thread"`` (shared process; useful for callable triggers), or
@@ -436,7 +440,11 @@ class Campaign:
     def __init__(self, workers: int | str | None = None,
                  executor: str = "process",
                  policy: RunPolicy | None = None):
-        _check_executor(executor)
+        from repro.parallel.taskmap import EXECUTORS
+
+        if executor not in EXECUTORS:
+            raise ScenarioError(
+                f"unknown executor {executor!r}; pick one of {EXECUTORS}")
         self.workers = workers
         self.executor = executor
         self.policy = policy
@@ -444,10 +452,7 @@ class Campaign:
     def run(self,
             scenarios: AttackScenario | Iterable[AttackScenario],
             seeds: Iterable[Any] = range(8),
-            workers: int | str | None = None,
-            executor: str | None = None,
-            store: Any = None,
-            policy: RunPolicy | None = None) -> CampaignResult:
+            store: Any = None) -> CampaignResult:
         """Execute every (scenario, seed) cell and aggregate.
 
         ``seeds`` may hold ints or strings; each is passed verbatim to
@@ -472,15 +477,12 @@ class Campaign:
             raise ScenarioError("no seeds to run")
         return self.run_pairs(
             [(scenario, seed) for scenario in scenarios for seed in seeds],
-            workers=workers, executor=executor, store=store, policy=policy,
+            store=store,
         )
 
     def run_pairs(self,
                   pairs: Iterable[tuple[AttackScenario, Any]],
-                  workers: int | str | None = None,
-                  executor: str | None = None,
-                  store: Any = None,
-                  policy: RunPolicy | None = None) -> CampaignResult:
+                  store: Any = None) -> CampaignResult:
         """Execute explicit (scenario, seed) cells on one worker pool.
 
         The general form of :meth:`run` for ragged sweeps — e.g. four
@@ -493,8 +495,6 @@ class Campaign:
         tasks = list(pairs)
         if not tasks:
             raise ScenarioError("no scenario/seed pairs to run")
-        kind = executor if executor is not None else self.executor
-        _check_executor(kind)
         # Imported here: the parallel package's claim module reaches
         # back through the atlas (whose calibration bridge imports this
         # module), so a top-level import would cycle.
@@ -502,16 +502,13 @@ class Campaign:
         from repro.parallel.workers import resolve_workers
         from repro.store.aggregate import RunTotals
 
-        count = workers if workers is not None else self.workers
         try:
             # None keeps the old min(8, cpus) default; "auto" and the
             # REPRO_WORKERS override resolve through the shared
             # parallel-plane resolver like every other entry point.
-            count = resolve_workers(count)
+            count = resolve_workers(self.workers)
         except ValueError as error:
             raise ScenarioError(str(error)) from None
-        if policy is None:
-            policy = self.policy
         cells = _CellStore(store, tasks) if store is not None else None
 
         def plan(missing, pool_size):
@@ -519,12 +516,12 @@ class Campaign:
             # durable as soon as it finishes.
             table, batches = _batch_tasks(
                 missing, pool_size if pool_size > 1 else len(missing))
-            return (table, policy), [[(index, seed) for seed in seeds]
-                                     for index, seeds in batches]
+            return (table, self.policy), [
+                [(index, seed) for seed in seeds] for index, seeds in batches]
 
         mapped = run_map(tasks, plan, _execute_batch,
                          keys=cells.keys if cells else None, store=cells,
-                         workers=count, executor=kind,
+                         workers=count, executor=self.executor,
                          name="campaign.sweep")
         totals = RunTotals(key="campaign")
         for run in mapped.results:
@@ -535,27 +532,12 @@ class Campaign:
             notes=(cells.notes if cells else []) + mapped.notes,
             totals=totals)
 
-    def run_grid(self, base: AttackScenario,
-                 axes: dict[str, Iterable[Any]],
-                 seeds: Iterable[Any] = range(8),
-                 workers: int | str | None = None,
-                 executor: str | None = None,
-                 store: Any = None,
-                 policy: RunPolicy | None = None) -> CampaignResult:
-        """Sweep a config grid: every axis combination times every seed."""
-        return self.run(base.variants(**axes), seeds=seeds,
-                        workers=workers, executor=executor, store=store,
-                        policy=policy)
-
     def run_defended(self,
                      scenarios: AttackScenario | Iterable[AttackScenario],
                      stacks: Iterable[Any],
                      seeds: Iterable[Any] = range(8),
                      include_undefended: bool = True,
-                     workers: int | str | None = None,
-                     executor: str | None = None,
-                     store: Any = None,
-                     policy: RunPolicy | None = None) -> CampaignResult:
+                     store: Any = None) -> CampaignResult:
         """Sweep a (scenario x defense-stack x seed) grid on one pool.
 
         ``stacks`` may hold :class:`repro.defenses.DefenseStack`
@@ -596,16 +578,7 @@ class Campaign:
             for scenario in scenarios
             for stack in resolved
         ]
-        return self.run(cells, seeds=seeds, workers=workers,
-                        executor=executor, store=store, policy=policy)
-
-
-def _check_executor(executor: str) -> None:
-    from repro.parallel.taskmap import EXECUTORS
-
-    if executor not in EXECUTORS:
-        raise ScenarioError(
-            f"unknown executor {executor!r}; pick one of {EXECUTORS}")
+        return self.run(cells, seeds=seeds, store=store)
 
 
 class _CellStore:

@@ -19,7 +19,7 @@ from repro.testbed import (
     TARGET_DOMAIN,
     standard_testbed,
 )
-from tests.conftest import make_trigger
+from tests.conftest import drop_packets, make_trigger
 
 
 def build_attack(world, attacker, **config_kwargs):
@@ -96,6 +96,20 @@ class TestPreparation:
         second = attack.sample_ipid()
         assert first is not None and second is not None
         assert (second - first) & 0xFFFF <= 8
+
+    def test_prediction_blind_when_sample_lost(self, prepared):
+        world, attacker, _trigger = prepared
+        attack = build_attack(world, attacker)
+        ns_ip = world["target"].server.address
+        drop_packets(world["testbed"].network,
+                     lambda packet: packet.src == ns_ip
+                     and packet.dst == ATTACKER_IP)
+        assert attack.sample_ipid() is None
+        idents = attack.predict_ipids()
+        assert len(set(idents)) == 64
+        # A lost sample leaves no counter to plant after: the window
+        # is a blind pick, not the 64 idents after some value.
+        assert idents != [(idents[0] + i) & 0xFFFF for i in range(64)]
 
     def test_prediction_blind_for_random_ipid(self):
         world = standard_testbed(

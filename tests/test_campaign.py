@@ -64,21 +64,21 @@ class TestCampaignRun:
     def test_thread_matches_serial(self):
         scenario = AttackScenario(method="hijack")
         serial = Campaign(executor="serial").run(scenario, seeds=range(4))
-        threaded = Campaign(executor="thread").run(scenario, seeds=range(4),
-                                                   workers=4)
+        threaded = Campaign(executor="thread", workers=4).run(
+            scenario, seeds=range(4))
         assert flatten(threaded) == flatten(serial)
 
     def test_process_matches_serial(self):
         scenario = AttackScenario(method="frag")
         serial = Campaign(executor="serial").run(scenario, seeds=range(4))
-        pooled = Campaign(executor="process").run(scenario, seeds=range(4),
-                                                  workers=2)
+        pooled = Campaign(executor="process", workers=2).run(
+            scenario, seeds=range(4))
         assert pooled.executor == "process"
         assert flatten(pooled) == flatten(serial)
 
     def test_single_worker_degrades_to_serial(self):
-        result = Campaign(executor="process").run(
-            AttackScenario(method="hijack"), seeds=range(2), workers=1)
+        result = Campaign(executor="process", workers=1).run(
+            AttackScenario(method="hijack"), seeds=range(2))
         assert result.executor == "serial"
 
     def test_callable_trigger_falls_back_to_thread(self):
@@ -88,8 +88,8 @@ class TestCampaignRun:
             trigger=TriggerSpec(kind="callable",
                                 fn=lambda qname, qtype: fired.append(qname)),
         )
-        result = Campaign(executor="process").run(scenario, seeds=range(2),
-                                                  workers=2)
+        result = Campaign(executor="process", workers=2).run(
+            scenario, seeds=range(2))
         assert result.executor == "thread"
         assert any("not picklable" in note for note in result.notes)
         # The no-op trigger never causes a query, so the hijack idles out.
@@ -107,10 +107,10 @@ class TestCampaignRun:
         assert by_label["baseline"].success_rate == 1.0
         assert by_label["filtered"].success_rate == 0.0
 
-    def test_run_grid_expands_axes(self):
-        result = Campaign(executor="serial").run_grid(
-            AttackScenario(method="hijack"),
-            axes={"capture_possible": [True, False]},
+    def test_variant_grid_expands_axes(self):
+        result = Campaign(executor="serial").run(
+            AttackScenario(method="hijack").variants(
+                capture_possible=[True, False]),
             seeds=range(2),
         )
         assert len(result.runs) == 4
@@ -125,8 +125,8 @@ class TestCampaignRun:
         with pytest.raises(ScenarioError, match="unknown executor"):
             Campaign(executor="carrier-pigeon")
         with pytest.raises(ScenarioError, match="workers"):
-            campaign.run(AttackScenario(method="hijack"), seeds=range(2),
-                         workers=0)
+            Campaign(executor="serial", workers=0).run(
+                AttackScenario(method="hijack"), seeds=range(2))
 
 
 class TestBatchedSubmission:
@@ -171,8 +171,8 @@ class TestBatchedSubmission:
             + [(b, seed) for seed in range(5)] \
             + [(a, "extra")]
         serial = Campaign(executor="serial").run_pairs(pairs)
-        threaded = Campaign(executor="thread").run_pairs(pairs, workers=3)
-        pooled = Campaign(executor="process").run_pairs(pairs, workers=2)
+        threaded = Campaign(executor="thread", workers=3).run_pairs(pairs)
+        pooled = Campaign(executor="process", workers=2).run_pairs(pairs)
         assert flatten(threaded) == flatten(serial)
         assert flatten(pooled) == flatten(serial)
 

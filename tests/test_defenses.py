@@ -294,9 +294,8 @@ class TestDefendedCampaigns:
     def defended(self, executor, workers=None):
         scenarios = [s for s in sweep_scenarios()
                      if s.method in ("HijackDNS", "FragDNS")]
-        return Campaign(executor=executor).run_defended(
-            scenarios, stacks=self.STACKS, seeds=range(3),
-            workers=workers)
+        return Campaign(executor=executor, workers=workers).run_defended(
+            scenarios, stacks=self.STACKS, seeds=range(3))
 
     def test_grid_shape_and_matrix(self):
         result = self.defended("serial")

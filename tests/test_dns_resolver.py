@@ -1,13 +1,15 @@
 """Tests for the recursive resolver: iterative resolution and defences."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dns.message import RCODE_NOERROR, RCODE_NXDOMAIN, make_query
 from repro.dns.records import TYPE_A, TYPE_CNAME, TYPE_MX, rr_a, rr_cname
-from repro.dns.resolver import ResolverConfig
+from repro.dns.resolver import ResolverConfig, _Resolution
 from repro.dns.stub import StubResolver
 from repro.dns.wire import encode_message
-from repro.testbed import Testbed
+from repro.testbed import Testbed, default_resolver_config
 
 
 def build_bed(resolver_config=None, seed="resolver-tests"):
@@ -244,6 +246,45 @@ class TestPortPolicy:
         stub.lookup("vict.im", "A")
         stub.lookup("multi.vict.im", "A")
         assert 2053 in resolver.host.open_ports()
+
+
+class TestTruncation:
+    """An answer too big for the UDP buffer is re-asked over TCP."""
+
+    ADDRESSES = [f"123.0.1.{i}" for i in range(1, 41)]
+
+    def lookup_big_apex(self, monkeypatch, edns_udp_size):
+        bed = Testbed(seed="resolver-tests")
+        # 40 A records: more than the 512 bytes plain DNS carries.
+        bed.add_domain("big.im", "123.0.0.53", records=[
+            rr_a("big.im", address) for address in self.ADDRESSES])
+        resolver = bed.make_resolver("30.0.0.1", config=replace(
+            default_resolver_config(), edns_udp_size=edns_udp_size))
+        stub = StubResolver(bed.make_host("client", "30.0.0.50"),
+                            "30.0.0.1")
+        retries = []
+        retry = _Resolution._retry_over_tcp
+
+        def counted(resolution):
+            retries.append(resolution.current_server)
+            return retry(resolution)
+
+        monkeypatch.setattr(_Resolution, "_retry_over_tcp", counted)
+        return resolver, stub.lookup("big.im", "A"), retries
+
+    def test_truncated_answer_retried_over_tcp(self, monkeypatch):
+        resolver, answer, retries = self.lookup_big_apex(monkeypatch, None)
+        assert retries == ["123.0.0.53"]
+        assert answer.ok
+        assert sorted(answer.addresses()) == sorted(self.ADDRESSES)
+        # Root, TLD, the truncated UDP answer and the TCP retry.
+        assert resolver.stats.upstream_queries == 4
+
+    def test_edns_buffer_avoids_the_retry(self, monkeypatch):
+        resolver, answer, retries = self.lookup_big_apex(monkeypatch, 4096)
+        assert retries == []
+        assert sorted(answer.addresses()) == sorted(self.ADDRESSES)
+        assert resolver.stats.upstream_queries == 3
 
 
 class TestDnssecValidation:

@@ -30,14 +30,14 @@ class TestResolutionUnderLoss:
 
     def test_retransmission_recovers_from_loss(self):
         bed, resolver, stub = self.build("loss-1")
-        dropped = {"count": 0}
+        upstream = []
 
         def drop_first_upstream(packet):
             # Drop the first query the resolver sends upstream.
             if packet.src == "30.0.0.1" and packet.udp is not None \
-                    and packet.udp.dport == 53 and dropped["count"] < 1:
-                dropped["count"] += 1
-                return True
+                    and packet.udp.dport == 53:
+                upstream.append((packet.dst, packet.udp.sport))
+                return len(upstream) == 1
             return False
 
         drop_packets(bed.network, drop_first_upstream)
@@ -45,6 +45,9 @@ class TestResolutionUnderLoss:
         assert answer.ok
         assert answer.addresses() == ["123.0.0.80"]
         assert resolver.stats.upstream_timeouts >= 1
+        # The retransmission goes to the same server from the same
+        # source port: the fixed target SadDNS's port scan relies on.
+        assert upstream[1] == upstream[0]
 
     def test_total_blackhole_yields_servfail(self):
         bed, resolver, stub = self.build("loss-2")

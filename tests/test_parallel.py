@@ -378,8 +378,8 @@ class TestWorkStealing:
 
         monkeypatch.setattr(taskmap, "ProcessPoolExecutor",
                             AdversarialCampaignPool)
-        scrambled = Campaign(executor="process").run(
-            scenarios, seeds=range(4), workers=4)
+        scrambled = Campaign(executor="process", workers=4).run(
+            scenarios, seeds=range(4))
         flatten = lambda result: [
             (run.label, run.seed, run.success, run.packets_sent,
              run.queries_triggered, run.duration) for run in result.runs]

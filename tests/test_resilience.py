@@ -174,9 +174,9 @@ class TestCampaignDegradation:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_poisoned_cell_degrades_gracefully(self, executor, tmp_path):
         db = tmp_path / "grid.db"
-        result = Campaign(executor=executor,
+        result = Campaign(executor=executor, workers=2,
                           policy=RunPolicy(backoff=0.0)).run(
-            grid_scenario(), seeds=range(9), workers=2, store=db)
+            grid_scenario(), seeds=range(9), store=db)
         assert len(result.runs) == 9
         assert result.failures == 1
         (failed,) = result.failed_runs()
@@ -238,9 +238,8 @@ class TestCampaignDegradation:
             self, executor, tmp_path):
         db = tmp_path / "grid.db"
         with pytest.raises(ChaosError):
-            Campaign(executor=executor).run(
-                grid_scenario(), seeds=range(9), workers=2, store=db,
-                policy=None)
+            Campaign(executor=executor, workers=2).run(
+                grid_scenario(), seeds=range(9), store=db)
         store = RunStore(db)
         # Completed cells stream into the store the moment their chunk
         # finishes.  The serial loop stops exactly at the poisoned
@@ -254,9 +253,9 @@ class TestCampaignDegradation:
         else:
             assert 0 < count < 9
         assert store.count(status="failed") == 0
-        resumed = Campaign(executor=executor,
+        resumed = Campaign(executor=executor, workers=2,
                            policy=RunPolicy(backoff=0.0)).run(
-            grid_scenario(), seeds=range(9), workers=2, store=db)
+            grid_scenario(), seeds=range(9), store=db)
         assert any(f"{count}/9 cells loaded" in note
                    for note in resumed.notes)
         assert resumed.failures == 1
@@ -265,8 +264,9 @@ class TestCampaignDegradation:
         policy = RunPolicy(backoff=0.0)
         serial = Campaign(executor="serial", policy=policy).run(
             grid_scenario(), seeds=range(6))
-        threaded = Campaign(executor="thread", policy=policy).run(
-            grid_scenario(), seeds=range(6), workers=2)
+        threaded = Campaign(executor="thread", workers=2,
+                            policy=policy).run(
+            grid_scenario(), seeds=range(6))
         assert [run.result for run in serial.runs] == \
             [run.result for run in threaded.runs]
         assert [run.error for run in serial.runs] == \
