@@ -28,7 +28,7 @@ from repro.netsim.packet import (
     UdpBurst,
     UdpDatagram,
 )
-from repro.netsim.wire import encode_ipv4, encode_udp, make_icmp_packet
+from repro.netsim.wire import encode_ipv4, make_icmp_packet
 
 
 @dataclass
@@ -97,21 +97,19 @@ class OffPathAttacker:
 
     def spoof_udp(self, src: str, sport: int, dst: str, dport: int,
                   payload: bytes, ident: int | None = None) -> None:
-        """Inject a UDP packet with an arbitrary source address."""
-        from repro.netsim.wire import make_udp_packet
-
-        packet = make_udp_packet(
-            src=src, dst=dst, sport=sport, dport=dport, payload=payload,
-            ident=ident if ident is not None else self.rng.randint(0, 0xFFFF),
-        )
-        self.host.raw_send(packet)
-        self.packets_sent += 1
+        """Inject a UDP datagram with an arbitrary source address, as a
+        one-datagram burst (IP ident drawn by ``rng.randint(0, 0xFFFF)``
+        unless given); a clean fabric builds no packet for it."""
+        self.inject_burst(UdpBurst(
+            src, dst, (UdpDatagram(sport, dport, payload),),
+            (ident if ident is not None else self.rng.randint(0, 0xFFFF),)))
 
     def inject_burst(self, burst: UdpBurst | FragmentSpray) -> None:
         """Inject a same-instant burst of (possibly spoofed) packets.
 
-        The fast path for SadDNS scan batches, TXID flood chunks and
-        FragDNS fragment sprays: the burst leaves through
+        How every spoofed datagram (:meth:`spoof_udp`, SadDNS mute
+        queries, scan batches, TXID flood chunks) and FragDNS fragment
+        spray leaves: the burst goes through
         :meth:`Host.raw_send_burst`, and each of its packets is
         accounted as one.
         """
@@ -201,13 +199,6 @@ def cache_poisoned(resolver: RecursiveResolver, qname: str,
     if poisoned and mark:
         entry.poisoned = True
     return poisoned
-
-
-def encode_udp_segment(src: str, dst: str, sport: int, dport: int,
-                       payload: bytes) -> bytes:
-    """UDP header + payload bytes with valid checksum (attack crafting)."""
-    return encode_udp(src, dst, UdpDatagram(sport=sport, dport=dport,
-                                            payload=payload))
 
 
 def plant_poison(resolver: RecursiveResolver,

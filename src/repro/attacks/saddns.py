@@ -35,7 +35,8 @@ from repro.dns.records import ResourceRecord, TYPE_A, rr_a
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import encode_message
 from repro.netsim.network import Network
-from repro.netsim.packet import PortSweep, TxidSweep, UdpBurst
+from repro.netsim.packet import PortSweep, TxidSweep, UdpBurst, \
+    UdpDatagram
 
 DNS_PORT = 53
 EPHEMERAL_LOW = 1024
@@ -100,11 +101,12 @@ class SadDnsAttack:
         The paper's attack floods the server with thousands of queries
         per second spoofed from the resolver's address so that its
         rate limiter never accumulates a token for the genuine response.
-        Returns the number of (accounted) packets.  The sustained flood
-        is modelled by re-draining the limiter on the flood's cadence
-        while only a token burst of five packets is simulated
-        packet-by-packet; the packet count reported is the full
-        ``mute_burst``.
+        Returns the number of (accounted) packets.  Five real queries
+        leave as one burst, with the IP idents ``spoof_udp`` would draw.
+        The sustained flood drains the limiter now and records its
+        re-drain cadence (``TokenBucket.drain_every``), each drain
+        applying before a query at its instant.  The packet count
+        reported is the full ``mute_burst``.
         """
         config = self.config
         resolver_ip = self.resolver.address
@@ -115,18 +117,18 @@ class SadDnsAttack:
         )
         payload = encode_message(flood_query)
         real = 5
-        for _ in range(real):
-            self.attacker.spoof_udp(resolver_ip, self._rng.pick_port(),
-                                    ns_ip, DNS_PORT, payload)
+        queries = tuple(UdpDatagram(self._rng.pick_port(), DNS_PORT, payload)
+                        for _ in range(real))
+        attacker = self.attacker
+        attacker.inject_burst(UdpBurst(resolver_ip, ns_ip, queries,
+                                       tuple(attacker.rng.pick_txids(real))))
         bucket = self.nameserver._rrl_bucket
         if bucket is not None:
-            scheduler = self.network.scheduler
+            now = self.network.now
             steps = int(config.mute_duration / config.mute_interval)
-            bucket.drain(self.network.now)
-            for step in range(1, steps + 1):
-                when = self.network.now + step * config.mute_interval
-                scheduler.call_at(when, bucket.drain, when)
-        self.attacker.packets_sent += config.mute_burst - real
+            bucket.drain(now)
+            bucket.drain_every(now, config.mute_interval, steps)
+        attacker.packets_sent += config.mute_burst - real
         return config.mute_burst
 
     # -- step 3: the ICMP side channel ------------------------------------------

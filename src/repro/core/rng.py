@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 from collections.abc import Sequence
 from math import ceil as _ceil, log as _log
 
@@ -22,6 +21,9 @@ _sha256 = hashlib.sha256
 # the re-derive fast path (the wrapper's type dispatch is pure overhead
 # for an int seed; gauss_next is reset explicitly instead).
 _mersenne_seed = random.Random.__bases__[0].seed
+
+#: Fewer :meth:`DeterministicRNG.below_many` draws than this loop.
+BULK_DRAWS = 1024
 
 
 class DeterministicRNG(random.Random):
@@ -126,25 +128,40 @@ class DeterministicRNG(random.Random):
         values and final state alike, for ``width`` of at most 32 bits.
         Each ``randint`` keeps the top ``width.bit_length()`` bits of one
         32-bit Mersenne word and rejects the word when they reach
-        ``width``.  ``getrandbits(32 * k)`` returns the next ``k`` words,
-        the first in the lowest bits, so each round draws exactly as
-        many words as draws are still missing (never one past the last
-        one the loop would take) and filters them.
+        ``width``.  Short runs (or any, without numpy) loop so.  From
+        :data:`BULK_DRAWS` draws on, one ``getrandbits`` draws more words
+        than needed, numpy filters them, and the saved state is advanced
+        by exactly the words up to the ``n``-th accepted one.
         """
         bits = width.bit_length()
         if width <= 0 or bits > 32:
             raise ValueError(f"below_many needs 0 < width < 2**32,"
                              f" got {width}")
-        shift = 32 - bits
-        limit = width << shift
+        getrandbits = self.getrandbits
+        np = None
+        if n >= BULK_DRAWS:
+            try:
+                import numpy as np      # lazily: ``import repro`` needs none
+            except ImportError:
+                pass
+        if np is not None:
+            state = self.getstate()
+            # The expected word count plus over 3 standard deviations.
+            count = (n << bits) // width + n // 16 + 64
+            raw, kept = b"", ()
+            while len(kept) < n:
+                raw += getrandbits(32 * count).to_bytes(4 * count, "little")
+                words = np.frombuffer(raw, "<u4")
+                kept = np.flatnonzero(words < width << (32 - bits))[:n]
+            self.setstate(state)
+            getrandbits(32 * (int(kept[-1]) + 1))
+            return (words[kept] >> (32 - bits)).tolist()
         out: list[int] = []
-        need = n
-        while need > 0:
-            words = struct.unpack(
-                f"<{need}I",
-                self.getrandbits(32 * need).to_bytes(4 * need, "little"))
-            out += [word >> shift for word in words if word < limit]
-            need = n - len(out)
+        for _ in range(n):
+            value = getrandbits(bits)
+            while value >= width:
+                value = getrandbits(bits)
+            out.append(value)
         return out
 
     def pick_sample(self, population, k: int) -> list:

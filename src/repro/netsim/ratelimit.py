@@ -15,9 +15,16 @@ single datagram, or part of a SadDNS scan batch or flood chunk) asks the
 ICMP limiter for its unit-cost errors at once through
 :meth:`TokenBucket.allow_run`, which counts exactly what that many
 :meth:`TokenBucket.allow` calls would.
+
+The SadDNS mute's re-drain cadence is recorded once
+(:meth:`TokenBucket.drain_every`); each drain due applies when the bucket
+is next asked, before an ``allow``, ``allow_run`` or ``peek`` at the same
+instant: refill to the drain, empty, then refill to the asking instant.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 # Linux: net.ipv4.icmp_msgs_per_sec = 1000 with a burst of 50 — the
 # paper's "50" is the burst an attacker can observe per probe round.
@@ -41,8 +48,14 @@ class TokenBucket:
         self._last = 0.0
         self.allowed = 0
         self.denied = 0
+        self._drains: list[float] = []
 
     def _refill(self, now: float) -> None:
+        drains = self._drains
+        while drains and drains[0] <= now:
+            # Refills only (no drain is pending before this one).
+            self._refill(heappop(drains))
+            self._tokens = 0.0
         if now < self._last:
             # Virtual time is monotone everywhere in the simulator; a
             # backwards clock would silently skip refills (and hide a
@@ -96,6 +109,12 @@ class TokenBucket:
         """Consume every available token (used by flooding attackers)."""
         self._refill(now)
         self._tokens = 0.0
+
+    def drain_every(self, start: float, interval: float, steps: int) -> None:
+        """:meth:`drain` at ``start + k * interval`` for ``k`` in
+        ``1..steps``, applied lazily (see the module docstring)."""
+        for step in range(1, steps + 1):
+            heappush(self._drains, start + step * interval)
 
 
 def linux_global_icmp_bucket() -> TokenBucket:

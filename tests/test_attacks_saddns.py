@@ -106,7 +106,7 @@ class TestSideChannel:
         attack = build_attack(world, attacker, batch_size=batch_size)
         _rng, bursts = _captured_bursts(attacker)
         assert not attack.probe_ports(list(range(20000, 20010)))
-        (burst,) = bursts
+        (burst,) = _port_sweeps(bursts)
         ports = [datagram.dport for datagram in burst.datagrams]
         assert len(ports) == batch_size and 53 not in ports
         assert ports[10:] == [port for port in range(2, 55)
@@ -162,6 +162,15 @@ def _captured_bursts(attacker):
     return before, bursts
 
 
+def _port_sweeps(bursts):
+    """The scan batches among captured bursts (the verification probe
+    is a one-datagram burst of its own)."""
+    from repro.netsim.packet import PortSweep
+
+    return [burst for burst in bursts
+            if isinstance(burst.datagrams, PortSweep)]
+
+
 class TestBurstContents:
     """The bursts carry exactly the packets per-packet sends built."""
 
@@ -172,11 +181,48 @@ class TestBurstContents:
         attack = build_attack(world, attacker)
         rng, bursts = _captured_bursts(attacker)
         attack.probe_ports([20000, 31000])
-        (burst,) = bursts
+        (burst,) = _port_sweeps(bursts)
         assert burst.packets() == [
             make_udp_packet(TARGET_NS_IP, RESOLVER_IP, 53, port,
                             b"\x00\x00probe", ident=rng.randint(0, 0xFFFF))
             for port in [20000, 31000] + list(range(2, 50))]
+        # Then the verification probe, from the attacker's own address:
+        # its source port, then its ident, from the same stream.
+        assert bursts[0] is burst
+        (verify,) = bursts[1:]
+        sport = rng.pick_port()
+        assert verify.packets() == [make_udp_packet(
+            ATTACKER_IP, RESOLVER_IP, sport, 11, b"\x00\x00verify",
+            ident=rng.randint(0, 0xFFFF))]
+        assert rng.getstate() == attacker.rng.getstate()
+
+    def test_mute_queries_are_what_spoof_udp_sent(self, prepared):
+        """The five real mute queries leave as one burst carrying the
+        packets five ``spoof_udp`` calls built, each source port drawn
+        from the attack's stream and each ident from the attacker's."""
+        from repro.core.rng import DeterministicRNG
+        from repro.dns import names
+        from repro.dns.message import make_query
+        from repro.dns.wire import encode_message
+        from repro.netsim.wire import make_udp_packet
+
+        world, attacker, _trigger = prepared
+        attack = build_attack(world, attacker)
+        own = DeterministicRNG()
+        own.setstate(attack._rng.getstate())
+        rng, bursts = _captured_bursts(attacker)
+        attack.mute_nameserver()
+        payload = encode_message(make_query(
+            f"{names.random_label(own)}.{TARGET_DOMAIN}", TYPE_A,
+            own.pick_txid()))
+        (burst,) = bursts
+        assert burst.packets() == [
+            make_udp_packet(RESOLVER_IP, TARGET_NS_IP, own.pick_port(), 53,
+                            payload, ident=rng.randint(0, 0xFFFF))
+            for _ in range(5)]
+        assert own.getstate() == attack._rng.getstate()
+        assert rng.getstate() == attacker.rng.getstate()
+        assert attacker.packets_sent == SadDnsConfig().mute_burst
 
     def test_flood_is_every_encoded_forgery(self, prepared):
         from repro.dns.wire import encode_message
@@ -251,6 +297,97 @@ class TestEndToEnd:
         result = attack.execute(make_trigger(world, attacker))
         assert not result.success
         assert world["resolver"].stats.rejected_responses > 0
+
+
+class _EventMute(SadDnsAttack):
+    """Reference mute: five ``spoof_udp`` calls and one scheduled
+    ``drain`` event per re-drain step, counted as they run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drain_events = 0
+        self.mute_rounds = 0
+
+    def _drain(self, when):
+        self.drain_events += 1
+        self.nameserver._rrl_bucket.drain(when)
+
+    def mute_nameserver(self):
+        from repro.dns import names
+        from repro.dns.message import make_query
+        from repro.dns.wire import encode_message
+
+        config = self.config
+        flood_query = make_query(
+            f"{names.random_label(self._rng)}.{self.target_domain}",
+            TYPE_A, self._rng.pick_txid())
+        payload = encode_message(flood_query)
+        for _ in range(5):
+            self.attacker.spoof_udp(self.resolver.address,
+                                    self._rng.pick_port(),
+                                    self.nameserver.address, 53, payload)
+        bucket = self.nameserver._rrl_bucket
+        if bucket is not None:
+            scheduler = self.network.scheduler
+            steps = int(config.mute_duration / config.mute_interval)
+            bucket.drain(self.network.now)
+            for step in range(1, steps + 1):
+                when = self.network.now + step * config.mute_interval
+                scheduler.call_at(when, self._drain, when)
+        self.mute_rounds += 1
+        self.attacker.packets_sent += config.mute_burst - 5
+        return config.mute_burst
+
+
+def _muted_cell(stack, reference):
+    """A 20-iteration SadDNS cell of the Section 6 grid; ``reference``
+    runs it with :class:`_EventMute`."""
+    from repro.defenses import DefenseStack
+    from repro.defenses.ablation import defended_scenario
+
+    scenario = defended_scenario("SadDNS", DefenseStack.parse(stack),
+                                 saddns_iterations=20)
+    built = scenario.build(seed=f"mute-{stack}")
+    if reference:
+        attack = built.attack
+        built.attack = _EventMute(
+            attack.attacker, attack.network, attack.resolver,
+            attack.nameserver, attack.target_domain,
+            attack.malicious_records, attack.config)
+    return built, built.execute()
+
+
+class TestLazyMute:
+    @pytest.mark.parametrize("stack", ["none", "0x20-encoding", "dnssec"])
+    def test_lazy_drains_match_drain_events(self, stack):
+        """The limiter's recorded drain cadence runs the cell the
+        scheduled drain events ran, with those events and four per mute
+        round (five single-datagram bursts against one) fewer."""
+        import dataclasses
+
+        lazy, lazy_run = _muted_cell(stack, False)
+        ref, ref_run = _muted_cell(stack, True)
+        assert dataclasses.replace(lazy_run, wall_time=0.0) \
+            == dataclasses.replace(ref_run, wall_time=0.0)
+        assert lazy.attack.nameserver.stats == ref.attack.nameserver.stats
+        assert lazy.attack.nameserver.host.stats \
+            == ref.attack.nameserver.host.stats
+        assert lazy.resolver.stats == ref.resolver.stats
+        assert lazy.resolver.host.stats == ref.resolver.host.stats
+        assert lazy.attacker.host.stats == ref.attacker.host.stats
+        assert lazy.attacker.rng.getstate() == ref.attacker.rng.getstate()
+        assert lazy.attack._rng.getstate() == ref.attack._rng.getstate()
+        assert lazy.network.now == ref.network.now
+        attack = ref.attack
+        assert attack.mute_rounds == lazy_run.result.iterations
+        assert attack.drain_events > 0
+        assert ref.network.scheduler.executed \
+            - lazy.network.scheduler.executed \
+            == attack.drain_events + 4 * attack.mute_rounds
+        # The mute held: the limiter refused every query the nameserver
+        # got, the resolver's included.
+        stats = lazy.attack.nameserver.stats
+        assert stats.rate_limited == stats.queries > 0
 
 
 def _flooded_cell(defense, per_packet):

@@ -1,9 +1,17 @@
 """Tests for deterministic namespaced randomness."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.rng import DeterministicRNG, derive_rng
+from repro.core.rng import BULK_DRAWS, DeterministicRNG, derive_rng
+
+# Run lengths on both sides of the bulk-draw threshold, up to one SadDNS
+# flood chunk, plus any length.
+_RUN_LENGTHS = st.one_of(
+    st.sampled_from([BULK_DRAWS - 1, BULK_DRAWS, BULK_DRAWS + 1, 4096]),
+    st.integers(min_value=0, max_value=2 * BULK_DRAWS))
 
 
 class TestDeterminism:
@@ -60,7 +68,8 @@ class TestHelpers:
             assert 0 <= rng.pick_txid() <= 0xFFFF
 
     @given(st.integers(min_value=-2**63, max_value=2**63),
-           st.integers(min_value=0, max_value=10_000),
+           st.one_of(_RUN_LENGTHS, st.integers(min_value=0,
+                                               max_value=10_000)),
            st.integers(min_value=0, max_value=3))
     def test_pick_txids_is_n_pick_txid_calls(self, seed, n, warmup):
         bulk, single = DeterministicRNG(seed), DeterministicRNG(seed)
@@ -71,8 +80,8 @@ class TestHelpers:
         assert bulk.getstate() == single.getstate()
 
     @given(st.integers(min_value=-2**63, max_value=2**63),
-           st.sampled_from([1, 6, 1000, 2**16, 2**31, 2**32 - 1]),
-           st.integers(min_value=0, max_value=600),
+           st.sampled_from([1, 6, 1000, 64512, 2**16, 2**31, 2**32 - 1]),
+           _RUN_LENGTHS,
            st.integers(min_value=0, max_value=3))
     def test_below_many_is_n_randint_calls(self, seed, width, n, warmup):
         bulk, single = DeterministicRNG(seed), DeterministicRNG(seed)
@@ -81,6 +90,31 @@ class TestHelpers:
         assert bulk.below_many(width, n) \
             == [single.randint(0, width - 1) for _ in range(n)]
         assert bulk.getstate() == single.getstate()
+
+    @pytest.mark.parametrize("width", [6, 64512, 2**16, 2**32 - 1])
+    @pytest.mark.parametrize("n", [50, BULK_DRAWS - 1, BULK_DRAWS, 4096])
+    def test_below_many_without_numpy_draws_the_same(self, monkeypatch,
+                                                     width, n):
+        with_numpy = DeterministicRNG(width + n)
+        drawn = with_numpy.below_many(width, n)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        without = DeterministicRNG(width + n)
+        assert without.below_many(width, n) == drawn
+        assert without.getstate() == with_numpy.getstate()
+
+    def test_import_repro_loads_no_numpy(self):
+        """numpy is imported only by the draws that use it."""
+        import os
+        import subprocess
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        code = "import sys, repro; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
 
     @pytest.mark.parametrize("width", [2**32, 2**40, 0, -6])
     def test_below_many_rejects_widths_it_cannot_draw(self, width):

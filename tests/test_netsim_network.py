@@ -166,6 +166,59 @@ class TestTokenBucket:
         with pytest.raises(ValueError, match="non-negative"):
             bucket.allow_run(0.25, -1)
 
+    @given(st.sampled_from([0.5, 10.0, 1000.0]),
+           st.sampled_from([1.0, 3.0, 50.0]),
+           st.lists(st.tuples(st.floats(0.0, 2.0),
+                              st.sampled_from([0.01, 0.09, 0.25]),
+                              st.integers(0, 24)), min_size=1, max_size=3),
+           st.lists(st.tuples(
+               # An instant: a drain instant (round, step), off-cadence
+               # steps included, or any time.
+               st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 26)),
+                         st.floats(0.0, 5.0)),
+               st.sampled_from(["allow", "allow_run", "peek"]),
+               st.integers(0, 60)), max_size=25))
+    def test_drain_every_is_scheduled_drain_events(self, rate, burst,
+                                                   rounds, queries):
+        """Lazy drains against one ``drain`` event per step, scheduled
+        before the queries: the same verdicts, tokens and counters, a
+        query at a drain instant included (the drain goes first)."""
+        from repro.core.clock import Scheduler
+
+        lazy, evented = TokenBucket(rate, burst), TokenBucket(rate, burst)
+        scheduler = Scheduler()
+        for start, interval, steps in rounds:
+            lazy.drain_every(start, interval, steps)
+            for step in range(1, steps + 1):
+                when = start + step * interval
+                scheduler.call_at(when, evented.drain, when)
+        instants = []
+        for at, op, n in queries:
+            if isinstance(at, tuple):
+                start, interval, _ = rounds[at[0] % len(rounds)]
+                at = start + at[1] * interval
+            instants.append((at, op, n))
+        instants.sort(key=lambda query: query[0])
+        instants.append((10.0, "peek", 0))  # after every drain
+
+        def ask(bucket, at, op, n):
+            if op == "allow":
+                return bucket.allow(at)
+            if op == "allow_run":
+                return bucket.allow_run(at, n)
+            return bucket.peek(at)
+
+        evented_answers = []
+        for at, op, n in instants:
+            scheduler.call_at(at, lambda *query: evented_answers.append(
+                ask(evented, *query)), at, op, n)
+        scheduler.run_until_idle()
+        assert [ask(lazy, *query) for query in instants] == evented_answers
+        assert (lazy._tokens, lazy._last, lazy.allowed, lazy.denied) \
+            == (evented._tokens, evented._last, evented.allowed,
+                evented.denied)
+        assert lazy._drains == []
+
     def test_denied_counter_increments(self):
         bucket = TokenBucket(rate=1, burst=2)
         assert all(bucket.allow(0.0) for _ in range(2))
