@@ -19,23 +19,25 @@ def test_table6_method_comparison(benchmark):
         rounds=1, iterations=1,
     )
     publish(benchmark, result)
-    stats = result.data["stats"]
+    hijack, saddns, frag_global, frag_random = (
+        result.data["stats"][key]
+        for key in ("hijack", "saddns", "frag_global", "frag_random"))
     # Shape: HijackDNS is deterministic — 1 query, 2 packets, 100%.
-    assert stats.hijack.hitrate == 1.0
-    assert stats.hijack.mean_queries == 1
-    assert stats.hijack.mean_packets == 2
+    assert hijack.hitrate == 1.0
+    assert hijack.mean_queries == 1
+    assert hijack.mean_packets == 2
     # SadDNS needs hundreds of queries and about a million packets.
-    assert stats.saddns.successes == stats.saddns.runs
-    assert 50 <= stats.saddns.mean_queries <= 2500
-    assert stats.saddns.mean_packets > 100_000
+    assert saddns.successes == saddns.runs
+    assert 50 <= saddns.mean_queries <= 2500
+    assert saddns.mean_packets > 100_000
     # FragDNS with a global IP-ID is the cheap, stealthy variant:
     # a handful of queries and a few hundred packets.
-    assert stats.frag_global.successes == stats.frag_global.runs
-    assert stats.frag_global.mean_queries < 40
-    assert stats.frag_global.mean_packets < 3000
+    assert frag_global.successes == frag_global.runs
+    assert frag_global.mean_queries < 40
+    assert frag_global.mean_packets < 3000
     # Ordering of costs matches the paper's comparison exactly.
-    assert stats.hijack.mean_packets < stats.frag_global.mean_packets \
-        < stats.saddns.mean_packets
+    assert hijack.mean_packets < frag_global.mean_packets \
+        < saddns.mean_packets
     # Random IP-ID pushes FragDNS into the ~0.1% hitrate regime: far
     # more attempts than the global-counter variant.
-    assert stats.frag_random.mean_queries > 5 * stats.frag_global.mean_queries
+    assert frag_random.mean_queries > 5 * frag_global.mean_queries

@@ -211,27 +211,29 @@ def _build_table5(ctx: Context) -> str:
 def _build_table6(ctx: Context) -> str:
     r6 = table6.run(seed=0, saddns_runs=2, frag_runs=6,
                     frag_random_runs=2)
-    stats = r6.data["stats"]
+    hijack, saddns, frag_global, frag_random = (
+        r6.data["stats"][key]
+        for key in ("hijack", "saddns", "frag_global", "frag_random"))
     return block("Table 6 — methodology comparison", r6, [
         f"| HijackDNS hitrate / queries / packets | 100% / 1 / 2 "
-        f"| {stats.hijack.hitrate * 100:.0f}% / "
-        f"{stats.hijack.mean_queries:.0f} / "
-        f"{stats.hijack.mean_packets:.0f} |",
+        f"| {hijack.hitrate * 100:.0f}% / "
+        f"{hijack.mean_queries:.0f} / "
+        f"{hijack.mean_packets:.0f} |",
         f"| SadDNS hitrate / queries / packets "
         f"| 0.2% / 497 / 987K "
-        f"| {stats.saddns.hitrate * 100:.2f}% / "
-        f"{stats.saddns.mean_queries:.0f} / "
-        f"{stats.saddns.mean_packets / 1000:.0f}K |",
+        f"| {saddns.hitrate * 100:.2f}% / "
+        f"{saddns.mean_queries:.0f} / "
+        f"{saddns.mean_packets / 1000:.0f}K |",
         f"| SadDNS duration (s) | avg 471 (min 39, max 779) "
-        f"| avg {stats.saddns.mean_duration:.0f} |",
+        f"| avg {saddns.mean_duration:.0f} |",
         f"| FragDNS (global IPID) hitrate / queries / packets "
         f"| 20% / 5 / 325 "
-        f"| {stats.frag_global.hitrate * 100:.0f}% / "
-        f"{stats.frag_global.mean_queries:.0f} / "
-        f"{stats.frag_global.mean_packets:.0f} |",
+        f"| {frag_global.hitrate * 100:.0f}% / "
+        f"{frag_global.mean_queries:.0f} / "
+        f"{frag_global.mean_packets:.0f} |",
         f"| FragDNS (random IPID) queries / packets | 1024 / 65K "
-        f"| {stats.frag_random.mean_queries:.0f} / "
-        f"{stats.frag_random.mean_packets / 1000:.0f}K |",
+        f"| {frag_random.mean_queries:.0f} / "
+        f"{frag_random.mean_packets / 1000:.0f}K |",
     ])
 
 

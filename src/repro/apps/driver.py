@@ -31,13 +31,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.apps.base import Application, AppOutcome
-from repro.attacks.trigger import DNS_PORT, QueryTrigger
+from repro.attacks.trigger import QueryTrigger, send_query
 from repro.core.errors import ScenarioError
 from repro.core.rng import DeterministicRNG
-from repro.dns.message import make_query
-from repro.dns.records import ResourceRecord, TYPE_A, rr_a, type_code
+from repro.dns.records import ResourceRecord, TYPE_A, rr_a
 from repro.dns.stub import StubResolver
-from repro.dns.wire import encode_message
 from repro.testbed import TARGET_WEB_IP
 
 #: Table 1 impact classes (the prefix before the colon in every cell).
@@ -151,17 +149,8 @@ class AppTrigger(QueryTrigger):
         self.fired = 0
 
     def fire(self, qname: str, qtype: int | str = "A") -> None:
-        if isinstance(qtype, str):
-            qtype = type_code(qtype)
-        from repro.netsim.wire import make_udp_packet
-
-        query = make_query(qname, qtype, self.rng.pick_txid())
-        packet = make_udp_packet(
-            src=self.app_host.address, dst=self.resolver_ip,
-            sport=self.rng.pick_port(), dport=DNS_PORT,
-            payload=encode_message(query),
-        )
-        self.app_host.raw_send(packet)
+        send_query(self.app_host, self.app_host.address, self.resolver_ip,
+                   self.rng, qname, qtype)
         self.fired += 1
 
 

@@ -107,11 +107,6 @@ class NtpClient(Application):
             detail={"offset": self.clock_offset},
         )
 
-    @property
-    def local_time(self) -> float:
-        """The client's notion of current time."""
-        return self.host.now + self.clock_offset
-
 
 # -- kill-chain driver ---------------------------------------------------------
 

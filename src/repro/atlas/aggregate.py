@@ -193,14 +193,6 @@ class ScanAggregate:
                          for flag in self.flag_names()},
         )
 
-    def histogram_fractions(self, name: str) -> dict[int, float]:
-        histogram = self.histograms.get(name, Counter())
-        total = sum(histogram.values())
-        if not total:
-            return {}
-        return {value: count / total
-                for value, count in sorted(histogram.items())}
-
     # -- persistence -----------------------------------------------------------
 
     def to_json(self) -> dict:

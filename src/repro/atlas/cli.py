@@ -44,7 +44,7 @@ from repro.measurements.population import (
 from repro.measurements.report import render_table
 from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
 from repro.parallel.kernel import KERNELS
-from repro.parallel.workers import parse_seed, parse_workers
+from repro.parallel.workers import at_least, parse_seed, parse_workers
 
 #: Calibration drift allowed between a full-scale scan and the paper's
 #: measured percentages (points).  The generator draws joint
@@ -364,22 +364,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return status
 
 
-def _at_least(minimum: int):
-    """argparse type for a count flag: an int no smaller than
-    ``minimum``, so a bad count is a usage error, not a traceback."""
-    def parse(value: str) -> int:
-        try:
-            count = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {value!r}") from None
-        if count < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {count}")
-        return count
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.atlas",
@@ -391,10 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", default=dataset_default,
                        help="dataset key (scan and calibrate also take "
                             "resolvers/domains/all)")
-        p.add_argument("--entities", type=_at_least(0), default=None,
+        p.add_argument("--entities", type=at_least(0), default=None,
                        help="cap entities per dataset "
                             "(default: the paper's full size)")
-        p.add_argument("--shards", type=_at_least(1), default=16)
+        p.add_argument("--shards", type=at_least(1), default=16)
         p.add_argument("--seed", type=parse_seed, default=0)
 
     def scanned(p, dataset_default: str = "open",

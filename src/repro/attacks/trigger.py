@@ -17,8 +17,25 @@ from repro.dns.message import make_query
 from repro.dns.records import type_code
 from repro.dns.wire import encode_message
 from repro.netsim.host import Host
+from repro.netsim.packet import UdpBurst, UdpDatagram
 
 DNS_PORT = 53
+
+
+def send_query(host: Host, src: str, resolver_ip: str,
+               rng: DeterministicRNG, qname: str, qtype: int | str) -> None:
+    """Send the query for (qname, qtype) from ``src`` to the resolver.
+
+    The one send path of every trigger that emits the query itself: a
+    one-datagram :class:`UdpBurst` (IP ident 0) through
+    :meth:`Host.raw_send_burst`, with the TXID and then the source port
+    drawn from ``rng``.  A clean fabric builds no packet for it.
+    """
+    if isinstance(qtype, str):
+        qtype = type_code(qtype)
+    query = make_query(qname, qtype, rng.pick_txid())
+    datagram = UdpDatagram(rng.pick_port(), DNS_PORT, encode_message(query))
+    host.raw_send_burst(UdpBurst(src, resolver_ip, (datagram,), (0,)))
 
 
 class QueryTrigger(ABC):
@@ -56,17 +73,8 @@ class SpoofedClientTrigger(QueryTrigger):
         self.fired = 0
 
     def fire(self, qname: str, qtype: int | str = "A") -> None:
-        if isinstance(qtype, str):
-            qtype = type_code(qtype)
-        query = make_query(qname, qtype, self.rng.pick_txid())
-        from repro.netsim.wire import make_udp_packet
-
-        packet = make_udp_packet(
-            src=self.client_ip, dst=self.resolver_ip,
-            sport=self.rng.pick_port(), dport=DNS_PORT,
-            payload=encode_message(query),
-        )
-        self.attacker_host.raw_send(packet)
+        send_query(self.attacker_host, self.client_ip, self.resolver_ip,
+                   self.rng, qname, qtype)
         self.fired += 1
 
 
@@ -88,17 +96,8 @@ class OpenResolverTrigger(QueryTrigger):
         self.fired = 0
 
     def fire(self, qname: str, qtype: int | str = "A") -> None:
-        if isinstance(qtype, str):
-            qtype = type_code(qtype)
-        query = make_query(qname, qtype, self.rng.pick_txid())
-        from repro.netsim.wire import make_udp_packet
-
-        packet = make_udp_packet(
-            src=self.attacker_host.address, dst=self.resolver_ip,
-            sport=self.rng.pick_port(), dport=DNS_PORT,
-            payload=encode_message(query),
-        )
-        self.attacker_host.raw_send(packet)
+        send_query(self.attacker_host, self.attacker_host.address,
+                   self.resolver_ip, self.rng, qname, qtype)
         self.fired += 1
 
 

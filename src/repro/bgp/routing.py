@@ -167,10 +167,6 @@ class BgpSimulation:
             self._routes_cache[origin] = propagate(self.topology, origin)
         return self._routes_cache[origin]
 
-    def invalidate_cache(self) -> None:
-        """Drop propagation caches (topology changed)."""
-        self._routes_cache.clear()
-
     def _acceptable(self, source: int, announcement: Announcement) -> bool:
         validator = self._filters.get(source)
         if validator is None:

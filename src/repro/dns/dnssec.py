@@ -37,15 +37,6 @@ class DnssecRegistry:
         """Whether the zone at ``origin`` is signed."""
         return names.normalise(origin) in self._signed
 
-    def covering_signed_zone(self, name: str) -> str | None:
-        """Deepest registered signed zone containing ``name``, if any."""
-        best: str | None = None
-        for origin in self._signed:
-            if names.is_subdomain(name, origin):
-                if best is None or len(origin) > len(best):
-                    best = origin
-        return best
-
 
 def validate_rrsets(records: list[ResourceRecord], zone_origin: str,
                     registry: DnssecRegistry) -> bool:

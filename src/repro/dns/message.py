@@ -78,10 +78,6 @@ class DnsMessage:
         """Presentation name of the rcode."""
         return RCODE_NAMES.get(self.rcode, f"RCODE{self.rcode}")
 
-    def all_records(self) -> list[ResourceRecord]:
-        """Answers + authority + additional, in section order."""
-        return [*self.answers, *self.authority, *self.additional]
-
     def reply_skeleton(self) -> "DnsMessage":
         """A response template echoing txid and question (case included)."""
         return DnsMessage(

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from repro.experiments import table3, table4
 from repro.experiments.base import ExperimentResult
-from repro.measurements.comparative import Table6Data, collect_table6
 from repro.measurements.report import render_table
+from repro.scenario.campaign import Campaign, MethodSummary
+from repro.scenario.presets import table6_scenarios
 
 PAPER_REFERENCE = {
     "hitrate": {"hijack": 1.0, "saddns": 0.002, "frag_random": 0.001,
@@ -25,68 +26,77 @@ PAPER_REFERENCE = {
 }
 
 
+#: Trial seed of run ``i`` in each column, as formatted with ``seed``.
+TRIAL_SEEDS = {
+    "hijack": "hijack-{seed}-{i}",
+    "saddns": "saddns-{seed}-{i}",
+    "frag_global": "frag-{seed}-global-{i}",
+    "frag_random": "frag-{seed}-random-{i}",
+}
+
+
 def run(seed: int = 0, saddns_runs: int = 2, frag_runs: int = 6,
-        frag_random_runs: int = 2, scale: float = 0.01,
-        data: Table6Data | None = None,
+        frag_random_runs: int = 2,
         workers: int | None = None) -> ExperimentResult:
     """Assemble the full Table 6 from live trials and survey numbers.
 
-    ``workers`` > 1 fans the attack trials out over a process pool via
-    the campaign runner; the statistics are identical either way.
+    The trials are :func:`repro.scenario.table6_scenarios`, swept by
+    one campaign and folded per column by
+    :meth:`CampaignResult.by_label`.  ``workers`` > 1 fans them out
+    over a process pool; the statistics are identical either way.
     """
-    if data is None:
-        data = collect_table6(seed=seed, saddns_runs=saddns_runs,
-                              frag_runs=frag_runs,
-                              frag_random_runs=frag_random_runs,
-                              workers=workers)
-    survey3 = table3.run(seed=seed, scale=scale)
-    survey4 = table4.run(seed=seed, scale=scale)
-    adnet = survey3.data["summaries"]["ad-net"]
-    alexa = survey4.data["summaries"]["alexa"]
-    data.vuln_resolvers = {
-        "hijack": adnet.pct("hijack"),
-        "saddns": adnet.pct("saddns"),
-        "frag": adnet.pct("frag"),
-    }
-    data.vuln_domains = {
-        "hijack": alexa.pct("hijack"),
-        "saddns": alexa.pct("saddns"),
-        "frag_any": alexa.pct("frag_any"),
-        "frag_global": alexa.pct("frag_global"),
-    }
+    scenarios = table6_scenarios()
+    counts = {"hijack": 3, "saddns": saddns_runs,
+              "frag_global": frag_runs, "frag_random": frag_random_runs}
+    pairs = [(scenario, TRIAL_SEEDS[key].format(seed=seed, i=i))
+             for key, scenario in scenarios.items()
+             for i in range(counts[key])]
+    campaign = Campaign(
+        workers=workers,
+        executor="process" if workers is not None and workers > 1
+        else "serial",
+    )
+    by_label = campaign.run_pairs(pairs).by_label()
+    stats = {key: by_label.get(scenario.label,
+                               MethodSummary(key=scenario.label))
+             for key, scenario in scenarios.items()}
+    hijack, saddns = stats["hijack"], stats["saddns"]
+    frag_global, frag_random = stats["frag_global"], stats["frag_random"]
+    adnet = table3.run(seed=seed).data["summaries"]["ad-net"]
+    alexa = table4.run(seed=seed).data["summaries"]["alexa"]
     headers = ["Metric", "BGP hijack", "SadDNS", "Frag (any IPID)",
                "Frag (global IPID)"]
     rows = [
         ["Vuln. resolvers",
-         f"{data.vuln_resolvers['hijack']:.0f}%",
-         f"{data.vuln_resolvers['saddns']:.0f}%",
-         f"{data.vuln_resolvers['frag']:.0f}%",
-         f"{data.vuln_resolvers['frag']:.0f}%"],
+         f"{adnet.pct('hijack'):.0f}%",
+         f"{adnet.pct('saddns'):.0f}%",
+         f"{adnet.pct('frag'):.0f}%",
+         f"{adnet.pct('frag'):.0f}%"],
         ["Vuln. domains",
-         f"{data.vuln_domains['hijack']:.0f}%",
-         f"{data.vuln_domains['saddns']:.0f}%",
-         f"{data.vuln_domains['frag_any']:.0f}%",
-         f"{data.vuln_domains['frag_global']:.0f}%"],
+         f"{alexa.pct('hijack'):.0f}%",
+         f"{alexa.pct('saddns'):.0f}%",
+         f"{alexa.pct('frag_any'):.0f}%",
+         f"{alexa.pct('frag_global'):.0f}%"],
         ["Hitrate",
-         f"{data.hijack.hitrate * 100:.0f}%",
-         f"{data.saddns.hitrate * 100:.2f}%",
-         f"{data.frag_random.hitrate * 100:.2f}%",
-         f"{data.frag_global.hitrate * 100:.0f}%"],
+         f"{hijack.hitrate * 100:.0f}%",
+         f"{saddns.hitrate * 100:.2f}%",
+         f"{frag_random.hitrate * 100:.2f}%",
+         f"{frag_global.hitrate * 100:.0f}%"],
         ["Queries needed",
-         f"{data.hijack.mean_queries:.0f}",
-         f"{data.saddns.mean_queries:.0f}",
-         f"{data.frag_random.mean_queries:.0f}",
-         f"{data.frag_global.mean_queries:.0f}"],
+         f"{hijack.mean_queries:.0f}",
+         f"{saddns.mean_queries:.0f}",
+         f"{frag_random.mean_queries:.0f}",
+         f"{frag_global.mean_queries:.0f}"],
         ["Total traffic (pkts)",
-         f"{data.hijack.mean_packets:.0f}",
-         f"{data.saddns.mean_packets:,.0f}",
-         f"{data.frag_random.mean_packets:,.0f}",
-         f"{data.frag_global.mean_packets:.0f}"],
+         f"{hijack.mean_packets:.0f}",
+         f"{saddns.mean_packets:,.0f}",
+         f"{frag_random.mean_packets:,.0f}",
+         f"{frag_global.mean_packets:.0f}"],
         ["Attack duration (s)",
-         f"{data.hijack.mean_duration:.1f}",
-         f"{data.saddns.mean_duration:.0f}",
-         f"{data.frag_random.mean_duration:.0f}",
-         f"{data.frag_global.mean_duration:.1f}"],
+         f"{hijack.mean_duration:.1f}",
+         f"{saddns.mean_duration:.0f}",
+         f"{frag_random.mean_duration:.0f}",
+         f"{frag_global.mean_duration:.1f}"],
         ["Stealthiness",
          "very visible (control plane)",
          "stealthy, locally detectable",
@@ -99,12 +109,12 @@ def run(seed: int = 0, saddns_runs: int = 2, frag_runs: int = 6,
         headers=headers,
         rows=rows,
         paper_reference=PAPER_REFERENCE,
-        data={"stats": data},
+        data={"stats": stats},
     )
     result.rendered = render_table(headers, rows, title=result.title)
     result.notes.append(
-        f"trials: hijack={data.hijack.runs}, saddns={data.saddns.runs},"
-        f" frag-global={data.frag_global.runs},"
-        f" frag-random={data.frag_random.runs}"
+        f"trials: hijack={hijack.runs}, saddns={saddns.runs},"
+        f" frag-global={frag_global.runs},"
+        f" frag-random={frag_random.runs}"
     )
     return result

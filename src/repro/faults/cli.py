@@ -24,7 +24,7 @@ import sys
 
 from repro.faults.policy import RunPolicy
 from repro.faults.spec import FaultError, FaultPlan, parse_impairment
-from repro.parallel.workers import parse_workers
+from repro.parallel.workers import at_least, parse_workers
 from repro.scenario.campaign import Campaign
 from repro.scenario.presets import budget_capped_overrides
 from repro.scenario.spec import AttackScenario
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME", default=None,
                         help="attack method to sweep (repeatable; "
                              "default: hijack)")
-    parser.add_argument("--seeds", type=int, default=4,
+    parser.add_argument("--seeds", type=at_least(1), default=4,
                         help="number of seeds per scenario (default 4)")
     parser.add_argument("--impair", action="append", default=[],
                         metavar="SPEC",
@@ -61,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker count, or 'auto' for every CPU")
     parser.add_argument("--store", default=None,
                         help="append results to this SQLite run store")
-    parser.add_argument("--max-events", type=int, default=50_000_000,
+    parser.add_argument("--max-events", type=at_least(1), default=50_000_000,
                         help="per-cell scheduler event budget")
-    parser.add_argument("--retries", type=int, default=2,
+    parser.add_argument("--retries", type=at_least(0), default=2,
                         help="retry budget for transient failures")
     parser.add_argument("--fail-fast", action="store_true",
                         help="disable graceful degradation: any "

@@ -144,11 +144,6 @@ class ResolverProfile:
     forwarder_upstreams: list[str] = field(default_factory=list)
     cached_apps: set[str] = field(default_factory=set)
 
-    @property
-    def subprefix_hijackable(self) -> bool:
-        """Ground truth the prefix-length scan should recover."""
-        return self.prefix_length < 24
-
 
 @dataclass(slots=True)
 class FrontEnd:

@@ -67,11 +67,6 @@ class DomainScanResult:
 SUBPREFIX_HIJACKABLE_BELOW = 24
 
 
-def scan_subprefix_hijackable(prefix_length: int) -> bool:
-    """The Figure 3 criterion: announcements shorter than /24."""
-    return prefix_length < SUBPREFIX_HIJACKABLE_BELOW
-
-
 def scan_saddns(resolver: ResolverProfile) -> bool:
     """The global-ICMP-limit side-channel test.
 
@@ -181,13 +176,6 @@ def scan_nameserver_rrl(nameserver: NameserverProfile) -> bool:
     # mutes for the rest: the response count visibly drops.
     answered = _rrl_burst_answered(10.0, 20.0, RRL_BURST)
     return answered < RRL_BURST * 0.9
-
-
-def scan_nameserver_fragmentation(nameserver: NameserverProfile,
-                                  qtype: str = "ANY",
-                                  qname_length: int = 20) -> bool:
-    """PMTUD + response size test for one query type."""
-    return nameserver.fragments_response(qtype, qname_length)
 
 
 def scan_domain(domain: DomainProfile) -> DomainScanResult:

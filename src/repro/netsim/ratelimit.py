@@ -26,11 +26,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-# Linux: net.ipv4.icmp_msgs_per_sec = 1000 with a burst of 50 — the
-# paper's "50" is the burst an attacker can observe per probe round.
-LINUX_ICMP_BURST = 50
-LINUX_ICMP_RATE = 1000.0
-
 
 class TokenBucket:
     """Classic token bucket on virtual time.
@@ -115,8 +110,3 @@ class TokenBucket:
         ``1..steps``, applied lazily (see the module docstring)."""
         for step in range(1, steps + 1):
             heappush(self._drains, start + step * interval)
-
-
-def linux_global_icmp_bucket() -> TokenBucket:
-    """The vulnerable pre-CVE-2020-25705 global ICMP error limiter."""
-    return TokenBucket(rate=LINUX_ICMP_RATE, burst=LINUX_ICMP_BURST)

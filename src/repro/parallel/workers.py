@@ -10,12 +10,14 @@ scattered through the CLI, pipeline, campaign runner and benchmarks:
   (``auto``/``None``) without touching explicit requests — handy for
   CI runners and shared hosts.
 
-:func:`parse_workers` and :func:`parse_seed` are the argparse types
-every CLI shares for ``--workers`` and ``--seed``.
+:func:`parse_workers`, :func:`parse_seed` and :func:`at_least` are the
+argparse types every CLI shares for ``--workers``, ``--seed`` and its
+count flags.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 
 #: Cap applied to the implicit (``workers=None``) default, matching the
@@ -54,6 +56,22 @@ def parse_seed(value: str) -> int | str:
         return int(value)
     except ValueError:
         return value
+
+
+def at_least(minimum: int):
+    """argparse type for a count flag: an int no smaller than
+    ``minimum``, so a bad count is a usage error, not a traceback."""
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {value!r}") from None
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {count}")
+        return count
+    return parse
 
 
 def resolve_workers(workers: int | str | None = None,

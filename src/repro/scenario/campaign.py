@@ -15,6 +15,7 @@ material of the paper's Table 6 rows.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
@@ -97,10 +98,14 @@ def _batch_tasks(tasks: list[tuple[AttackScenario, Any]],
 class MethodSummary:
     """Aggregates for one methodology (or one scenario label / app).
 
-    Beyond the attack-phase statistics, kill-chain runs contribute
-    application-impact aggregates: how often the Table 1 impact was
-    actually realized, split by impact class (the §4.5 story —
-    fraudulent certificates, downgrades, account takeovers).
+    Folded from :class:`ScenarioRun` cells by :meth:`note`.  The
+    attack-phase statistics are Table 6's columns: one summary per
+    scenario label (:meth:`CampaignResult.by_label`) gives its hitrate,
+    mean queries, mean packets and mean duration.  Beyond those,
+    kill-chain runs contribute application-impact aggregates: how often
+    the Table 1 impact was actually realized, split by impact class
+    (the §4.5 story — fraudulent certificates, downgrades, account
+    takeovers).
     """
 
     key: str
@@ -125,19 +130,14 @@ class MethodSummary:
     def note(self, run: ScenarioRun) -> None:
         self.runs += 1
         self.successes += 1 if run.success else 0
-        # Table 6's MethodStats also feeds bare AttackResults through
-        # here; only real ScenarioRuns can carry a recorded failure.
-        if getattr(run, "failed", False):
+        if run.failed:
             self.failures += 1
         self.packets.append(run.packets_sent)
         self.queries.append(run.queries_triggered)
         self.durations.append(run.duration)
-        report = getattr(run, "load_report", None)
-        if report is not None:
-            self.loads.append(report)
-        # Table 6's MethodStats feeds bare AttackResults through here,
-        # which carry no application stage.
-        stage = getattr(run, "app_result", None)
+        if run.load_report is not None:
+            self.loads.append(run.load_report)
+        stage = run.app_result
         if stage is None:
             return
         self.app_runs += 1
@@ -198,6 +198,11 @@ class MethodSummary:
     @property
     def mean_queries(self) -> float:
         return sum(self.queries) / len(self.queries) if self.queries else 0.0
+
+    @property
+    def mean_duration(self) -> float:
+        """Average virtual attack seconds per run (Table 6's duration)."""
+        return statistics.mean(self.durations) if self.durations else 0.0
 
     def packets_percentile(self, q: float) -> float:
         return percentile(self.packets, q)

@@ -21,7 +21,7 @@ import sys
 from repro.apps.driver import AppSpec, available_apps, resolve_driver
 from repro.defenses import DefenseStack
 from repro.measurements.report import render_table
-from repro.parallel.workers import parse_seed, parse_workers
+from repro.parallel.workers import at_least, parse_seed, parse_workers
 from repro.scenario.campaign import Campaign, CampaignResult
 from repro.scenario.presets import budget_capped_overrides, killchain_scenarios
 from repro.scenario.registry import available_methods, resolve_method
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--methods", action="append", default=None,
                        help="comma-separated methodology names, or 'all' "
                             "(default: hijack)")
-    sweep.add_argument("--seeds", type=int, default=8)
+    sweep.add_argument("--seeds", type=at_least(1), default=8)
     sweep.add_argument("--workers", type=parse_workers, default=None,
                        help="worker count or 'auto' (all schedulable "
                             "CPUs; REPRO_WORKERS overrides defaults)")

@@ -2,9 +2,11 @@
 
 Two families:
 
-* :func:`table6_scenarios` — the exact configurations the Table 6
-  trials use (full attack budgets; minutes of virtual time for the
-  probabilistic methods).
+* :func:`table6_scenarios` — the Table 6 trials, declared here and
+  nowhere else: :mod:`repro.experiments.table6` runs these four
+  columns (full attack budgets; minutes of virtual time for the
+  probabilistic methods) and folds them through the campaign's
+  :class:`~repro.scenario.campaign.MethodSummary`.
 * :func:`sweep_scenarios` — budget-capped variants for multi-seed
   campaigns: each run finishes in well under a second of wall time, and
   the per-seed *success rates* across a sweep reproduce the paper's
@@ -30,25 +32,30 @@ from repro.scenario.spec import AttackScenario, TriggerSpec
 FAST_SADDNS_PORTS = (30000, 30999)
 
 
-def table6_scenarios(saddns_max_iterations: int = 3000,
-                     frag_max_attempts: int = 4000,
-                     frag_ipid_policy: str = "global"
-                     ) -> dict[str, AttackScenario]:
-    """The Table 6 trial configurations, one scenario per column."""
+def table6_scenarios() -> dict[str, AttackScenario]:
+    """The Table 6 trial configurations, one scenario per column.
+
+    Keyed like the table's columns: HijackDNS, SadDNS with 3,000
+    iterations, and FragDNS with a global (4,000 attempts) or random
+    (6,000 attempts) IP-ID nameserver.
+    """
+    def fragdns(ipid_policy: str, max_attempts: int) -> AttackScenario:
+        return AttackScenario(
+            method="FragDNS", label=f"FragDNS ({ipid_policy} IPID)",
+            ns_host_config=HostConfig(ipid_policy=ipid_policy,
+                                      min_accepted_mtu=68),
+            attack_config=FragDnsConfig(max_attempts=max_attempts,
+                                        attempt_spacing=0.2),
+        )
+
     return {
         "hijack": AttackScenario(method="HijackDNS", label="HijackDNS"),
         "saddns": AttackScenario(
             method="SadDNS", label="SadDNS",
-            attack_config=SadDnsConfig(
-                max_iterations=saddns_max_iterations),
+            attack_config=SadDnsConfig(max_iterations=3000),
         ),
-        "frag": AttackScenario(
-            method="FragDNS", label=f"FragDNS ({frag_ipid_policy} IPID)",
-            ns_host_config=HostConfig(ipid_policy=frag_ipid_policy,
-                                      min_accepted_mtu=68),
-            attack_config=FragDnsConfig(max_attempts=frag_max_attempts,
-                                        attempt_spacing=0.2),
-        ),
+        "frag_global": fragdns("global", 4000),
+        "frag_random": fragdns("random", 6000),
     }
 
 
@@ -61,23 +68,9 @@ def sweep_scenarios() -> list[AttackScenario]:
     the port) — so a sweep's success rates land in the strict order
     hijack > frag > saddns with comfortable margins.
     """
-    return [
-        AttackScenario(method="HijackDNS", label="HijackDNS"),
-        AttackScenario(
-            method="FragDNS", label="FragDNS",
-            attack_config=FragDnsConfig(max_attempts=3,
-                                        attempt_spacing=0.2),
-        ),
-        AttackScenario(
-            method="SadDNS", label="SadDNS",
-            resolver_host_config=HostConfig(
-                ephemeral_low=FAST_SADDNS_PORTS[0],
-                ephemeral_high=FAST_SADDNS_PORTS[1],
-            ),
-            attack_config=SadDnsConfig(max_iterations=1,
-                                       scan_batches_per_iteration=2),
-        ),
-    ]
+    return [AttackScenario(method=method, label=method,
+                           **budget_capped_overrides(method))
+            for method in ("HijackDNS", "FragDNS", "SadDNS")]
 
 
 def budget_capped_overrides(method: str) -> dict:

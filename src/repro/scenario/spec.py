@@ -258,11 +258,6 @@ class AttackScenario:
         """Canonical key of the deployed stack (``"none"`` if none)."""
         return self.defenses.key if self.defenses is not None else "none"
 
-    def with_defenses(self, *defenses: Any) -> "AttackScenario":
-        """A copy defended by exactly the given defenses (names or
-        instances) — any previously attached stack is replaced."""
-        return replace(self, defenses=DefenseStack.of(*defenses))
-
     @property
     def app_name(self) -> str | None:
         """The application this scenario attacks, if any."""

@@ -22,8 +22,10 @@ from repro.experiments import (
     table3,
     table4,
     table5,
+    table6,
     underload,
 )
+from repro.scenario import table6_scenarios
 
 
 class TestRegistry:
@@ -158,6 +160,47 @@ class TestSurveys:
         assert rates.bloated_rate > 0.10
         # Nameserver hosting is heavily concentrated.
         assert result.data["concentration"] > 0.5
+
+
+class TestTable6:
+    @pytest.fixture(scope="class")
+    def result(self):
+        # The hijack and global-IP-ID FragDNS trials only: the SadDNS
+        # and random-IP-ID columns are the slow ones, and stay empty.
+        return table6.run(saddns_runs=0, frag_random_runs=0)
+
+    def test_columns_are_the_presets(self, result):
+        scenarios = table6_scenarios()
+        stats = result.data["stats"]
+        assert list(stats) == list(scenarios) == \
+            ["hijack", "saddns", "frag_global", "frag_random"]
+        assert [summary.key for summary in stats.values()] == \
+            [scenario.label for scenario in scenarios.values()]
+
+    def test_trial_shapes(self, result):
+        hijack = result.data["stats"]["hijack"]
+        frag_global = result.data["stats"]["frag_global"]
+        # HijackDNS is deterministic: 1 query, 2 packets, 100%.
+        assert hijack.runs == 3
+        assert hijack.hitrate == 1.0
+        assert hijack.mean_queries == 1
+        assert hijack.mean_packets == 2
+        # Global-IP-ID FragDNS: a handful of queries, a few hundred
+        # packets, and every run succeeds.
+        assert frag_global.runs == 6
+        assert frag_global.successes == frag_global.runs
+        assert frag_global.mean_queries < 40
+        assert frag_global.mean_packets < 3000
+
+    def test_empty_columns_render_as_zeros(self, result):
+        # Columns 2 and 3 are SadDNS and random-IP-ID FragDNS.
+        zeros = {"Hitrate": "0.00%", "Queries needed": "0",
+                 "Total traffic (pkts)": "0", "Attack duration (s)": "0"}
+        for metric, zero in zeros.items():
+            row = result.row_by_key(metric)
+            assert row[2] == row[3] == zero, row
+        assert "saddns=0" in result.notes[0]
+        assert "frag-random=0" in result.notes[0]
 
 
 class TestFigureTraces:

@@ -299,3 +299,15 @@ class TestFaultsCli:
 
         assert main(["--impair", "bandwidth=56k"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["--seeds", "0"], ["--seeds", "-1"],
+                                     ["--retries", "-1"],
+                                     ["--max-events", "0"]])
+    def test_bad_counts_are_usage_errors(self, capsys, bad):
+        from repro.faults.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--method", "hijack", *bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and bad[0] in err

@@ -348,6 +348,14 @@ class TestScenarioCli:
         assert "Application impact (from record)" in report_out
         assert "dv" in report_out
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_sweep_bad_seed_count_is_a_usage_error(self, capsys, seeds):
+        with pytest.raises(SystemExit) as exit_info:
+            scenario_cli(["sweep", "--seeds", seeds])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--seeds" in err
+
     def test_report_rejects_garbage(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
