@@ -62,7 +62,6 @@ from repro.atlas.pipeline import (
     AtlasScanReport,
     all_dataset_specs,
     scan_dataset,
-    scan_many,
 )
 from repro.atlas.shards import (
     ShardRange,
@@ -100,7 +99,6 @@ __all__ = [
     "population_spec_hash",
     "profile_for_stratum",
     "scan_dataset",
-    "scan_many",
     "shard_ranges",
     "stratum_key",
     "stream_checksum",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.measurements.population import DomainProfile, FrontEnd
 from repro.measurements.scanner import (
@@ -77,10 +78,10 @@ class ScanAggregate:
                           single_use: bool = False) -> None:
         """Scan one front-end system and fold in the verdicts.
 
-        The probe loop is :func:`scan_front_end` fused in (same
-        short-circuits, same RNG consumption) so the per-entity path
-        builds no intermediate result object.  ``single_use=True``
-        switches the SadDNS probe to the pruned
+        Each probe fires only until its flag first turns true, so a
+        resolver behind an already-vulnerable front end draws no probe
+        RNG for that flag.  ``single_use=True`` switches the SadDNS
+        probe to the pruned
         :func:`scan_saddns_verdict` — identical verdicts, but the
         entity's ICMP RNG may be left mid-stream, so it is only valid
         when the entity is discarded after this call (the aggregate-only
@@ -170,7 +171,7 @@ class ScanAggregate:
 
     @classmethod
     def merged(cls, kind: str,
-               parts: list["ScanAggregate"]) -> "ScanAggregate":
+               parts: Iterable["ScanAggregate"]) -> "ScanAggregate":
         total = cls(kind=kind)
         for part in parts:
             total.merge(part)

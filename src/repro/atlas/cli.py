@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     claim.add_argument("--ttl", type=float, default=DEFAULT_TTL,
                        help="seconds before a silent lease is "
                             "considered dead and re-claimed")
-    claim.add_argument("--max-shards", type=int, default=None,
+    claim.add_argument("--max-shards", type=at_least(1), default=None,
                        help="stop after scanning this many shards")
     claim.set_defaults(fn=_cmd_claim)
 
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate", help="stratified campaign validation of a scan")
     scanned(calibrate)
     pooled(calibrate)
-    calibrate.add_argument("--sample-budget", type=int, default=24,
+    calibrate.add_argument("--sample-budget", type=at_least(1), default=24,
                            help="total end-to-end attack runs to allocate")
     calibrate.add_argument("--app", default=None,
                            help="Table 1 application driver: weight its "

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.atlas.aggregate import ScanAggregate
 from repro.obs import OBS
@@ -225,20 +225,6 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
         summary=aggregate.to_summary(spec.label, spec.full_size),
         notes=notes + mapped.notes,
     )
-
-
-def scan_many(specs: Iterable[DatasetSpec], seed: int | str = 0,
-              entities: int | None = None, shards: int = 16,
-              workers: int | str | None = None, executor: str = "process",
-              store: AtlasStore | None = None,
-              kernel: str = "auto") -> list[AtlasScanReport]:
-    """Scan several datasets, reusing one configuration."""
-    return [
-        scan_dataset(spec, seed=seed, entities=entities, shards=shards,
-                     workers=workers, executor=executor, store=store,
-                     kernel=kernel)
-        for spec in specs
-    ]
 
 
 def all_dataset_specs() -> list[DatasetSpec]:

@@ -7,12 +7,7 @@ on these.
 """
 
 from repro.core.clock import Clock, Scheduler
-from repro.core.errors import (
-    ConfigurationError,
-    DropPacket,
-    ReproError,
-    SimulationError,
-)
+from repro.core.errors import ConfigurationError, ReproError
 from repro.core.eventlog import Event, EventLog, NullLog
 from repro.core.rng import DeterministicRNG, derive_rng
 
@@ -20,12 +15,10 @@ __all__ = [
     "Clock",
     "ConfigurationError",
     "DeterministicRNG",
-    "DropPacket",
     "Event",
     "EventLog",
     "NullLog",
     "ReproError",
     "Scheduler",
-    "SimulationError",
     "derive_rng",
 ]

@@ -14,28 +14,6 @@ class ConfigurationError(ReproError):
     """A component was configured with inconsistent or invalid parameters."""
 
 
-class SimulationError(ReproError):
-    """The simulation reached a state that should be impossible.
-
-    Raising this (rather than silently continuing) is how the substrate
-    reports internal invariant violations, e.g. a packet routed to a host
-    that does not own the destination address when strict delivery is on.
-    """
-
-
-class DropPacket(ReproError):
-    """Internal signal used by packet handlers to discard a packet.
-
-    Handlers raise this instead of returning sentinel values; the network
-    fabric catches it and accounts the drop.  It is an exception on purpose:
-    a dropped packet must abort all further processing of that packet.
-    """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class WireFormatError(ReproError):
     """A packet or DNS message could not be parsed from its byte encoding."""
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from repro.atlas.shards import find_dataset
-from repro.atlas.synth import iter_entities
 from repro.experiments.base import ExperimentResult
 from repro.measurements.population import sample_size
 from repro.measurements.report import histogram, render_table
-from repro.measurements.scanner import harvest_prefix_lengths
+from repro.parallel.kernel import scan_range
 
 POPULATIONS = [
     ("Resolvers: Open resolver", "open"),
@@ -20,14 +19,16 @@ def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Histogram announced prefix lengths for the three populations.
 
     Each population is the ``scale`` sample Table 3/4 scans: the first
-    :func:`sample_size` entities of the dataset's atlas stream.
+    :func:`sample_size` entities of the dataset's atlas stream, read
+    from its scan aggregate's ``prefix_length`` histogram.
     """
     series: dict[str, dict[int, float]] = {}
     for label, key in POPULATIONS:
         spec = find_dataset(key)
-        population = iter_entities(
-            spec, seed=seed, hi=sample_size(spec.full_size, scale))
-        series[label] = histogram(harvest_prefix_lengths(population))
+        aggregate = scan_range(spec, seed, 0,
+                               sample_size(spec.full_size, scale))
+        series[label] = histogram(
+            aggregate.histograms.get("prefix_length", {}))
     headers = ["Prefix length"] + [label for label, _key in POPULATIONS]
     rows = []
     for length in range(11, 25):

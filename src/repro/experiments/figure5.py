@@ -1,17 +1,19 @@
 """Figure 5: Venn diagrams of vulnerable resolvers and domains.
 
-The union of all Table 3 (resolver) and Table 4 (domain) populations is
-intersected across the three methodologies' measured flags; sampled
+The Table 3 (resolver) and Table 4 (domain) sample aggregates already
+stratify every scanned entity by its three methodology flags; merged
+per survey, their ``strata`` counters are the Venn regions.  Sampled
 counts are extrapolated to the paper's full population sizes so the
 reported magnitudes are directly comparable with Figure 5.
 """
 
 from __future__ import annotations
 
+from repro.atlas.aggregate import ScanAggregate
 from repro.experiments import table3, table4
 from repro.experiments.base import ExperimentResult
-from repro.measurements.report import VennCounts, scale_count, venn_from_flags
-from repro.measurements.scanner import scan_domain, scan_front_end
+from repro.measurements.population import DOMAIN_DATASETS, RESOLVER_DATASETS
+from repro.measurements.report import VennCounts, scale_count
 
 PAPER_RESOLVER_VENN = {
     "only_hijack": 45_117, "only_saddns": 1_787, "only_frag": 3_525,
@@ -38,46 +40,21 @@ def _scaled_venn(venn: VennCounts, sampled: int, full: int) -> VennCounts:
     )
 
 
+def _sampled_venn(survey: ExperimentResult, kind: str, specs
+                  ) -> tuple[VennCounts, VennCounts]:
+    """``(sampled, scaled)`` regions of one survey's merged aggregates."""
+    sample = ScanAggregate.merged(kind, survey.data["aggregates"].values())
+    venn = VennCounts.from_strata(sample.strata)
+    full = sum(spec.full_size for spec in specs)
+    return venn, _scaled_venn(venn, sample.count, full)
+
+
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
-    """Compute both Venn diagrams from the survey populations."""
-    survey3 = table3.run(seed=seed, scale=scale)
-    survey4 = table4.run(seed=seed, scale=scale)
-    resolver_flags = []
-    sampled_resolvers = 0
-    full_resolvers = 0
-    for key, population in survey3.data["populations"].items():
-        spec_full = next(
-            s.full_size for s in __import__(
-                "repro.measurements.population", fromlist=["RESOLVER_DATASETS"]
-            ).RESOLVER_DATASETS if s.key == key
-        )
-        sampled_resolvers += len(population)
-        full_resolvers += spec_full
-        for front_end in population:
-            scan = scan_front_end(front_end)
-            if scan.hijack or scan.saddns or scan.frag:
-                resolver_flags.append((scan.hijack, scan.saddns, scan.frag))
-    domain_flags = []
-    sampled_domains = 0
-    full_domains = 0
-    for key, population in survey4.data["populations"].items():
-        spec_full = next(
-            s.full_size for s in __import__(
-                "repro.measurements.population", fromlist=["DOMAIN_DATASETS"]
-            ).DOMAIN_DATASETS if s.key == key
-        )
-        sampled_domains += len(population)
-        full_domains += spec_full
-        for domain in population:
-            scan = scan_domain(domain)
-            frag = scan.frag_any or scan.frag_global
-            if scan.hijack or scan.saddns or frag:
-                domain_flags.append((scan.hijack, scan.saddns, frag))
-    resolver_venn = venn_from_flags(resolver_flags)
-    domain_venn = venn_from_flags(domain_flags)
-    resolver_scaled = _scaled_venn(resolver_venn, sampled_resolvers,
-                                   full_resolvers)
-    domain_scaled = _scaled_venn(domain_venn, sampled_domains, full_domains)
+    """Compute both Venn diagrams from the survey aggregates."""
+    resolver_venn, resolver_scaled = _sampled_venn(
+        table3.run(seed=seed, scale=scale), "resolver", RESOLVER_DATASETS)
+    domain_venn, domain_scaled = _sampled_venn(
+        table4.run(seed=seed, scale=scale), "domain", DOMAIN_DATASETS)
     rendered = "\n\n".join([
         resolver_scaled.render(
             "(a) vulnerable resolvers, scaled to full population"),

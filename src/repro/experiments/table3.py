@@ -2,9 +2,10 @@
 
 Both paths run on :mod:`repro.atlas`:
 
-* :func:`run` — the sampled survey (``scale`` of each population,
-  entities materialised for the figures that need per-entity access
-  and folded into one aggregate);
+* :func:`run` — the sampled survey: the first ``scale`` of each
+  population, folded into one
+  :class:`~repro.atlas.aggregate.ScanAggregate` per dataset (Figure 5
+  reads its Venn regions from their strata);
 * :func:`run_full` — the population-scale scan at the paper's full
   dataset sizes (1.58M open resolvers), streaming in constant memory,
   optionally sharded across process workers and resumable via an
@@ -13,16 +14,14 @@ Both paths run on :mod:`repro.atlas`:
 
 from __future__ import annotations
 
-from repro.atlas.aggregate import ScanAggregate
 from repro.atlas.pipeline import AtlasScanReport, scan_dataset
-from repro.atlas.shards import dataset_kind
-from repro.atlas.synth import iter_entities
 from repro.experiments.base import ExperimentResult
 from repro.measurements.population import (
     RESOLVER_DATASETS,
     sample_size,
 )
 from repro.measurements.report import render_table
+from repro.parallel.kernel import scan_range
 
 HEADERS = ["Dataset", "Protocol", "BGP hijack sub-prefix %",
            "SadDNS %", "Fragment %", "Dataset size"]
@@ -41,17 +40,10 @@ def _full_scan_note(reports: dict[str, AtlasScanReport], wall: float,
 
 
 def _sampled_scan(spec, seed, scale: float):
-    """``(summary, population)`` of a ``scale`` sample of one dataset.
-
-    The entities are kept (Figures 3 and 5 need per-entity access), so
-    this skips the shard pipeline, which only ever returns aggregates.
-    """
-    population = list(iter_entities(
-        spec, seed=seed, hi=sample_size(spec.full_size, scale)))
-    aggregate = ScanAggregate(kind=dataset_kind(spec))
-    for entity in population:
-        aggregate.observe(entity)
-    return aggregate.to_summary(spec.label, spec.full_size), population
+    """``(summary, aggregate)`` of a ``scale`` sample of one dataset."""
+    aggregate = scan_range(spec, seed, 0,
+                           sample_size(spec.full_size, scale))
+    return aggregate.to_summary(spec.label, spec.full_size), aggregate
 
 
 def _row(spec, summary) -> list[str]:
@@ -86,14 +78,14 @@ def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Scan a ``scale`` sample of all nine resolver datasets."""
     rows = []
     summaries = {}
-    populations = {}
+    aggregates = {}
     for spec in RESOLVER_DATASETS:
-        summary, populations[spec.key] = _sampled_scan(spec, seed, scale)
+        summary, aggregates[spec.key] = _sampled_scan(spec, seed, scale)
         summaries[spec.key] = summary
         rows.append(_row(spec, summary))
     return _result(
         rows, summaries,
-        {"populations": populations,
+        {"aggregates": aggregates,
          "sampled_sizes": {key: summary.size
                            for key, summary in summaries.items()}},
         [f"populations sampled at scale={scale} via the repro.atlas "

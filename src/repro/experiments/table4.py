@@ -61,12 +61,12 @@ def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Scan a ``scale`` sample of all ten domain datasets."""
     rows = []
     summaries = {}
-    populations = {}
+    aggregates = {}
     for spec in DOMAIN_DATASETS:
-        summary, populations[spec.key] = _sampled_scan(spec, seed, scale)
+        summary, aggregates[spec.key] = _sampled_scan(spec, seed, scale)
         summaries[spec.key] = summary
         rows.append(_row(spec, summary))
-    return _result(rows, summaries, {"populations": populations},
+    return _result(rows, summaries, {"aggregates": aggregates},
                    [SEMANTICS_NOTE])
 
 

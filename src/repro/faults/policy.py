@@ -39,16 +39,16 @@ class RunPolicy:
     * ``retries`` / ``backoff`` bound the retry loop for
       :class:`~repro.core.errors.TransientError` failures — attempt *n*
       sleeps ``backoff * n`` seconds first.
-    * ``record_failures`` turns any terminal exception into a failed
-      :class:`~repro.scenario.spec.ScenarioRun` instead of propagating;
-      set it False to get the old fail-fast behaviour back.
+
+    Under a policy any terminal exception becomes a failed
+    :class:`~repro.scenario.spec.ScenarioRun` instead of propagating;
+    running a cell with no policy at all is the fail-fast path.
     """
 
     max_events: int | None = None
     max_wall: float | None = None
     retries: int = 0
     backoff: float = 0.05
-    record_failures: bool = True
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -156,17 +156,12 @@ def _run_cell(scenario: "AttackScenario", seed: Any,
                 built.network.scheduler.arm_budget(
                     max_events=policy.max_events, max_wall=policy.max_wall)
             return built.execute()
-        except TransientError as exc:
-            if attempt <= policy.retries:
+        except Exception as exc:
+            if isinstance(exc, TransientError) \
+                    and attempt <= policy.retries:
                 if OBS.enabled:
                     OBS.counter("campaign.retries_total").inc()
                 if policy.backoff:
                     time.sleep(policy.backoff * attempt)
                 continue
-            if policy.record_failures:
-                return failed_run(scenario, seed, exc)
-            raise
-        except Exception as exc:
-            if policy.record_failures:
-                return failed_run(scenario, seed, exc)
-            raise
+            return failed_run(scenario, seed, exc)

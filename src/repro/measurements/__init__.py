@@ -23,23 +23,10 @@ from repro.measurements.population import (
 from repro.measurements.report import (
     VennCounts,
     cdf_series,
-    render_cdf,
     render_table,
     scale_count,
-    venn_from_flags,
 )
-from repro.measurements.scanner import (
-    DomainScanResult,
-    ResolverScanResult,
-    SurveySummary,
-    harvest_edns_sizes,
-    harvest_min_fragment_sizes,
-    harvest_prefix_lengths,
-    scan_domain,
-    scan_front_end,
-    summarise_domain_scan,
-    summarise_resolver_scan,
-)
+from repro.measurements.scanner import SurveySummary
 from repro.measurements.simulate_hijack import (
     HijackSimulationResult,
     nameserver_concentration,
@@ -51,7 +38,6 @@ __all__ = [
     "DOMAIN_DATASETS",
     "DomainDatasetSpec",
     "DomainProfile",
-    "DomainScanResult",
     "FrontEnd",
     "HijackSimulationResult",
     "IcmpBehaviour",
@@ -60,28 +46,18 @@ __all__ = [
     "RecordTypeFragRates",
     "ResolverDatasetSpec",
     "ResolverProfile",
-    "ResolverScanResult",
     "SurveySummary",
     "VennCounts",
     "alexa_nameserver_population",
     "assign_cached_apps",
     "assign_forwarders",
     "cdf_series",
-    "harvest_edns_sizes",
-    "harvest_min_fragment_sizes",
-    "harvest_prefix_lengths",
     "measure_forwarder_coverage",
     "measure_record_type_rates",
     "nameserver_concentration",
     "probe_shared_caches",
-    "render_cdf",
     "render_table",
     "scale_count",
-    "scan_domain",
-    "scan_front_end",
     "simulate_sameprefix_hijacks",
     "simulate_subprefix_hijacks",
-    "summarise_domain_scan",
-    "summarise_resolver_scan",
-    "venn_from_flags",
 ]

@@ -2,12 +2,13 @@
 
 The experiment modules produce structured rows; these helpers turn them
 into the text the benches print, and compute the derived series the
-figures need (CDFs for Figure 3/4, three-set Venn regions for Figure 5).
+figures need from scan-aggregate counters (histograms and CDFs for
+Figures 3-4, three-set Venn regions for Figure 5).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 
@@ -31,40 +32,40 @@ def render_table(headers: list[str], rows: list[list[str]],
     return "\n".join(lines)
 
 
-def cdf_series(values: list[int | float],
+def cdf_series(counts: Mapping[int, int],
                points: list[int | float] | None = None
                ) -> list[tuple[float, float]]:
-    """Empirical CDF evaluated at ``points`` (or at each distinct value)."""
-    if not values:
+    """Empirical CDF of a ``{value: count}`` histogram, evaluated at
+    ``points`` (or at each distinct value)."""
+    total = sum(counts.values())
+    if not total:
         return []
-    ordered = sorted(values)
+    ordered = sorted(counts.items())
     if points is None:
-        points = sorted(set(ordered))
+        points = [value for value, _count in ordered]
     series = []
-    total = len(ordered)
+    position = 0
     index = 0
     for point in points:
-        while index < total and ordered[index] <= point:
-            index += 1
+        while position < len(ordered) and ordered[position][0] <= point:
+            index += ordered[position][1]
+            position += 1
         series.append((float(point), index / total))
     return series
 
 
-def render_cdf(series: list[tuple[float, float]], label: str,
-               width: int = 50) -> str:
-    """A crude ASCII plot of one CDF."""
-    lines = [f"CDF: {label}"]
-    for x, y in series:
-        bar = "#" * int(y * width)
-        lines.append(f"  {x:>8.0f} | {bar} {y * 100:5.1f}%")
-    return "\n".join(lines)
-
-
-def histogram(values: list[int]) -> dict[int, float]:
-    """Relative frequency of each distinct value."""
-    counts = Counter(values)
+def histogram(counts: Mapping[int, int]) -> dict[int, float]:
+    """Relative frequency of each value of a ``{value: count}`` mapping."""
     total = sum(counts.values())
     return {value: count / total for value, count in sorted(counts.items())}
+
+
+#: Venn region -> the aggregate stratum key it counts.
+_STRATUM_REGIONS = {
+    "only_a": "hijack", "only_b": "saddns", "only_c": "frag",
+    "ab": "hijack+saddns", "ac": "hijack+frag", "bc": "saddns+frag",
+    "abc": "hijack+saddns+frag",
+}
 
 
 @dataclass
@@ -79,6 +80,17 @@ class VennCounts:
     bc: int
     abc: int
     labels: tuple[str, str, str] = ("HijackDNS", "SadDNS", "FragDNS")
+
+    @classmethod
+    def from_strata(cls, strata: Mapping[str, int]) -> "VennCounts":
+        """Regions from a scan aggregate's ``strata`` counter.
+
+        The seven non-``"none"`` strata of
+        :class:`repro.atlas.aggregate.ScanAggregate` are exactly the
+        seven regions over (hijack, saddns, frag).
+        """
+        return cls(**{region: strata.get(key, 0)
+                      for region, key in _STRATUM_REGIONS.items()})
 
     @property
     def total(self) -> int:
@@ -109,25 +121,6 @@ class VennCounts:
             ["total vulnerable", str(self.total)],
         ]
         return render_table(["region", "count"], rows, title=title)
-
-
-def venn_from_flags(flags: list[tuple[bool, bool, bool]],
-                    labels: tuple[str, str, str] = ("HijackDNS", "SadDNS",
-                                                    "FragDNS")) -> VennCounts:
-    """Region counts from per-entity (A, B, C) vulnerability flags."""
-    regions = Counter()
-    for a, b, c in flags:
-        regions[(a, b, c)] += 1
-    return VennCounts(
-        only_a=regions[(True, False, False)],
-        only_b=regions[(False, True, False)],
-        only_c=regions[(False, False, True)],
-        ab=regions[(True, True, False)],
-        ac=regions[(True, False, True)],
-        bc=regions[(False, True, True)],
-        abc=regions[(True, True, True)],
-        labels=labels,
-    )
 
 
 def scale_count(sampled_count: int, sampled_size: int,

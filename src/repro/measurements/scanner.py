@@ -1,6 +1,12 @@
 """Measurement scanners: the probe logic of paper Section 5.
 
-Each scanner mirrors a probe the paper ran against the real Internet:
+Each probe mirrors one the paper ran against the real Internet, applied
+to a single resolver or nameserver profile.  The probes do not fold
+anything themselves: :class:`repro.atlas.aggregate.ScanAggregate` calls
+them for every resolver of a front end and every nameserver of a
+domain, and folds the verdicts (plus the prefix-length, EDNS-size and
+fragment-size histograms Figures 3-4 read) into one mergeable survey
+aggregate.  The probes:
 
 * **prefix-length mapping** (§5.1.2) — an address is sub-prefix
   hijackable when its covering BGP announcement is shorter than /24;
@@ -11,11 +17,9 @@ Each scanner mirrors a probe the paper ran against the real Internet:
   requires fragment acceptance *and* an EDNS buffer above the padded
   size, otherwise the response is truncated and retried over TCP);
 * **RRL burst scan** (§5.2.2) — 4000 queries in one second; a drop in
-  responses marks the nameserver mutable;
-* **PMTUD / record-type scan** — minimum fragment size per query type;
-* **EDNS harvest** — the advertised UDP payload size (Figure 4).
+  responses marks the nameserver mutable.
 
-Scanners work on the lightweight population profiles; the identical
+The probes work on the lightweight population profiles; the identical
 kernel behaviours (token buckets and friends) back the full host model
 used in the end-to-end attacks.
 """
@@ -25,39 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.measurements.population import (
-    DomainProfile,
-    FrontEnd,
-    NameserverProfile,
-    ResolverProfile,
-)
+from repro.measurements.population import NameserverProfile, ResolverProfile
 from repro.netsim.ratelimit import TokenBucket
 
 FRAG_TEST_RESPONSE_SIZE = 600   # the padded CNAME test response
 SADDNS_PROBE_BURST = 51         # 50 spoofed + 1 verification
 RRL_BURST = 4000                # queries in the muting test
-
-
-@dataclass(slots=True)
-class ResolverScanResult:
-    """Measured vulnerability flags for one front-end system."""
-
-    identifier: str
-    hijack: bool = False
-    saddns: bool = False
-    frag: bool = False
-
-
-@dataclass(slots=True)
-class DomainScanResult:
-    """Measured vulnerability flags for one domain."""
-
-    name: str
-    hijack: bool = False
-    saddns: bool = False
-    frag_any: bool = False
-    frag_global: bool = False
-    dnssec: bool = False
 
 
 # The Figure 3 criterion: announcements shorter than this are
@@ -136,25 +113,6 @@ def scan_fragmentation(resolver: ResolverProfile) -> bool:
     return resolver.accepts_fragments
 
 
-def scan_front_end(front_end: FrontEnd) -> ResolverScanResult:
-    """Scan all of a front-end's resolvers; any vulnerable counts.
-
-    Each probe fires only until its flag first turns true (exactly the
-    historical ``flag or scan(...)`` short-circuit, so the per-resolver
-    RNG consumption is unchanged).
-    """
-    hijack = saddns = frag = False
-    for resolver in front_end.resolvers:
-        if not hijack and resolver.prefix_length < SUBPREFIX_HIJACKABLE_BELOW:
-            hijack = True
-        if not saddns and scan_saddns(resolver):
-            saddns = True
-        if not frag and scan_fragmentation(resolver):
-            frag = True
-    return ResolverScanResult(identifier=front_end.identifier,
-                              hijack=hijack, saddns=saddns, frag=frag)
-
-
 @lru_cache(maxsize=None)
 def _rrl_burst_answered(rate: float, burst: float, probes: int) -> int:
     """Responses a fresh token bucket allows for one evenly-paced burst.
@@ -178,25 +136,6 @@ def scan_nameserver_rrl(nameserver: NameserverProfile) -> bool:
     return answered < RRL_BURST * 0.9
 
 
-def scan_domain(domain: DomainProfile) -> DomainScanResult:
-    """Scan all nameservers of a domain; any vulnerable counts."""
-    hijack = saddns = frag_any = frag_global = False
-    for nameserver in domain.nameservers:
-        if not hijack and nameserver.prefix_length < SUBPREFIX_HIJACKABLE_BELOW:
-            hijack = True
-        if not saddns and scan_nameserver_rrl(nameserver):
-            saddns = True
-        # The fragmentation probe runs per nameserver regardless:
-        # frag_global needs the per-server verdict.
-        if nameserver.fragments_response("ANY"):
-            frag_any = True
-            if nameserver.ipid_global:
-                frag_global = True
-    return DomainScanResult(name=domain.name, dnssec=domain.signed,
-                            hijack=hijack, saddns=saddns,
-                            frag_any=frag_any, frag_global=frag_global)
-
-
 @dataclass
 class SurveySummary:
     """Aggregated percentages over one dataset."""
@@ -209,67 +148,3 @@ class SurveySummary:
     def pct(self, key: str) -> float:
         """Percentage for one measured property."""
         return self.percentages.get(key, 0.0)
-
-
-def summarise_resolver_scan(dataset: str, full_size: int,
-                            results: list[ResolverScanResult]
-                            ) -> SurveySummary:
-    """Percentages over a resolver dataset scan."""
-    count = max(len(results), 1)
-    return SurveySummary(
-        dataset=dataset, size=len(results), full_size=full_size,
-        percentages={
-            "hijack": 100.0 * sum(r.hijack for r in results) / count,
-            "saddns": 100.0 * sum(r.saddns for r in results) / count,
-            "frag": 100.0 * sum(r.frag for r in results) / count,
-        },
-    )
-
-
-def summarise_domain_scan(dataset: str, full_size: int,
-                          results: list[DomainScanResult]) -> SurveySummary:
-    """Percentages over a domain dataset scan."""
-    count = max(len(results), 1)
-    return SurveySummary(
-        dataset=dataset, size=len(results), full_size=full_size,
-        percentages={
-            "hijack": 100.0 * sum(r.hijack for r in results) / count,
-            "saddns": 100.0 * sum(r.saddns for r in results) / count,
-            "frag_any": 100.0 * sum(r.frag_any for r in results) / count,
-            "frag_global": 100.0 * sum(r.frag_global for r in results)
-            / count,
-            "dnssec": 100.0 * sum(r.dnssec for r in results) / count,
-        },
-    )
-
-
-def harvest_edns_sizes(front_ends: list[FrontEnd]) -> list[int]:
-    """EDNS UDP sizes advertised by (reachable) resolvers (Figure 4)."""
-    sizes = []
-    for front_end in front_ends:
-        for resolver in front_end.resolvers:
-            if resolver.reachable and resolver.edns_size is not None:
-                sizes.append(resolver.edns_size)
-    return sizes
-
-
-def harvest_min_fragment_sizes(domains: list[DomainProfile]) -> list[int]:
-    """Minimum emitted fragment size of fragmenting nameservers (Fig. 4)."""
-    sizes = []
-    for domain in domains:
-        for nameserver in domain.nameservers:
-            if nameserver.honours_ptb:
-                sizes.append(nameserver.min_frag_size)
-    return sizes
-
-
-def harvest_prefix_lengths(items: list[FrontEnd] | list[DomainProfile]
-                           ) -> list[int]:
-    """Covering-announcement lengths of a population (Figure 3)."""
-    lengths: list[int] = []
-    for item in items:
-        if isinstance(item, FrontEnd):
-            lengths.extend(r.prefix_length for r in item.resolvers)
-        else:
-            lengths.extend(n.prefix_length for n in item.nameservers)
-    return lengths

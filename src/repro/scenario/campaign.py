@@ -175,10 +175,6 @@ class MethodSummary:
         return self.downgrades / self.app_runs if self.app_runs else 0.0
 
     @property
-    def takeover_rate(self) -> float:
-        return self.takeovers / self.app_runs if self.app_runs else 0.0
-
-    @property
     def load(self) -> LoadReport | None:
         """This group's merged benign-load report (None when unloaded)."""
         if not self.loads:
@@ -220,9 +216,6 @@ class CampaignResult:
     workers: int
     executor: str
     notes: list[str] = field(default_factory=list)
-    #: :class:`repro.store.RunTotals` over the whole sweep, cached and
-    #: executed cells alike (None on reconstructed results).
-    totals: Any = None
 
     @property
     def successes(self) -> int:
@@ -505,7 +498,6 @@ class Campaign:
         # module), so a top-level import would cycle.
         from repro.parallel.taskmap import run_map
         from repro.parallel.workers import resolve_workers
-        from repro.store.aggregate import RunTotals
 
         try:
             # None keeps the old min(8, cpus) default; "auto" and the
@@ -528,14 +520,10 @@ class Campaign:
                          keys=cells.keys if cells else None, store=cells,
                          workers=count, executor=self.executor,
                          name="campaign.sweep")
-        totals = RunTotals(key="campaign")
-        for run in mapped.results:
-            totals.note_run(run)
         return CampaignResult(
             runs=mapped.results, wall_clock=mapped.wall_clock,
             workers=mapped.workers, executor=mapped.executor,
-            notes=(cells.notes if cells else []) + mapped.notes,
-            totals=totals)
+            notes=(cells.notes if cells else []) + mapped.notes)
 
     def run_defended(self,
                      scenarios: AttackScenario | Iterable[AttackScenario],

@@ -57,26 +57,6 @@ class RunTotals:
         if record.load_checksum is not None:
             self.loaded_runs += 1
 
-    def note_run(self, run: Any) -> None:
-        """Fold one live :class:`repro.scenario.spec.ScenarioRun` in.
-
-        Folding a run live and folding its stored :class:`RunRecord`
-        later produce identical totals; the integer counters are exact
-        under any fold order, while the float sums (``duration``,
-        ``wall_time``) agree only up to float-addition associativity.
-        """
-        self.runs += 1
-        self.successes += 1 if run.success else 0
-        self.packets += run.packets_sent
-        self.queries += run.queries_triggered
-        self.duration += run.duration
-        self.wall_time += run.wall_time
-        if run.app_result is not None:
-            self.app_runs += 1
-            self.impacts_realized += 1 if run.impact_realized else 0
-        if run.load_report is not None:
-            self.loaded_runs += 1
-
     def merge(self, other: "RunTotals") -> "RunTotals":
         """Associative combine of two disjoint streams' totals."""
         return RunTotals(

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 
+from repro.core.errors import ScenarioError
 from repro.core.rng import DeterministicRNG
 from repro.parallel.workers import parse_seed
 from repro.scenario.registry import available_methods, resolve_method
@@ -28,17 +29,21 @@ from repro.workload.trace import QueryTrace, synthesize_trace
 
 def _spec_from_args(args: argparse.Namespace,
                     trace_path: str | None = None) -> WorkloadSpec:
-    return WorkloadSpec(
-        clients=args.clients,
-        qps=args.qps,
-        duration=args.duration,
-        warmup=args.warmup,
-        domains=args.domains,
-        zipf_s=args.zipf_s,
-        victim_rank=args.victim_rank,
-        victim_ttl=args.victim_ttl,
-        trace_path=trace_path,
-    )
+    """The population flags as a spec; an invalid one is a usage error."""
+    try:
+        return WorkloadSpec(
+            clients=args.clients,
+            qps=args.qps,
+            duration=args.duration,
+            warmup=args.warmup,
+            domains=args.domains,
+            zipf_s=args.zipf_s,
+            victim_rank=args.victim_rank,
+            victim_ttl=args.victim_ttl,
+            trace_path=trace_path,
+        )
+    except ScenarioError as error:
+        args.parser.error(str(error))
 
 
 def _add_population_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,6 +66,7 @@ def _add_population_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the victim name's zone TTL so the"
                              " cache entry churns on the run's timescale")
     parser.add_argument("--seed", type=parse_seed, default=0)
+    parser.set_defaults(parser=parser)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -133,6 +133,8 @@ class WorkloadSpec:
             raise ScenarioError(f"negative warmup: {self.warmup}")
         if self.domains < 1:
             raise ScenarioError(f"domains must be >= 1: {self.domains}")
+        if self.victim_ttl is not None and self.victim_ttl < 0:
+            raise ScenarioError(f"negative victim_ttl: {self.victim_ttl}")
         if not self.ttls:
             raise ScenarioError("ttls must not be empty")
         if not self.qtype_mix:

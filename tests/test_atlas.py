@@ -21,7 +21,11 @@ from repro.atlas.synth import (
     iter_front_ends,
     stream_checksum,
 )
-from repro.measurements.population import DOMAIN_DATASETS, RESOLVER_DATASETS
+from repro.measurements.population import (
+    DOMAIN_DATASETS,
+    RESOLVER_DATASETS,
+    sample_size,
+)
 from repro.parallel.taskmap import run_map
 
 OPEN = find_dataset("open")
@@ -343,6 +347,20 @@ class TestAtlasCli:
         assert exit_info.value.code == 2
         assert bad[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, bad", [
+        ("claim", ["--max-shards", "-1"]),
+        ("claim", ["--max-shards", "0"]),
+        ("calibrate", ["--sample-budget", "0"]),
+    ])
+    def test_bad_budgets_are_usage_errors(self, tmp_path, capsys,
+                                          command, bad):
+        store = ["--store", str(tmp_path)] if command == "claim" else []
+        with pytest.raises(SystemExit) as exit_info:
+            atlas_main([command, "--dataset", "open", *store, *bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and bad[0] in err
+
     def test_synth_zero_entities_streams_none(self, capsys):
         status = atlas_main(["synth", "--dataset", "eduroam-domains",
                              "--entities", "0"])
@@ -436,11 +454,12 @@ class TestExperimentIntegration:
 
         result = table3.run(scale=0.005)
         assert len(result.rows) == 9
-        assert set(result.data["populations"]) == \
-            {spec.key for spec in RESOLVER_DATASETS}
-        # Populations are real entity lists (Figure 3/5 contract).
-        open_population = result.data["populations"]["open"]
-        assert open_population[0].resolvers[0].address
+        aggregates = result.data["aggregates"]
+        assert set(aggregates) == {spec.key for spec in RESOLVER_DATASETS}
+        # One aggregate per dataset, over exactly the sampled entities.
+        for spec in RESOLVER_DATASETS:
+            assert aggregates[spec.key].count == \
+                sample_size(spec.full_size, 0.005)
 
     def test_table3_full_small_cap(self):
         from repro.experiments import table3

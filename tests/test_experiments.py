@@ -6,8 +6,12 @@ tests also assert the shape of the paper's distributions at seed 0 and
 scale 0.01.
 """
 
+from collections import Counter
+
 import pytest
 
+import repro.parallel.kernel as kernel
+from repro.atlas.aggregate import stratum_key
 from repro.experiments import (
     ALL_EXPERIMENTS,
     degraded,
@@ -15,6 +19,7 @@ from repro.experiments import (
     figure2,
     figure3,
     figure4,
+    figure5,
     section4,
     section5,
     table1,
@@ -134,6 +139,38 @@ class TestSurveys:
         # fraction reaches the 292-byte floor.
         assert frag_cdf[548] >= 0.75
         assert 0.02 <= frag_cdf[292] <= 0.15
+
+    def test_figure5_regions_are_the_survey_strata(self):
+        """Figure 5's sampled regions are the summed strata of the
+        aggregates Tables 3 and 4 return at the same scale."""
+        result = figure5.run(seed=0, scale=0.005)
+        regions = [(True, False, False), (False, True, False),
+                   (False, False, True), (True, True, False),
+                   (True, False, True), (False, True, True),
+                   (True, True, True)]
+        for table, key in ((table3, "resolver_venn_sampled"),
+                           (table4, "domain_venn_sampled")):
+            strata = Counter()
+            for aggregate in table.run(seed=0, scale=0.005) \
+                    .data["aggregates"].values():
+                strata.update(aggregate.strata)
+            venn = result.data[key]
+            assert [venn.only_a, venn.only_b, venn.only_c, venn.ab,
+                    venn.ac, venn.bc, venn.abc] == \
+                [strata[stratum_key(*flags)] for flags in regions]
+            assert venn.total > 0
+
+    @pytest.mark.parametrize("module", [figure3, figure4, figure5],
+                             ids=["figure3", "figure4", "figure5"])
+    def test_figures_match_the_scalar_kernel(self, monkeypatch, module):
+        """Without numpy the survey folds run the scalar reference scan;
+        every figure must render the same bytes."""
+        vector = module.run(seed=0, scale=0.005)
+        monkeypatch.setattr(kernel, "HAVE_NUMPY", False)
+        scalar = module.run(seed=0, scale=0.005)
+        assert scalar.rendered == vector.rendered
+        assert scalar.rows == vector.rows
+        assert repr(scalar.data) == repr(vector.data)
 
     def test_section4_rates(self):
         result = section4.run(seed=0, scale=0.01)

@@ -1,7 +1,10 @@
 """Tests for populations, scanners and the measurement helpers."""
 
+from collections import Counter
+
 import pytest
 
+from repro.atlas.aggregate import ScanAggregate, stratum_key
 from repro.atlas.shards import find_dataset
 from repro.atlas.synth import iter_entities, stream_checksum
 from repro.core.rng import DeterministicRNG
@@ -21,25 +24,18 @@ from repro.measurements.population import (
     sample_size,
 )
 from repro.measurements.report import (
+    VennCounts,
     cdf_series,
     histogram,
     render_table,
     scale_count,
-    venn_from_flags,
 )
-from repro.measurements.scanner import (
-    harvest_edns_sizes,
-    harvest_prefix_lengths,
-    scan_domain,
-    scan_front_end,
-    scan_saddns,
-    summarise_domain_scan,
-    summarise_resolver_scan,
-)
+from repro.measurements.scanner import scan_saddns
 from repro.measurements.simulate_hijack import (
     nameserver_concentration,
     simulate_sameprefix_hijacks,
 )
+from repro.parallel.kernel import scan_range
 
 
 def sample(key: str, size: int, seed: int = 77) -> list:
@@ -69,19 +65,16 @@ class TestPopulationGeneration:
     def test_calibration_recovered_by_scan(self):
         """The scanner must re-measure the calibrated rates."""
         spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = sample("open", 4000)
-        results = [scan_front_end(f) for f in population]
-        summary = summarise_resolver_scan(spec.label, spec.full_size,
-                                          results)
+        summary = scan_range(spec, 77, 0, 4000).to_summary(
+            spec.label, spec.full_size)
         assert abs(summary.pct("hijack") - spec.expected_hijack) < 5
         assert abs(summary.pct("saddns") - spec.expected_saddns) < 4
         assert abs(summary.pct("frag") - spec.expected_frag) < 5
 
     def test_domain_calibration_recovered(self):
         spec = next(s for s in DOMAIN_DATASETS if s.key == "alexa")
-        population = sample("alexa", 4000)
-        results = [scan_domain(d) for d in population]
-        summary = summarise_domain_scan(spec.label, spec.full_size, results)
+        summary = scan_range(spec, 77, 0, 4000).to_summary(
+            spec.label, spec.full_size)
         assert abs(summary.pct("hijack") - spec.expected_hijack) < 6
         assert abs(summary.pct("frag_any") - spec.expected_frag_any) < 4
 
@@ -153,21 +146,25 @@ class TestReportHelpers:
                     if "|" in line}) == 1
 
     def test_cdf_series_monotone(self):
-        series = cdf_series([1, 2, 2, 3, 10], points=[1, 2, 5, 10])
+        series = cdf_series(Counter([1, 2, 2, 3, 10]),
+                            points=[1, 2, 5, 10])
         values = [y for _x, y in series]
         assert values == sorted(values)
         assert values[-1] == 1.0
+        assert series[1] == (2.0, 0.6)
 
     def test_histogram_sums_to_one(self):
-        mix = histogram([1, 1, 2, 3])
+        mix = histogram(Counter([1, 1, 2, 3]))
         assert abs(sum(mix.values()) - 1.0) < 1e-9
         assert mix[1] == 0.5
 
     def test_venn_regions(self):
-        venn = venn_from_flags([
+        strata = Counter(stratum_key(*flags) for flags in [
             (True, False, False), (True, True, False),
             (True, True, True), (False, False, True),
+            (False, False, False),
         ])
+        venn = VennCounts.from_strata(strata)
         assert venn.only_a == 1 and venn.ab == 1 and venn.abc == 1
         assert venn.only_c == 1
         assert venn.total == 4
@@ -178,8 +175,12 @@ class TestReportHelpers:
         assert scale_count(5, 0, 1000) == 0
 
     def test_harvests(self):
-        population = sample("open", 300)
-        sizes = harvest_edns_sizes(population)
+        aggregate = ScanAggregate(kind="resolver")
+        for front_end in sample("open", 300):
+            aggregate.observe(front_end)
+        sizes = aggregate.histograms["edns_size"]
         assert sizes and all(s >= 512 for s in sizes)
-        lengths = harvest_prefix_lengths(population)
+        lengths = aggregate.histograms["prefix_length"]
         assert lengths and all(11 <= length <= 24 for length in lengths)
+        assert sum(lengths.values()) == sum(
+            len(f.resolvers) for f in sample("open", 300))

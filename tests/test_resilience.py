@@ -119,11 +119,6 @@ class TestRunPolicy:
         assert not run.success
         assert run.packets_sent == 0
 
-    def test_record_failures_false_is_fail_fast(self):
-        with pytest.raises(ChaosError):
-            execute_cell(self.crashing(), 0,
-                         RunPolicy(record_failures=False))
-
     def test_retries_heal_transient_failures(self):
         scenario = AttackScenario(method="HijackDNS", label="cell",
                                   faults=FaultPlan(flaky_seeds=(0,)))

@@ -373,3 +373,25 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(record)]) == 0
         assert "Load report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, bad", [
+        ("synth", ["--clients", "0"]),
+        ("synth", ["--clients", "101"]),
+        ("synth", ["--domains", "0"]),
+        ("synth", ["--victim-ttl", "-5"]),
+        ("replay", ["--clients", "-1"]),
+    ])
+    def test_bad_counts_are_usage_errors(self, tmp_path, capsys,
+                                         command, bad):
+        from repro.workload.cli import main
+
+        out = ["--out", str(tmp_path / "t.jsonl")] \
+            if command == "synth" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *bad, *out])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        error = err.strip().splitlines()[-1]
+        assert "usage:" in err and "error:" in error
+        assert bad[0][2:].replace("-", "_") in error
+        assert not (tmp_path / "t.jsonl").exists()
