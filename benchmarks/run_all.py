@@ -445,7 +445,8 @@ def bench_parallel(entities: int) -> dict:
     bit-identity gate CI runs."""
     from repro.atlas import find_dataset, scan_dataset
     from repro.atlas.cli import aggregate_checksum
-    from repro.parallel import resolve_workers, vector_available
+    from repro.parallel.kernel import vector_available
+    from repro.parallel.workers import resolve_workers
 
     spec = find_dataset("open")
     workers = resolve_workers("auto")

@@ -24,13 +24,13 @@ import shutil
 
 from repro.atlas import (
     AtlasStore,
-    calibrate_population,
     find_dataset,
     iter_entities,
     scan_dataset,
     shard_ranges,
     stream_checksum,
 )
+from repro.atlas.calibrate import calibrate_population
 from repro.atlas.cli import parse_seed
 
 

@@ -347,8 +347,8 @@ def _build_deployment(ctx: Context) -> str:
     # atlas aggregates Tables 3/4 computed — 2.1M resolvers plus 1.0M
     # domains, the paper's full 3.1M entities): which fraction of the
     # attack surface each defense stack neutralizes, per stratum.
-    from repro.atlas import project_deployment
     from repro.atlas.aggregate import ScanAggregate
+    from repro.atlas.calibrate import project_deployment
     from repro.defenses import DefenseStack
 
     r3 = ctx.atlas_table3()

@@ -70,8 +70,8 @@ Quickstart::
     print(run.result.describe())
 
     # Statistics: sweep any scenario across seeds on worker processes.
-    sweep = Campaign().run(AttackScenario(method="frag"),
-                           seeds=range(32), workers=8)
+    sweep = Campaign(workers=8).run(AttackScenario(method="frag"),
+                                    seeds=range(32))
     print(sweep.describe())
 
     # Planner-driven: Table 1 reasoning picks the methodology, then
@@ -195,7 +195,7 @@ Atlas quickstart — Section 5 at the paper's full dataset sizes::
     #   python -m repro.atlas merge --dataset open --store S
 
     # Validate the planner against the scanned strata end-to-end:
-    from repro.atlas import calibrate_population
+    from repro.atlas.calibrate import calibrate_population
     print(calibrate_population(report.aggregate, "open",
                                sample_budget=24).describe())
 
@@ -204,43 +204,45 @@ Shell equivalent: ``python -m repro.atlas scan --entities 1580000
 for ``synth`` / ``calibrate`` / ``report``).
 """
 
-from repro.attacks.planner import TargetProfile
-from repro.defenses import Defense, DefenseStack
-from repro.faults import FaultPlan, ImpairmentSpec, RunPolicy
-from repro.scenario import (
-    AppSpec,
-    AttackScenario,
-    Campaign,
-    CampaignResult,
-    ScenarioRun,
-    TriggerSpec,
-    killchain_scenarios,
-    plan_and_run,
-    scenario_from_profile,
-)
-from repro.store import RunStore
-from repro.testbed import Testbed, standard_testbed
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AppSpec",
-    "AttackScenario",
-    "Campaign",
-    "CampaignResult",
-    "Defense",
-    "DefenseStack",
-    "FaultPlan",
-    "ImpairmentSpec",
-    "RunPolicy",
-    "RunStore",
-    "ScenarioRun",
-    "TargetProfile",
-    "Testbed",
-    "TriggerSpec",
-    "__version__",
-    "killchain_scenarios",
-    "plan_and_run",
-    "scenario_from_profile",
-    "standard_testbed",
-]
+#: The public names, each imported on first use from the module named
+#: here, so ``import repro`` itself loads no layer.
+_EXPORTS = {
+    "AppSpec": "repro.scenario",
+    "AttackScenario": "repro.scenario",
+    "Campaign": "repro.scenario",
+    "CampaignResult": "repro.scenario",
+    "Defense": "repro.defenses",
+    "DefenseStack": "repro.defenses",
+    "FaultPlan": "repro.faults",
+    "ImpairmentSpec": "repro.faults",
+    "RunPolicy": "repro.faults",
+    "RunStore": "repro.store",
+    "ScenarioRun": "repro.scenario",
+    "TargetProfile": "repro.attacks.planner",
+    "Testbed": "repro.testbed",
+    "TriggerSpec": "repro.scenario",
+    "killchain_scenarios": "repro.scenario",
+    "plan_and_run": "repro.scenario",
+    "scenario_from_profile": "repro.scenario",
+    "standard_testbed": "repro.testbed",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    # An unknown name raises AttributeError, so ``from repro import obs``
+    # falls back to importing the submodule.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

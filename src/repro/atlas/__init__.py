@@ -34,7 +34,7 @@ Quickstart::
     print(report.summary.percentages)         # Table 3 'open' row
     print(f"{report.entities_per_second:,.0f} entities/s")
 
-    from repro.atlas import calibrate_population
+    from repro.atlas.calibrate import calibrate_population
     calibration = calibrate_population(report.aggregate, "open",
                                        sample_budget=12)
     print(calibration.describe())             # planner vs. simulation
@@ -49,15 +49,6 @@ or from the shell::
 """
 
 from repro.atlas.aggregate import ScanAggregate, stratum_key
-from repro.atlas.calibrate import (
-    CalibrationReport,
-    DeploymentProjection,
-    StratumCalibration,
-    StratumProjection,
-    calibrate_population,
-    profile_for_stratum,
-    project_deployment,
-)
 from repro.atlas.pipeline import (
     AtlasScanReport,
     all_dataset_specs,
@@ -81,23 +72,16 @@ from repro.atlas.synth import (
 __all__ = [
     "AtlasScanReport",
     "AtlasStore",
-    "CalibrationReport",
-    "DeploymentProjection",
     "ScanAggregate",
     "ShardRange",
     "ShardRecord",
-    "StratumCalibration",
-    "StratumProjection",
     "all_dataset_specs",
-    "calibrate_population",
-    "project_deployment",
     "dataset_kind",
     "find_dataset",
     "iter_domains",
     "iter_entities",
     "iter_front_ends",
     "population_spec_hash",
-    "profile_for_stratum",
     "scan_dataset",
     "shard_ranges",
     "stratum_key",

@@ -30,7 +30,6 @@ import sys
 import time
 
 from repro.atlas.aggregate import DOMAIN_FLAGS, RESOLVER_FLAGS, ScanAggregate
-from repro.atlas.calibrate import calibrate_population, project_deployment
 from repro.atlas.pipeline import AtlasScanReport, scan_dataset
 from repro.atlas.shards import find_dataset, shard_ranges
 from repro.atlas.store import AtlasStore
@@ -282,6 +281,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from repro.atlas.calibrate import calibrate_population, project_deployment
     from repro.defenses import DefenseStack
 
     stacks = [DefenseStack.parse(text) for text in (args.defend or [])]

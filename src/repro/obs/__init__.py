@@ -17,8 +17,8 @@ Quickstart::
     from repro import AttackScenario, Campaign, obs
 
     obs.enable()                       # or REPRO_OBS=1 in the env
-    sweep = Campaign(executor="process").run(
-        AttackScenario(method="hijack"), seeds=range(32), workers=4)
+    sweep = Campaign(executor="process", workers=4).run(
+        AttackScenario(method="hijack"), seeds=range(32))
 
     reg = obs.OBS.registry             # fleet-wide: worker deltas merge
     print(reg.value("campaign.cells_total", method="hijack"))  # 32

@@ -17,7 +17,7 @@ Four pillars, all bit-identical to the serial reference paths:
 Quickstart::
 
     from repro.atlas import AtlasStore, find_dataset, scan_dataset
-    from repro.parallel import claim_worker, merge_claimed, resolve_workers
+    from repro.parallel.claim import claim_worker, merge_claimed
 
     spec = find_dataset("open")
     # Vectorised scan on every schedulable CPU:
@@ -36,30 +36,3 @@ Command line (the atlas CLI drives this plane)::
     python -m repro.atlas claim --dataset open --entities 200000 --store runs/atlas
     python -m repro.atlas merge --dataset open --entities 200000 --store runs/atlas
 """
-
-from repro.parallel.claim import (
-    ClaimOutcome,
-    claim_shard,
-    claim_worker,
-    merge_claimed,
-    release_shard,
-)
-from repro.parallel.kernel import VectorScanner, scan_range, vector_available
-from repro.parallel.scheduler import run_stealing
-from repro.parallel.taskmap import run_map
-from repro.parallel.workers import cpu_count, resolve_workers
-
-__all__ = [
-    "ClaimOutcome",
-    "VectorScanner",
-    "claim_shard",
-    "claim_worker",
-    "cpu_count",
-    "merge_claimed",
-    "release_shard",
-    "resolve_workers",
-    "run_map",
-    "run_stealing",
-    "scan_range",
-    "vector_available",
-]

@@ -24,8 +24,8 @@ Quickstart::
     chain = AttackScenario(method="hijack", app_spec=AppSpec(app="dv"),
                            trigger=TriggerSpec(kind="app")).run(seed=1)
     print(chain.app_result.describe())   # fraud. certificate issued?
-    sweep = Campaign().run(AttackScenario(method="frag"),
-                           seeds=range(32), workers=8)
+    sweep = Campaign(workers=8).run(AttackScenario(method="frag"),
+                                    seeds=range(32))
     print(sweep.describe())
 
 There is also a command line: ``python -m repro.scenario run|sweep|report``.

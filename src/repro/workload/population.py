@@ -133,6 +133,10 @@ class WorkloadSpec:
             raise ScenarioError(f"negative warmup: {self.warmup}")
         if self.domains < 1:
             raise ScenarioError(f"domains must be >= 1: {self.domains}")
+        if not 0 <= self.victim_rank <= self.domains:
+            raise ScenarioError(
+                f"victim_rank must be in [0, {self.domains}]: "
+                f"{self.victim_rank}")
         if self.victim_ttl is not None and self.victim_ttl < 0:
             raise ScenarioError(f"negative victim_ttl: {self.victim_ttl}")
         if not self.ttls:
@@ -158,12 +162,11 @@ class WorkloadSpec:
         engine can create their zones without touching the victim
         domain's delegation; TTLs cycle through :attr:`ttls` by rank.
         """
-        rank_of_victim = min(max(self.victim_rank, 0), self.domains)
         entries: list[CatalogEntry] = []
         rank = 0
         background = 0
         while rank < self.domains + 1:
-            if rank == rank_of_victim:
+            if rank == self.victim_rank:
                 entries.append(CatalogEntry(
                     qname=victim_qname, rank=rank,
                     ttl=self.victim_ttl if self.victim_ttl is not None

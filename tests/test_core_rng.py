@@ -1,6 +1,10 @@
 """Tests for deterministic namespaced randomness."""
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +16,22 @@ from repro.core.rng import BULK_DRAWS, DeterministicRNG, derive_rng
 _RUN_LENGTHS = st.one_of(
     st.sampled_from([BULK_DRAWS - 1, BULK_DRAWS, BULK_DRAWS + 1, 4096]),
     st.integers(min_value=0, max_value=2 * BULK_DRAWS))
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code + report], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _repro_modules(modules: set[str]) -> set[str]:
+    return {name for name in modules
+            if name == "repro" or name.startswith("repro.")}
 
 
 class TestDeterminism:
@@ -104,17 +124,31 @@ class TestHelpers:
 
     def test_import_repro_loads_no_numpy(self):
         """numpy is imported only by the draws that use it."""
-        import os
-        import subprocess
-        from pathlib import Path
+        assert "numpy" not in loaded_modules("import repro")
 
-        import repro
+    def test_import_repro_loads_no_layer(self):
+        """The public names load their layer on first use."""
+        assert _repro_modules(loaded_modules("import repro")) == {"repro"}
 
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        code = "import sys, repro; sys.exit('numpy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code],
-                              env=env).returncode == 0
+    def test_campaign_loads_neither_numpy_nor_the_atlas(self):
+        loaded = loaded_modules(
+            "from repro.scenario import AttackScenario, Campaign\n"
+            "Campaign(executor='serial').run_pairs(\n"
+            "    [(AttackScenario(method='hijack'), 1)])")
+        assert "numpy" not in loaded
+        assert not {name for name in _repro_modules(loaded)
+                    if name.startswith(("repro.atlas", "repro.store"))
+                    or name in ("repro.parallel.kernel",
+                                "repro.parallel.claim")}
+
+    def test_atlas_scan_loads_no_simulator(self):
+        loaded = loaded_modules(
+            "from repro.atlas.shards import find_dataset\n"
+            "from repro.parallel.kernel import scan_range\n"
+            "scan_range(find_dataset('open'), 0, 0, 1000)")
+        assert not {name for name in _repro_modules(loaded)
+                    if name.startswith(("repro.scenario", "repro.attacks",
+                                        "repro.apps", "repro.dns"))}
 
     @pytest.mark.parametrize("width", [2**32, 2**40, 0, -6])
     def test_below_many_rejects_widths_it_cannot_draw(self, width):

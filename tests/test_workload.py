@@ -380,6 +380,8 @@ class TestCli:
         ("synth", ["--domains", "0"]),
         ("synth", ["--victim-ttl", "-5"]),
         ("replay", ["--clients", "-1"]),
+        ("synth", ["--victim-rank", "-3"]),
+        ("synth", ["--victim-rank", "500"]),
     ])
     def test_bad_counts_are_usage_errors(self, tmp_path, capsys,
                                          command, bad):
