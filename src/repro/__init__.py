@@ -234,15 +234,26 @@ _EXPORTS = {
 __all__ = sorted([*_EXPORTS, "__version__"])
 
 
-def __getattr__(name: str):
-    # An unknown name raises AttributeError, so ``from repro import obs``
-    # falls back to importing the submodule.
-    if name not in _EXPORTS:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(importlib.import_module(_EXPORTS[name]), name)
-    globals()[name] = value
-    return value
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``(__getattr__, __dir__)`` for a package ``namespace``
+    that serves each name of ``exports`` from the module it maps to,
+    importing that module on first use."""
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        # An unknown name raises AttributeError, so ``from repro import
+        # obs`` falls back to importing the submodule.
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

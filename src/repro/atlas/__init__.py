@@ -48,42 +48,30 @@ or from the shell::
     python -m repro.atlas report --store .atlas-store
 """
 
-from repro.atlas.aggregate import ScanAggregate, stratum_key
-from repro.atlas.pipeline import (
-    AtlasScanReport,
-    all_dataset_specs,
-    scan_dataset,
-)
-from repro.atlas.shards import (
-    ShardRange,
-    dataset_kind,
-    find_dataset,
-    population_spec_hash,
-    shard_ranges,
-)
-from repro.atlas.store import AtlasStore, ShardRecord
-from repro.atlas.synth import (
-    iter_domains,
-    iter_entities,
-    iter_front_ends,
-    stream_checksum,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AtlasScanReport",
-    "AtlasStore",
-    "ScanAggregate",
-    "ShardRange",
-    "ShardRecord",
-    "all_dataset_specs",
-    "dataset_kind",
-    "find_dataset",
-    "iter_domains",
-    "iter_entities",
-    "iter_front_ends",
-    "population_spec_hash",
-    "scan_dataset",
-    "shard_ranges",
-    "stratum_key",
-    "stream_checksum",
-]
+#: The public names, each imported on first use from the module named
+#: here, so importing one atlas module (as the scan kernel imports
+#: ``repro.atlas.aggregate``) does not load the pipeline.
+_EXPORTS = {
+    "AtlasScanReport": "repro.atlas.pipeline",
+    "AtlasStore": "repro.atlas.store",
+    "ScanAggregate": "repro.atlas.aggregate",
+    "ShardRange": "repro.atlas.shards",
+    "ShardRecord": "repro.atlas.store",
+    "all_dataset_specs": "repro.atlas.pipeline",
+    "dataset_kind": "repro.atlas.shards",
+    "find_dataset": "repro.atlas.shards",
+    "iter_domains": "repro.atlas.synth",
+    "iter_entities": "repro.atlas.synth",
+    "iter_front_ends": "repro.atlas.synth",
+    "population_spec_hash": "repro.atlas.shards",
+    "scan_dataset": "repro.atlas.pipeline",
+    "shard_ranges": "repro.atlas.shards",
+    "stratum_key": "repro.atlas.aggregate",
+    "stream_checksum": "repro.atlas.synth",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

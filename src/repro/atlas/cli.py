@@ -42,7 +42,7 @@ from repro.measurements.population import (
 )
 from repro.measurements.report import render_table
 from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
-from repro.parallel.kernel import KERNELS
+from repro.parallel.kernel import KERNELS, vector_available
 from repro.parallel.workers import at_least, parse_seed, parse_workers
 
 #: Calibration drift allowed between a full-scale scan and the paper's
@@ -466,5 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "kernel", None) == "vector" and not vector_available():
+        parser.error("--kernel vector needs numpy, which is not "
+                     "installed (use --kernel auto or scalar)")
     return args.fn(args)

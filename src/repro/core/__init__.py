@@ -6,19 +6,22 @@ error types and small unit helpers.  Everything else in :mod:`repro` builds
 on these.
 """
 
-from repro.core.clock import Clock, Scheduler
-from repro.core.errors import ConfigurationError, ReproError
-from repro.core.eventlog import Event, EventLog, NullLog
-from repro.core.rng import DeterministicRNG, derive_rng
+from repro import _lazy_exports
 
-__all__ = [
-    "Clock",
-    "ConfigurationError",
-    "DeterministicRNG",
-    "Event",
-    "EventLog",
-    "NullLog",
-    "ReproError",
-    "Scheduler",
-    "derive_rng",
-]
+#: The public names, each imported on first use from the module named
+#: here, so importing ``repro.core.rng`` does not load the scheduler.
+_EXPORTS = {
+    "Clock": "repro.core.clock",
+    "ConfigurationError": "repro.core.errors",
+    "DeterministicRNG": "repro.core.rng",
+    "Event": "repro.core.eventlog",
+    "EventLog": "repro.core.eventlog",
+    "NullLog": "repro.core.eventlog",
+    "ReproError": "repro.core.errors",
+    "Scheduler": "repro.core.clock",
+    "derive_rng": "repro.core.rng",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

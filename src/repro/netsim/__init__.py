@@ -9,65 +9,43 @@ encodings, with the same constants the paper exploits (50 ICMP errors per
 second, 64-slot reassembly cache, 68-byte minimum MTU, 16-bit IP-ID).
 """
 
-from repro.netsim.addresses import int_to_ip, ip_in_prefix, ip_to_int
-from repro.netsim.checksum import internet_checksum, udp_checksum
-from repro.netsim.fragmentation import ReassemblyCache, fragment_packet
-from repro.netsim.host import Host, UdpSocket
-from repro.netsim.ipid import (
-    GlobalCounterIPID,
-    IPIDAllocator,
-    PerDestinationIPID,
-    RandomIPID,
-)
-from repro.netsim.network import Network
-from repro.netsim.packet import (
-    ICMP_DEST_UNREACHABLE,
-    ICMP_ECHO_REPLY,
-    ICMP_ECHO_REQUEST,
-    ICMP_FRAG_NEEDED,
-    ICMP_PORT_UNREACHABLE,
-    PROTO_ICMP,
-    PROTO_UDP,
-    IcmpMessage,
-    Ipv4Packet,
-    UdpDatagram,
-)
-from repro.netsim.ratelimit import TokenBucket
-from repro.netsim.wire import (
-    decode_ipv4,
-    decode_udp_payload,
-    encode_ipv4,
-    encode_udp,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "GlobalCounterIPID",
-    "Host",
-    "ICMP_DEST_UNREACHABLE",
-    "ICMP_ECHO_REPLY",
-    "ICMP_ECHO_REQUEST",
-    "ICMP_FRAG_NEEDED",
-    "ICMP_PORT_UNREACHABLE",
-    "IPIDAllocator",
-    "IcmpMessage",
-    "Ipv4Packet",
-    "Network",
-    "PROTO_ICMP",
-    "PROTO_UDP",
-    "PerDestinationIPID",
-    "RandomIPID",
-    "ReassemblyCache",
-    "TokenBucket",
-    "UdpDatagram",
-    "UdpSocket",
-    "decode_ipv4",
-    "decode_udp_payload",
-    "encode_ipv4",
-    "encode_udp",
-    "fragment_packet",
-    "int_to_ip",
-    "internet_checksum",
-    "ip_in_prefix",
-    "ip_to_int",
-    "udp_checksum",
-]
+#: The public names, each imported on first use from the module named
+#: here, so importing one netsim module (as the atlas scan imports
+#: ``repro.netsim.ratelimit``) does not load the packet stack.
+_EXPORTS = {
+    "GlobalCounterIPID": "repro.netsim.ipid",
+    "Host": "repro.netsim.host",
+    "ICMP_DEST_UNREACHABLE": "repro.netsim.packet",
+    "ICMP_ECHO_REPLY": "repro.netsim.packet",
+    "ICMP_ECHO_REQUEST": "repro.netsim.packet",
+    "ICMP_FRAG_NEEDED": "repro.netsim.packet",
+    "ICMP_PORT_UNREACHABLE": "repro.netsim.packet",
+    "IPIDAllocator": "repro.netsim.ipid",
+    "IcmpMessage": "repro.netsim.packet",
+    "Ipv4Packet": "repro.netsim.packet",
+    "Network": "repro.netsim.network",
+    "PROTO_ICMP": "repro.netsim.packet",
+    "PROTO_UDP": "repro.netsim.packet",
+    "PerDestinationIPID": "repro.netsim.ipid",
+    "RandomIPID": "repro.netsim.ipid",
+    "ReassemblyCache": "repro.netsim.fragmentation",
+    "TokenBucket": "repro.netsim.ratelimit",
+    "UdpDatagram": "repro.netsim.packet",
+    "UdpSocket": "repro.netsim.host",
+    "decode_ipv4": "repro.netsim.wire",
+    "decode_udp_payload": "repro.netsim.wire",
+    "encode_ipv4": "repro.netsim.wire",
+    "encode_udp": "repro.netsim.wire",
+    "fragment_packet": "repro.netsim.fragmentation",
+    "int_to_ip": "repro.netsim.addresses",
+    "internet_checksum": "repro.netsim.checksum",
+    "ip_in_prefix": "repro.netsim.addresses",
+    "ip_to_int": "repro.netsim.addresses",
+    "udp_checksum": "repro.netsim.checksum",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

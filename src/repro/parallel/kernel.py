@@ -60,8 +60,10 @@ KERNELS = ("auto", "vector", "scalar")
 #: dispatch.  The (624, B) state matrix (30 MB here) is far from cache-
 #: resident at any useful width; seeding streams through it row by row.
 #: A sweep of the ``open`` scan on a 2-vCPU host: 4,096 scans about 25%
-#: slower, 8,192 to 24,576 sit within the host's noise of each other,
-#: and 16,384 adds about 10 MB of peak RSS for no gain.
+#: slower, 8,192 to 24,576 sit within the host's noise of each other.
+#: One state is live at a time (a resolver batch frees its main state
+#: before the ICMP replay seeds), so a batch's traced peak is about 1.25
+#: states: 36 MB here, and 16,384 adds about 12 MB of it for no gain.
 VEC_BATCH = 12288
 
 _TWO_PI = 6.283185307179586
@@ -355,10 +357,37 @@ class VectorScanner:
         """Fold the vector columns of ``[lo, hi)`` into ``sinks``.
 
         Returns the irregular column offsets, which it leaves out.
+        The main streams' state is out of scope once
+        :meth:`_resolver_columns` returns, so the ICMP replay seeds its
+        own state with only one lockstep matrix live at a time.
+        """
+        materials = self._materials(lo, hi)
+        irregular, reachable, randomized, edns, accepts, prefix = \
+            self._resolver_columns(materials)
+
+        saddns = np.zeros(len(materials), dtype=bool)
+        if self.det_verdict:
+            saddns |= reachable & ~randomized
+        replay = np.flatnonzero(reachable & randomized)
+        if replay.size:
+            icmp = [_derive_material(materials[i], b"icmp-0")
+                    for i in replay.tolist()]
+            saddns[replay] = _saddns_replay_batch(icmp)
+        frag = reachable & accepts & (edns >= FRAG_TEST_RESPONSE_SIZE)
+
+        for aggregate, sel in _cut_columns(lo, hi, sinks, irregular):
+            _fold_resolver(aggregate, prefix[sel], reachable[sel],
+                           edns[sel], saddns[sel], frag[sel])
+        return irregular
+
+    def _resolver_columns(self, materials: list[bytes]):
+        """Seed the main streams and draw through the prefix length.
+
+        Returns ``(irregular, reachable, randomized, edns, accepts,
+        prefix)``; no returned array refers to the state.
         """
         spec = self.spec
         rates = self.rates
-        materials = self._materials(lo, hi)
         mt = LockstepMT(b"".join(materials))
         draws = _Draws(mt)
 
@@ -389,21 +418,7 @@ class VectorScanner:
                 accepts[big_idx] = draws.random(big_idx) < p_accept
         draws.bits(16, 60_000)                      # ASN (not scanned)
         prefix = _mix_draw(draws, self.prefix_mix)
-
-        saddns = np.zeros(mt.batch, dtype=bool)
-        if self.det_verdict:
-            saddns |= reachable & ~randomized
-        replay = np.flatnonzero(reachable & randomized)
-        if replay.size:
-            icmp = [_derive_material(materials[i], b"icmp-0")
-                    for i in replay.tolist()]
-            saddns[replay] = _saddns_replay_batch(icmp)
-        frag = reachable & accepts & (edns >= FRAG_TEST_RESPONSE_SIZE)
-
-        for aggregate, sel in _cut_columns(lo, hi, sinks, mt.irregular):
-            _fold_resolver(aggregate, prefix[sel], reachable[sel],
-                           edns[sel], saddns[sel], frag[sel])
-        return mt.irregular
+        return mt.irregular, reachable, randomized, edns, accepts, prefix
 
     # -- domain columns -------------------------------------------------------
 

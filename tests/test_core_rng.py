@@ -146,9 +146,18 @@ class TestHelpers:
             "from repro.atlas.shards import find_dataset\n"
             "from repro.parallel.kernel import scan_range\n"
             "scan_range(find_dataset('open'), 0, 0, 1000)")
-        assert not {name for name in _repro_modules(loaded)
-                    if name.startswith(("repro.scenario", "repro.attacks",
-                                        "repro.apps", "repro.dns"))}
+        simulator = {name for name in _repro_modules(loaded)
+                     if name.startswith((
+                         "repro.scenario", "repro.attacks", "repro.apps",
+                         "repro.dns", "repro.netsim.", "repro.core.clock",
+                         "repro.core.eventlog"))}
+        assert simulator <= {"repro.netsim.ratelimit"}
+
+    @pytest.mark.parametrize("module", ["repro.parallel.kernel",
+                                        "repro.parallel.mt"])
+    def test_scan_modules_import_first(self, module):
+        """No package init closes an import cycle back into them."""
+        assert module in loaded_modules(f"import {module}")
 
     @pytest.mark.parametrize("width", [2**32, 2**40, 0, -6])
     def test_below_many_rejects_widths_it_cannot_draw(self, width):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
@@ -189,6 +190,21 @@ class TestKernelBitIdentity:
             cli.build_parser().parse_args(
                 ["scan", "--dataset", "open", "--kernel", "python"])
 
+    @pytest.mark.parametrize("command", [
+        ["scan", "--no-table5"], ["claim", "--store", "S"],
+        ["merge", "--store", "S"]])
+    def test_vector_kernel_without_numpy_is_usage_error(self, command,
+                                                        monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setattr(kernel_module, "HAVE_NUMPY", False)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            atlas_cli.main(command + ["--dataset", "open", "--entities",
+                                      "1000", "--shards", "2",
+                                      "--kernel", "vector"])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "S").exists()
+
 
 def _flag_column_3(monkeypatch) -> None:
     """Make every lockstep batch wider than 3 treat column 3 as a
@@ -249,6 +265,24 @@ class TestVectorFallbacks:
         for lo, hi, aggregate in sinks:
             assert checksum(aggregate) == \
                 checksum(serial_aggregate(spec, 0, lo, hi)), (lo, hi)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestKernelMemory:
+    @pytest.mark.parametrize("dataset", ["open", "alexa"])
+    def test_one_lockstep_state_live_at_a_time(self, dataset):
+        """A resolver batch frees its main state before the ICMP replay
+        seeds another, so no scan holds two (624, B) matrices."""
+        entities = 4000
+        scanner = VectorScanner(find_dataset(dataset), 0)
+        scanner.scan(0, entities)                   # warm-up
+        tracemalloc.start()
+        try:
+            scanner.scan(0, entities)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 624 * entities * 4
 
 
 # -- work stealing under adversarial completion order ------------------------
