@@ -502,7 +502,7 @@ def _build_obs(ctx: Context,
         "## Observability overhead (repro.obs)",
         "",
         "The obs plane (`repro.obs`: mergeable metrics, span tracing,",
-        "stage timers, `GET /metrics` in service mode) follows the",
+        "stage timers, diffable JSON snapshots) follows the",
         "event log's `NullLog` discipline: disabled by default, one",
         "boolean checked before any argument is built, and required to",
         "be statistically invisible either way.  The `obs_overhead`",

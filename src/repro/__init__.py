@@ -41,8 +41,7 @@ The package implements, on a byte-accurate simulated Internet:
   keyed by ``(scenario spec hash, seed, defense stack)`` in WAL-mode
   SQLite, so killed sweeps resume idempotently (only missing cells
   recompute, bit-identically) and summaries reconstruct from the store
-  without re-running — plus a service mode (:mod:`repro.serve`)
-  queueing submitted campaigns into the store over HTTP;
+  without re-running;
 * deterministic fault injection and graceful degradation
   (:mod:`repro.faults`): declarative :class:`FaultPlan` network
   impairments (loss, latency, jitter, reordering, duplication) drawn
@@ -51,15 +50,14 @@ The package implements, on a byte-accurate simulated Internet:
   contract (scheduler event/wall budgets, retry-with-backoff for
   transients) under which a raising cell becomes a *recorded failure*
   in the campaign and store instead of killing the sweep, and a chaos
-  harness (crash/flaky seeds, scheduled store-write failures, serve
-  worker crashes) that makes the resilience paths testable;
+  harness (crash/flaky seeds, scheduled store-write failures) that
+  makes the resilience paths testable;
 * a zero-cost observability plane (:mod:`repro.obs`): mergeable
   counters/gauges/histograms, run-correlated span tracing across
-  process workers, per-stage profiling hooks and a Prometheus
-  ``GET /metrics`` endpoint in service mode — disabled by default
-  under the ``NullLog`` discipline, so instrumentation never changes
-  a statistic: every output is bit-identical with the plane off or
-  on.
+  process workers, per-stage profiling hooks and diffable JSON
+  snapshots — disabled by default under the ``NullLog`` discipline,
+  so instrumentation never changes a statistic: every output is
+  bit-identical with the plane off or on.
 
 Quickstart::
 
@@ -132,13 +130,6 @@ Quickstart::
     # ``python -m repro.atlas calibrate --run-store runs.db`` and
     # ``python -m repro.store inspect runs.db``.
 
-    # Service mode: an HTTP job queue draining campaigns into the same
-    # store (stdlib-only; see ``python -m repro.serve -h``)::
-    #
-    #   python -m repro.serve --store runs.db --port 8737 &
-    #   curl -d '{"methods": ["hijack"], "seeds": 8}' :8737/jobs
-    #   curl ':8737/aggregate?by=method'
-
     # Degraded paths: impair the resolver<->NS link deterministically
     # (fault draws never shift attack randomness — an empty plan is
     # bit-identical to no plan), and run under a policy that records
@@ -168,9 +159,8 @@ Quickstart::
     print(obs.OBS.registry.value("campaign.sweeps_total"))    # 1
     obs.OBS.spans.export_jsonl("trace.jsonl")
     # Shell: ``python -m repro.obs tail trace.jsonl`` renders the
-    # tree; ``python -m repro.serve`` (obs on by default) exposes the
-    # live registry at ``GET /metrics``, and ``python -m repro.obs
-    # snapshot --url http://127.0.0.1:8737`` / ``diff`` scrape it.
+    # tree; ``repro.obs.export.write_snapshot`` saves the registry,
+    # and ``python -m repro.obs snapshot --file`` / ``diff`` read it.
 
 Atlas quickstart — Section 5 at the paper's full dataset sizes::
 
@@ -186,13 +176,6 @@ Atlas quickstart — Section 5 at the paper's full dataset sizes::
     # scan runs the batch-vectorised numpy kernel (the per-entity
     # scalar scan is the reference); results never depend on kernel,
     # worker count or completion order.
-
-    # Multi-host: point claim-mode workers at one shared store — each
-    # leases shards atomically, killed workers' leases expire, and the
-    # coordinator merge equals an uninterrupted serial scan::
-    #
-    #   python -m repro.atlas claim --dataset open --store S &  # xN
-    #   python -m repro.atlas merge --dataset open --store S
 
     # Validate the planner against the scanned strata end-to-end:
     from repro.atlas.calibrate import calibrate_population

@@ -1,6 +1,6 @@
 """``python -m repro.atlas`` — the attack-surface atlas command line.
 
-Six subcommands tie the subsystem together:
+Four subcommands tie the subsystem together:
 
 * ``synth`` — stream a population shard-by-shard, report throughput and
   a rolling checksum; ``--verify`` additionally streams the whole range
@@ -9,12 +9,6 @@ Six subcommands tie the subsystem together:
   full paper scale (resumable with ``--store``), print each dataset's
   aggregate checksum and the atlas-backed Tables 3/4 (and the Table 5
   implementation matrix) with deviations from the paper's numbers.
-* ``claim`` — run ONE claim-mode worker: lease shards from a shared
-  store, scan, append, release.  Start as many of these as you like,
-  on as many hosts as share the store directory; kill any of them.
-* ``merge`` — coordinator: merge a claimed store into the final report
-  (scanning whatever shards every worker left behind); its aggregate
-  checksum equals a ``scan`` of the same population.
 * ``calibrate`` — stratify a scanned population by vulnerability
   profile and validate planner verdicts with a stratified campaign
   sub-sample.
@@ -41,7 +35,6 @@ from repro.measurements.population import (
     ResolverDatasetSpec,
 )
 from repro.measurements.report import render_table
-from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
 from repro.parallel.kernel import KERNELS, vector_available
 from repro.parallel.workers import at_least, parse_seed, parse_workers
 
@@ -126,8 +119,8 @@ def aggregate_checksum(report: AtlasScanReport) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _print_scanned(report: AtlasScanReport, verb: str) -> None:
-    print(f"{verb} {report.dataset}: {report.entities:,} entities, "
+def _print_scanned(report: AtlasScanReport) -> None:
+    print(f"scanned {report.dataset}: {report.entities:,} entities, "
           f"{len(report.computed_shards)} shards computed + "
           f"{len(report.cached_shards)} cached, "
           f"{report.wall_clock:.1f}s ({report.entities_per_second:,.0f}/s, "
@@ -214,7 +207,7 @@ def _run_scan(args: argparse.Namespace
             executor=args.executor, store=store, kernel=args.kernel,
         )
         reports.append(report)
-        _print_scanned(report, "scanned")
+        _print_scanned(report)
     return reports, time.perf_counter() - started
 
 
@@ -253,31 +246,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for failure in failures:
         print(f"DEVIATION: {failure}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def _cmd_claim(args: argparse.Namespace) -> int:
-    outcome = claim_worker(
-        find_dataset(args.dataset), seed=args.seed, entities=args.entities,
-        shards=args.shards, store=AtlasStore(args.store),
-        worker=args.worker, ttl=args.ttl, kernel=args.kernel,
-        max_shards=args.max_shards,
-    )
-    print(f"claim worker {outcome.worker}: scanned "
-          f"{len(outcome.scanned)} shards, skipped (leased elsewhere) "
-          f"{len(outcome.skipped)}, expired leases broken "
-          f"{len(outcome.broken)}")
-    print(json.dumps(outcome.to_json(), sort_keys=True))
-    return 0
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    report = merge_claimed(
-        find_dataset(args.dataset), seed=args.seed, entities=args.entities,
-        shards=args.shards, store=AtlasStore(args.store),
-        kernel=args.kernel,
-    )
-    _print_scanned(report, "merged")
-    return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -381,14 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shards", type=at_least(1), default=16)
         p.add_argument("--seed", type=parse_seed, default=0)
 
-    def scanned(p, dataset_default: str = "open",
-                require_store: bool = False) -> None:
+    def scanned(p, dataset_default: str = "open") -> None:
         population(p, dataset_default)
         p.add_argument("--kernel", default="auto", choices=KERNELS,
                        help="per-shard scan implementation (both "
                             "bit-identical; default picks the "
                             "vectorised kernel when numpy is present)")
-        p.add_argument("--store", required=require_store, default=None,
+        p.add_argument("--store", default=None,
                        help="shard-result store directory (enables resume)")
 
     def pooled(p) -> None:
@@ -417,24 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--no-table5", action="store_true",
                       help="skip the Table 5 implementation matrix")
     scan.set_defaults(fn=_cmd_scan)
-
-    claim = sub.add_parser(
-        "claim", help="run one lease-based claim worker against a store")
-    scanned(claim, require_store=True)
-    claim.add_argument("--worker", default="",
-                       help="worker id recorded in leases "
-                            "(default: host-pid)")
-    claim.add_argument("--ttl", type=float, default=DEFAULT_TTL,
-                       help="seconds before a silent lease is "
-                            "considered dead and re-claimed")
-    claim.add_argument("--max-shards", type=at_least(1), default=None,
-                       help="stop after scanning this many shards")
-    claim.set_defaults(fn=_cmd_claim)
-
-    merge = sub.add_parser(
-        "merge", help="coordinator merge of a claimed store")
-    scanned(merge, require_store=True)
-    merge.set_defaults(fn=_cmd_merge)
 
     calibrate = sub.add_parser(
         "calibrate", help="stratified campaign validation of a scan")

@@ -26,6 +26,7 @@ from repro.obs import OBS
 from repro.obs.profile import STAGE_EDGES_MS
 from repro.parallel.kernel import (
     VectorScanner,
+    check_kernel,
     scan_range,
     vector_available,
 )
@@ -174,7 +175,9 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
     ``workers`` accepts a count, ``None`` (capped default) or
     ``"auto"`` (every schedulable CPU); ``kernel`` picks the per-shard
     scan implementation (one of
-    :data:`repro.parallel.kernel.KERNELS`, all bit-identical).
+    :data:`repro.parallel.kernel.KERNELS`, all bit-identical); an
+    unknown name, or ``"vector"`` without numpy, raises ``ValueError``
+    before any worker starts.
 
     The report carries aggregates only; callers that need the entities
     themselves stream them with :func:`repro.atlas.synth.iter_entities`.
@@ -184,6 +187,7 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
     kind = dataset_kind(spec)
     if entities is not None and entities < 0:
         raise ValueError(f"entities must be >= 0, got {entities}")
+    check_kernel(kernel)
     total = min(entities, spec.full_size) if entities is not None \
         else spec.full_size
     spec_hash = population_spec_hash(spec, seed, total)

@@ -11,8 +11,8 @@ Two planes, one subsystem:
 * **Execution plane** — :class:`RunPolicy` gives each campaign cell a
   scheduler watchdog, bounded retry for transient failures, and
   record-don't-crash semantics; :mod:`repro.faults.chaos` injects
-  deterministic harness failures (poisoned cells, locked stores,
-  dying serve workers) to prove it all works.
+  deterministic harness failures (poisoned cells, locked stores) to
+  prove it all works.
 
 Quickstart::
 
@@ -31,13 +31,10 @@ from repro.faults.chaos import (
     ChaosStore,
     FlakyError,
     maybe_crash,
-    parse_chaos_schedule,
     reset_flaky_attempts,
-    should_fail,
 )
 from repro.faults.inject import FAULT_STREAM, FaultInjector, install_plan
 from repro.faults.policy import (
-    DEFAULT_POLICY,
     RunPolicy,
     error_summary,
     execute_cell,
@@ -53,7 +50,6 @@ from repro.faults.spec import (
 __all__ = [
     "ChaosError",
     "ChaosStore",
-    "DEFAULT_POLICY",
     "FAULT_STREAM",
     "FaultError",
     "FaultInjector",
@@ -66,8 +62,6 @@ __all__ = [
     "failed_run",
     "install_plan",
     "maybe_crash",
-    "parse_chaos_schedule",
     "parse_impairment",
     "reset_flaky_attempts",
-    "should_fail",
 ]

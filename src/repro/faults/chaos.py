@@ -3,11 +3,11 @@
 Impairments (:mod:`repro.faults.spec`) degrade the *simulated* network;
 chaos degrades the *harness itself* — a campaign cell whose world build
 crashes, a store whose writes raise ``sqlite3.OperationalError`` on
-schedule, a serve worker that dies mid-job.  Everything here is
-deterministic (schedules are data, not clocks), so resilience tests and
-the CI chaos-smoke job reproduce exactly.
+schedule.  Everything here is deterministic (schedules are data, not
+clocks), so resilience tests and the CI chaos-smoke job reproduce
+exactly.
 
-Three mechanisms:
+Two mechanisms:
 
 * ``FaultPlan.crash_seeds`` / ``flaky_seeds`` — checked by
   :func:`maybe_crash` at world-build time.  Crash seeds raise
@@ -20,9 +20,6 @@ Three mechanisms:
   raising ``sqlite3.OperationalError("database is locked")`` for
   scheduled write attempts; exercises the store retry path without
   needing real lock contention.
-* Serve worker chaos — ``JobService(chaos="job:N")`` (see
-  :mod:`repro.serve.jobs`) uses :func:`parse_chaos_schedule` +
-  :func:`should_fail` to crash the Nth job deterministically.
 """
 
 from __future__ import annotations
@@ -74,30 +71,6 @@ def maybe_crash(plan, label: str, seed) -> None:
             raise FlakyError(
                 f"injected transient failure: seed {seed!r} of {label!r}"
                 f" (attempt {attempt}/{plan.flaky_failures})")
-
-
-def parse_chaos_schedule(text: str | None) -> tuple[str, int] | None:
-    """Parse a ``"kind:N"`` chaos schedule (e.g. ``"job:2"``).
-
-    Returns ``(kind, n)`` with 1-based ``n``, or None for no chaos.
-    """
-    if not text:
-        return None
-    kind, _, count = text.partition(":")
-    kind = kind.strip()
-    if not kind or not count.strip().isdigit():
-        raise ValueError(
-            f"bad chaos schedule {text!r}: want 'kind:N' (e.g. 'job:2')")
-    n = int(count)
-    if n < 1:
-        raise ValueError(f"chaos schedule index must be >= 1, got {n}")
-    return kind, n
-
-
-def should_fail(schedule: tuple[str, int] | None, kind: str,
-                ordinal: int) -> bool:
-    """Whether the ``ordinal``-th (1-based) event of ``kind`` is doomed."""
-    return schedule is not None and schedule == (kind, ordinal)
 
 
 class ChaosStore:

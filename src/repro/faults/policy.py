@@ -67,15 +67,6 @@ class RunPolicy:
             object.__setattr__(self, f.name, value)
 
 
-#: The guardrail long sweeps (and every serve job) run under: generous
-#: budgets that no legitimate cell approaches (the heaviest bench cell
-#: stays well under ten million events), two retries for transient
-#: failures, and failures recorded rather than fatal.  Campaigns built
-#: without a policy keep the old fail-fast behaviour.
-DEFAULT_POLICY = RunPolicy(max_events=50_000_000, max_wall=600.0,
-                           retries=2, backoff=0.05)
-
-
 def error_summary(exc: BaseException, frames: int = 3) -> dict[str, str]:
     """A compact, storable description of an exception.
 

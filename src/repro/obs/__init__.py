@@ -5,8 +5,8 @@ One process-wide switch (:data:`OBS`) gates a metrics registry
 stage timers (:mod:`repro.obs.profile`).  It follows the PR-3
 ``NullLog`` discipline: **disabled by default**, and every
 instrumented call site in the campaign runner, atlas pipeline,
-parallel plane, workload engine, fault injector, store and serve
-layer checks ``OBS.enabled`` before building a single argument — a
+parallel plane, workload engine, fault injector and store checks
+``OBS.enabled`` before building a single argument — a
 disabled plane costs one boolean test per *stage*, nothing per packet
 or per simulated event, and every statistical output is bit-identical
 with observability off and on (see ``tests/test_obs.py`` and the
@@ -26,10 +26,8 @@ Quickstart::
     obs.OBS.spans.export_jsonl("sweep.jsonl")   # sweep > batch > cell
     # Inspect: python -m repro.obs tail sweep.jsonl
 
-Serve mode enables the plane by default and exposes the registry live
-at ``GET /metrics`` (Prometheus text; ``?format=json`` for the raw
-snapshot) — see :mod:`repro.obs.export` and ``python -m repro.obs
-snapshot --url http://host:port``.
+:mod:`repro.obs.export` writes the registry as a JSON snapshot, and
+``python -m repro.obs snapshot``/``diff`` read such files.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 
 Three subcommands:
 
-* ``snapshot`` — capture the registry of a *running* serve instance
-  (``--url http://host:port``, hits ``GET /metrics?format=json``) or
-  pretty-print a snapshot file, optionally writing it with ``-o``;
+* ``snapshot`` — pretty-print a snapshot file (written by
+  :func:`repro.obs.export.write_snapshot`), optionally copying it with
+  ``-o``;
 * ``tail`` — render a JSONL span trace as an indented tree with
   durations (``--limit`` caps the rows, ``--name`` filters);
 * ``diff`` — per-series deltas between two snapshot files, e.g. the
-  before/after of one job on a live service.
+  before/after of one campaign.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import urllib.error
-import urllib.request
 
 from repro.obs import load_trace, walk_tree
 from repro.obs.export import (
@@ -25,19 +23,7 @@ from repro.obs.export import (
     load_snapshot,
     _flatten,
 )
-
-
-def _fetch_snapshot(url: str, timeout: float) -> dict:
-    target = url.rstrip("/")
-    if "/metrics" not in target:
-        target += "/metrics"
-    separator = "&" if "?" in target else "?"
-    target += separator + "format=json"
-    try:
-        with urllib.request.urlopen(target, timeout=timeout) as reply:
-            return json.loads(reply.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError) as exc:
-        raise SystemExit(f"error: cannot fetch {target}: {exc}")
+from repro.parallel.workers import at_least
 
 
 def _print_snapshot(payload: dict, limit: int) -> None:
@@ -58,12 +44,7 @@ def _print_snapshot(payload: dict, limit: int) -> None:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    if args.url:
-        payload = _fetch_snapshot(args.url, args.timeout)
-    elif args.file:
-        payload = load_snapshot(args.file)
-    else:
-        raise SystemExit("error: snapshot needs --url or --file")
+    payload = load_snapshot(args.file)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -126,24 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     snap = commands.add_parser(
-        "snapshot", help="capture or pretty-print a metrics snapshot")
-    snap.add_argument("--url",
-                      help="base URL of a running repro.serve "
-                           "instance (e.g. http://127.0.0.1:8737)")
-    snap.add_argument("--file", help="read a snapshot JSON file")
+        "snapshot", help="pretty-print a metrics snapshot file")
+    snap.add_argument("--file", required=True,
+                      help="read a snapshot JSON file")
     snap.add_argument("-o", "--output",
                       help="also write the snapshot to this path")
     snap.add_argument("--raw", action="store_true",
                       help="print the raw JSON payload")
-    snap.add_argument("--limit", type=int, default=0,
+    snap.add_argument("--limit", type=at_least(0), default=0,
                       help="max series to print (0 = all)")
-    snap.add_argument("--timeout", type=float, default=10.0)
     snap.set_defaults(fn=_cmd_snapshot)
 
     tail = commands.add_parser(
         "tail", help="render a JSONL span trace as a tree")
     tail.add_argument("trace", help="path to a trace .jsonl")
-    tail.add_argument("--limit", type=int, default=0,
+    tail.add_argument("--limit", type=at_least(0), default=0,
                       help="max spans to print (0 = all)")
     tail.add_argument("--name",
                       help="only spans whose name contains this")

@@ -1,40 +1,24 @@
-"""Exposition: Prometheus text format and JSON snapshots.
+"""JSON snapshots of the metrics registry.
 
-:func:`render_prometheus` emits the text exposition format (version
-0.0.4) that a Prometheus scraper — or ``curl`` — reads from the serve
-layer's ``GET /metrics`` route: counters as ``_total`` samples,
-gauges plain, histograms as cumulative ``_bucket{le=...}`` series with
-``_sum``/``_count``.  :func:`snapshot` wraps the registry's canonical
-JSON with enough metadata (pid, wall time, span count) to diff two
-captures; :func:`diff_snapshots` computes those deltas.
+:func:`snapshot` wraps the registry's canonical JSON with enough
+metadata (pid, wall time, span count) to diff two captures;
+:func:`diff_snapshots` computes those deltas, one series per
+``name{label="value",...}`` key with label values escaped (backslash,
+double quote, newline).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def metric_name(name: str, suffix: str = "",
-                namespace: str = "repro") -> str:
-    """Sanitize a dotted registry name into a Prometheus one."""
-    flat = _NAME_RE.sub("_", name)
-    return f"{namespace}_{flat}{suffix}"
-
-
-def _render_labels(labels: dict[str, Any],
-                   extra: tuple[tuple[str, str], ...] = ()) -> str:
+def _render_labels(labels: dict[str, Any]) -> str:
     pairs = [(str(k), str(v)) for k, v in labels.items()]
-    pairs.extend(extra)
     if not pairs:
         return ""
     rendered = ",".join(
@@ -44,64 +28,6 @@ def _render_labels(labels: dict[str, Any],
                  .replace("\n", r"\n"))
         for key, value in sorted(pairs))
     return "{" + rendered + "}"
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _format_edge(edge: float) -> str:
-    return str(int(edge)) if float(edge).is_integer() else repr(edge)
-
-
-def render_prometheus(registry: MetricsRegistry,
-                      namespace: str = "repro") -> str:
-    """The registry in Prometheus text exposition format."""
-    lines: list[str] = []
-    typed: set[str] = set()
-
-    def header(full_name: str, kind: str) -> None:
-        if full_name not in typed:
-            typed.add(full_name)
-            lines.append(f"# TYPE {full_name} {kind}")
-
-    for (kind, name, _labels), metric in registry:
-        if kind == "counter":
-            full = metric_name(name if name.endswith("_total")
-                               else name + "_total",
-                               namespace=namespace)
-            header(full, "counter")
-            lines.append(f"{full}"
-                         f"{_render_labels(dict(metric.labels))} "
-                         f"{_format_value(metric.value)}")
-        elif kind == "gauge":
-            full = metric_name(name, namespace=namespace)
-            header(full, "gauge")
-            lines.append(f"{full}"
-                         f"{_render_labels(dict(metric.labels))} "
-                         f"{_format_value(metric.value)}")
-        else:
-            full = metric_name(name, namespace=namespace)
-            header(full, "histogram")
-            labels = dict(metric.labels)
-            cumulative = 0
-            for edge, count in zip(metric.edges, metric.bins):
-                cumulative += count
-                lines.append(
-                    f"{full}_bucket"
-                    f"{_render_labels(labels, (('le', _format_edge(edge)),))}"
-                    f" {cumulative}")
-            lines.append(
-                f"{full}_bucket"
-                f"{_render_labels(labels, (('le', '+Inf'),))}"
-                f" {metric.count}")
-            lines.append(f"{full}_sum{_render_labels(labels)} "
-                         f"{_format_value(float(metric.sum))}")
-            lines.append(f"{full}_count{_render_labels(labels)} "
-                         f"{metric.count}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def snapshot(registry: MetricsRegistry, spans=None,

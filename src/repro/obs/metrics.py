@@ -182,7 +182,7 @@ class MetricsRegistry:
 
     Metric identity is ``(kind, name, sorted labels)``; asking for the
     same identity twice returns the same object.  Creation is guarded
-    by a lock (serve worker threads share one registry); per-sample
+    by a lock (thread-pool workers share one registry); per-sample
     updates are plain attribute arithmetic — the GIL makes lost updates
     rare and the counters here are operational telemetry, never part of
     any verified statistic.

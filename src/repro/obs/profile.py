@@ -2,7 +2,7 @@
 
 :class:`StageTimer` replaces the ad-hoc ``time.perf_counter()`` pairs
 that used to be scattered through the campaign runner, atlas pipeline,
-parallel CLI, serve workers and workload engine.  It *always* measures
+parallel CLI and workload engine.  It *always* measures
 (callers keep reading ``timer.elapsed`` for wall-clock fields that are
 part of verified outputs), but records into the obs registry only when
 the plane is enabled — so the disabled path is exactly the two

@@ -79,6 +79,15 @@ def vector_available() -> bool:
     return HAVE_NUMPY
 
 
+def check_kernel(kernel: str) -> None:
+    """Raise ``ValueError`` unless this host can run ``kernel``."""
+    if kernel not in KERNELS:
+        raise ValueError(
+            f"unknown kernel {kernel!r}; pick one of {KERNELS}")
+    if kernel == "vector" and not HAVE_NUMPY:
+        raise ValueError("numpy is not available for kernel='vector'")
+
+
 def _det_saddns_verdict() -> bool:
     """The scan verdict for a non-randomised (deterministic) limiter."""
     return _deterministic_burst_errors(
@@ -600,18 +609,14 @@ def scan_range(spec, seed, lo: int, hi: int,
     """Columnar scan of entities ``[lo, hi)`` of one dataset.
 
     ``kernel`` is one of :data:`KERNELS`: ``"vector"`` (numpy lockstep,
-    raises without numpy), ``"scalar"`` (the per-entity reference), or
-    ``"auto"`` (vector when numpy is importable, else scalar).  Both
-    paths produce bit-identical aggregates.
+    ``ValueError`` without numpy), ``"scalar"`` (the per-entity
+    reference), or ``"auto"`` (vector when numpy is importable, else
+    scalar).  Both paths produce bit-identical aggregates.
     """
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; pick one of {KERNELS}")
+    check_kernel(kernel)
     if kernel == "auto":
         kernel = "vector" if HAVE_NUMPY else "scalar"
     if kernel == "vector":
-        if not HAVE_NUMPY:
-            raise RuntimeError("numpy is not available for kernel='vector'")
         return VectorScanner(spec, seed).scan(lo, hi, aggregate)
     if aggregate is None:
         aggregate = ScanAggregate(kind=dataset_kind(spec))

@@ -38,7 +38,7 @@ def cpu_count() -> int:
 def parse_workers(value: str) -> int | str:
     """argparse type for ``--workers``: a count or ``auto``.
 
-    Every CLI (atlas, scenario, faults, serve, the bench harness)
+    Every CLI (atlas, scenario, faults, the bench harness)
     funnels through this one parser so ``--workers auto`` means the
     same thing everywhere; resolution to a concrete count happens
     later, in :func:`resolve_workers`.

@@ -23,6 +23,8 @@ from repro.core.errors import ScenarioError
 from repro.defenses.base import DefenseStack
 from repro.faults.policy import RunPolicy, execute_cell
 from repro.obs import OBS
+from repro.parallel.taskmap import EXECUTORS, run_map
+from repro.parallel.workers import resolve_workers
 from repro.scenario.spec import AttackScenario, ScenarioRun
 from repro.workload.report import LoadReport
 
@@ -438,8 +440,6 @@ class Campaign:
     def __init__(self, workers: int | str | None = None,
                  executor: str = "process",
                  policy: RunPolicy | None = None):
-        from repro.parallel.taskmap import EXECUTORS
-
         if executor not in EXECUTORS:
             raise ScenarioError(
                 f"unknown executor {executor!r}; pick one of {EXECUTORS}")
@@ -493,12 +493,6 @@ class Campaign:
         tasks = list(pairs)
         if not tasks:
             raise ScenarioError("no scenario/seed pairs to run")
-        # Imported here: the parallel package's claim module reaches
-        # back through the atlas (whose calibration bridge imports this
-        # module), so a top-level import would cycle.
-        from repro.parallel.taskmap import run_map
-        from repro.parallel.workers import resolve_workers
-
         try:
             # None keeps the old min(8, cpus) default; "auto" and the
             # REPRO_WORKERS override resolve through the shared

@@ -15,11 +15,10 @@ The subsystem has three layers:
 * :mod:`repro.store.aggregate` — reconstruction without re-running:
   :func:`campaign_from_store` rebuilds a bit-identical
   :class:`CampaignResult` from stored cells, and :class:`RunTotals`
-  gives mergeable counters for the service/CLI aggregation endpoints.
+  gives mergeable counters for the CLI's aggregation.
 
 ``python -m repro.store`` (see :mod:`repro.store.cli`) inspects,
-queries, exports and vacuums a store file; ``python -m repro.serve``
-runs the HTTP job service that drains sweeps into one.
+queries, exports and vacuums a store file.
 """
 
 from repro.store.aggregate import (RunTotals, campaign_from_store,

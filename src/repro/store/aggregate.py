@@ -10,8 +10,8 @@ Two consumers, two shapes:
   stored stats JSON round-trips every aggregated field exactly, the
   reconstructed aggregates are bit-identical to the live sweep's
   without re-running a single cell.
-* :class:`RunTotals` is the cheap mergeable counter set the service's
-  ``/aggregate`` endpoint and the store CLI serve from: totals of two
+* :class:`RunTotals` is the cheap mergeable counter set the store
+  CLI's ``agg`` and ``inspect`` report from: totals of two
   disjoint record streams merge associatively, so partial sweeps,
   concurrent workers and sharded stores sum without reconstruction.
 """

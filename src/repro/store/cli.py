@@ -9,7 +9,7 @@ Subcommands::
     vacuum   runs.db                     # checkpoint WAL + compact
 
 Everything reads the same append-only SQLite file campaigns write via
-``Campaign.run(store=...)`` and the ``repro serve`` worker pool.
+``Campaign.run(store=...)``.
 """
 
 from __future__ import annotations

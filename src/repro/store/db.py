@@ -16,12 +16,12 @@ constraints, in order:
   cumulative retry count persists in the ``meta`` table so ``inspect``
   can report contention after the fact.
 * **concurrent writers** — the database runs in WAL mode with a busy
-  timeout, so the ``repro serve`` worker pool (and independent
-  processes sharing one store file) append simultaneously without
-  serialising whole sweeps.  Connections are per-thread; the
+  timeout, so campaign workers (and independent processes sharing
+  one store file) append simultaneously without serialising whole
+  sweeps.  Connections are per-thread; the
   :class:`RunStore` object itself may be shared across threads freely.
-* **queryable** — the flat record columns are indexed for the CLI /
-  service filters (method, defense, label, app, success) and for the
+* **queryable** — the flat record columns are indexed for the CLI
+  filters (method, defense, label, app, success) and for the
   incremental aggregates in :mod:`repro.store.aggregate`.
 """
 

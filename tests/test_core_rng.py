@@ -138,8 +138,7 @@ class TestHelpers:
         assert "numpy" not in loaded
         assert not {name for name in _repro_modules(loaded)
                     if name.startswith(("repro.atlas", "repro.store"))
-                    or name in ("repro.parallel.kernel",
-                                "repro.parallel.claim")}
+                    or name == "repro.parallel.kernel"}
 
     def test_atlas_scan_loads_no_simulator(self):
         loaded = loaded_modules(

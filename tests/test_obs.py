@@ -4,16 +4,11 @@ The plane's whole contract is *zero cost when off, mergeable when on*:
 disabled runs must stay bit-identical to the uninstrumented code, and
 enabled runs must fold per-worker metric/span deltas into one coherent
 registry regardless of executor.  These tests pin both halves, plus
-the Prometheus exposition, the /metrics endpoint and the obs CLI.
+the JSON snapshots and the obs CLI.
 """
 
 import hashlib
-import json
-import re
 import threading
-import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -22,7 +17,6 @@ from repro.obs import OBS
 from repro.obs.export import (
     diff_snapshots,
     load_snapshot,
-    render_prometheus,
     snapshot,
     write_snapshot,
 )
@@ -362,46 +356,23 @@ class TestSpanCorrelation:
                    for cell in cells)
 
 
-# -- exposition ---------------------------------------------------------------
-
-EXPOSITION_LINE = re.compile(
-    r"^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*.*"
-    r"|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9.eE+-]+(inf)?)$")
-
+# -- snapshots ----------------------------------------------------------------
 
 class TestExport:
     def _registry(self) -> MetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("campaign.cells_total", method="HijackDNS").inc(4)
-        registry.gauge("serve.queue_depth").set(2)
+        registry.gauge("atlas.shards_pending").set(2)
         registry.histogram("stage.wall_ms",
                            edges=(1.0, 10.0)).observe(3.0)
         return registry
 
-    def test_every_line_is_valid_exposition(self):
-        text = render_prometheus(self._registry())
-        for line in text.splitlines():
-            assert EXPOSITION_LINE.match(line), line
-        assert 'repro_campaign_cells_total{method="HijackDNS"} 4' in text
-        assert "repro_stage_wall_ms_bucket" in text
-        assert 'le="+Inf"' in text
-        assert "repro_stage_wall_ms_count 1" in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", edges=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            histogram.observe(value)
-        text = render_prometheus(registry)
-        assert 'repro_h_bucket{le="1"} 1' in text
-        assert 'repro_h_bucket{le="10"} 2' in text
-        assert 'repro_h_bucket{le="+Inf"} 3' in text
-
     def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("odd", path='a"b\\c\nd').inc()
-        text = render_prometheus(registry)
-        assert 'path="a\\"b\\\\c\\nd"' in text
+        before = MetricsRegistry()
+        after = MetricsRegistry()
+        after.counter("odd", path='a"b\\c\nd').inc()
+        delta = diff_snapshots(snapshot(before), snapshot(after))
+        assert delta == {'odd{path="a\\"b\\\\c\\nd"}': 1}
 
     def test_snapshot_round_trip_and_diff(self, tmp_path):
         registry = self._registry()
@@ -416,87 +387,6 @@ class TestExport:
         delta = diff_snapshots(loaded, after)
         key = 'campaign.cells_total{method="HijackDNS"}'
         assert delta[key] == 2
-
-
-# -- the /metrics endpoint ----------------------------------------------------
-
-def http_get(url: str):
-    try:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return (response.status, response.read(),
-                    response.headers.get("Content-Type", ""))
-    except urllib.error.HTTPError as error:
-        return error.code, error.read(), ""
-
-
-@pytest.fixture()
-def served(tmp_path):
-    from repro.serve import JobService, make_server
-
-    service = JobService(tmp_path / "serve.db", workers=1)
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield service, f"http://{host}:{port}"
-    server.shutdown()
-    service.shutdown()
-
-
-class TestServeMetrics:
-    def test_metrics_is_503_while_disabled(self, obs_off, served):
-        _service, base = served
-        status, body, _ = http_get(base + "/metrics")
-        assert status == 503
-        assert b"disabled" in body
-
-    def test_prometheus_scrape(self, obs_on, served):
-        service, base = served
-        job = service.submit({"methods": ["hijack"], "seeds": 2})
-        service.wait(job.id, timeout=60)
-        status, body, content_type = http_get(base + "/metrics")
-        assert status == 200
-        assert content_type.startswith("text/plain")
-        text = body.decode("utf-8")
-        for line in text.splitlines():
-            assert EXPOSITION_LINE.match(line), line
-        assert "repro_campaign_cells_total" in text
-        assert "repro_serve_jobs_total" in text
-        assert "repro_serve_queue_depth" in text
-        assert "repro_serve_workers_alive 1" in text
-        # The scrape itself is counted on a later scrape.  The counter
-        # increments in the handler's finally block, microseconds
-        # *after* the response body is on the wire — so poll briefly
-        # instead of racing that window.
-        for _ in range(50):
-            status, body, _ = http_get(base + "/metrics")
-            if 'route="/metrics"' in body.decode("utf-8"):
-                break
-            time.sleep(0.02)
-        assert 'route="/metrics"' in body.decode("utf-8")
-
-    def test_json_snapshot_scrape(self, obs_on, served):
-        _service, base = served
-        status, body, content_type = http_get(
-            base + "/metrics?format=json")
-        assert status == 200
-        assert content_type.startswith("application/json")
-        payload = json.loads(body)
-        assert payload["schema"] == "obs-snapshot/1"
-        assert payload["checksum"]
-
-    def test_health_reports_service_vitals(self, obs_off, served):
-        _service, base = served
-        status, body, _ = http_get(base + "/health")
-        assert status == 200
-        health = json.loads(body)
-        assert health["ok"]
-        assert health["queue_depth"] == 0
-        assert health["busy_retries"] == 0
-        (worker,) = health["worker_status"]
-        assert worker["alive"]
-        assert worker["state"] in ("starting", "idle", "running")
-        assert worker["heartbeat_age"] < 30.0
 
 
 # -- the obs CLI --------------------------------------------------------------
@@ -528,3 +418,17 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "outer" in out and "inner" in out
         assert out.index("outer") < out.index("inner")
+
+    @pytest.mark.parametrize("command", ["snapshot", "tail"])
+    def test_negative_limit_is_a_usage_error(self, tmp_path, capsys,
+                                             command):
+        from repro.obs.cli import main as obs_main
+
+        path = tmp_path / "input"
+        path.write_text("", encoding="utf-8")
+        target = ["--file", str(path)] if command == "snapshot" \
+            else [str(path)]
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main([command, *target, "--limit", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err

@@ -1,9 +1,9 @@
-"""The parallel execution plane: vector kernel, scheduler, claims.
+"""The parallel execution plane: vector kernel, scheduler, workers.
 
 Everything here guards one invariant: every parallel path — the
-vectorised kernel, work-stealing dispatch under adversarial completion
-order, multi-host claim mode with dead workers — produces aggregates
-bit-identical to the serial reference loop.
+vectorised kernel and work-stealing dispatch under adversarial
+completion order — produces aggregates bit-identical to the serial
+reference loop.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ from repro.atlas import (
     shard_ranges,
 )
 from repro.atlas import cli as atlas_cli
-from repro.parallel.claim import (
-    _lease_path,
-    claim_shard,
-    claim_worker,
-    merge_claimed,
-    release_shard,
-)
 from repro.parallel import kernel as kernel_module
 from repro.parallel.kernel import VectorScanner, scan_range, vector_available
 from repro.parallel.mt import (
@@ -190,20 +183,35 @@ class TestKernelBitIdentity:
             cli.build_parser().parse_args(
                 ["scan", "--dataset", "open", "--kernel", "python"])
 
-    @pytest.mark.parametrize("command", [
-        ["scan", "--no-table5"], ["claim", "--store", "S"],
-        ["merge", "--store", "S"]])
+    @pytest.mark.parametrize("command", [["scan", "--no-table5"],
+                                         ["calibrate"]])
     def test_vector_kernel_without_numpy_is_usage_error(self, command,
                                                         monkeypatch,
                                                         tmp_path):
         monkeypatch.setattr(kernel_module, "HAVE_NUMPY", False)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
-            atlas_cli.main(command + ["--dataset", "open", "--entities",
-                                      "1000", "--shards", "2",
-                                      "--kernel", "vector"])
+            atlas_cli.main(command + ["--store", "S", "--dataset", "open",
+                                      "--entities", "1000", "--shards",
+                                      "2", "--kernel", "vector"])
         assert exit_info.value.code == 2
         assert not (tmp_path / "S").exists()
+
+    @pytest.mark.parametrize("kernel,numpy", [("vector", False),
+                                              ("cuda", True)])
+    def test_scan_dataset_checks_kernel_before_dispatch(self, kernel,
+                                                        numpy,
+                                                        monkeypatch):
+        import repro.atlas.pipeline as pipeline
+
+        def no_dispatch(*_args, **_kwargs):
+            raise AssertionError("run_map reached with a bad kernel")
+
+        monkeypatch.setattr(kernel_module, "HAVE_NUMPY", numpy)
+        monkeypatch.setattr(pipeline, "run_map", no_dispatch)
+        with pytest.raises(ValueError, match=kernel):
+            scan_dataset(find_dataset("open"), entities=1000, shards=2,
+                         kernel=kernel, executor="process", workers=2)
 
 
 def _flag_column_3(monkeypatch) -> None:
@@ -418,85 +426,6 @@ class TestWorkStealing:
             (run.label, run.seed, run.success, run.packets_sent,
              run.queries_triggered, run.duration) for run in result.runs]
         assert flatten(scrambled) == flatten(serial)
-
-
-# -- claim mode ---------------------------------------------------------------
-
-class TestClaimMode:
-    def test_two_workers_partition_and_merge(self, tmp_path):
-        spec = find_dataset("open")
-        store = AtlasStore(tmp_path / "claims")
-        first = claim_worker(spec, seed=0, entities=800, shards=4,
-                             store=store, worker="w1", max_shards=2)
-        second = claim_worker(spec, seed=0, entities=800, shards=4,
-                              store=store, worker="w2")
-        assert sorted(first.scanned + second.scanned) == [0, 1, 2, 3]
-        merged = merge_claimed(spec, seed=0, entities=800, shards=4,
-                               store=store)
-        serial = scan_dataset(spec, seed=0, entities=800, shards=4,
-                              executor="serial")
-        assert checksum(merged.aggregate) == checksum(serial.aggregate)
-        assert merged.computed_shards == []
-
-    def test_live_lease_skipped_expired_lease_broken(self, tmp_path):
-        spec = find_dataset("open")
-        store = AtlasStore(tmp_path / "claims")
-        spec_hash = population_spec_hash(spec, 0, 800)
-        assert claim_shard(store, spec_hash, 0, worker="holder")
-        # Fresh lease: a second claimant must not steal it.
-        assert not claim_shard(store, spec_hash, 0, worker="thief",
-                               ttl=60.0)
-        # Expired lease (ttl 0 makes any age stale): broken and taken.
-        broken: list[int] = []
-        assert claim_shard(store, spec_hash, 0, worker="reaper", ttl=0.0,
-                           broken=broken)
-        assert broken == [0]
-        release_shard(store, spec_hash, 0)
-        assert not _lease_path(store, spec_hash, 0).exists()
-
-    def test_killed_worker_resumes_bit_identical(self, tmp_path):
-        # The acceptance scenario: a worker dies mid-scan leaving
-        # stale leases and missing shards; a survivor breaks the
-        # leases, finishes the scan, and the merge equals an
-        # uninterrupted serial scan bit for bit.
-        spec = find_dataset("open")
-        store = AtlasStore(tmp_path / "claims")
-        spec_hash = population_spec_hash(spec, 0, 800)
-        # "Kill" a worker: shards 0 and 2 leased but never recorded.
-        assert claim_shard(store, spec_hash, 0, worker="dead")
-        assert claim_shard(store, spec_hash, 2, worker="dead")
-        survivor = claim_worker(spec, seed=0, entities=800, shards=4,
-                                store=store, worker="survivor", ttl=0.0)
-        assert sorted(survivor.scanned) == [0, 1, 2, 3]
-        assert sorted(survivor.broken) == [0, 2]
-        merged = merge_claimed(spec, seed=0, entities=800, shards=4,
-                               store=store)
-        serial = scan_dataset(spec, seed=0, entities=800, shards=4,
-                              executor="serial")
-        assert checksum(merged.aggregate) == checksum(serial.aggregate)
-
-    def test_worker_rescans_shards_of_another_layout(self, tmp_path):
-        # A store filled under --shards 4 holds ids 0-3 over other
-        # ranges than an 8-shard layout: none of them counts as done.
-        spec = find_dataset("open")
-        store = AtlasStore(tmp_path / "claims")
-        scan_dataset(spec, seed=0, entities=4000, shards=4,
-                     executor="serial", store=store)
-        worker = claim_worker(spec, seed=0, entities=4000, shards=8,
-                              store=store, worker="w8")
-        assert sorted(worker.scanned) == list(range(8))
-        merged = merge_claimed(spec, seed=0, entities=4000, shards=8,
-                               store=store)
-        assert merged.computed_shards == []
-        serial = scan_dataset(spec, seed=0, entities=4000, shards=8,
-                              executor="serial")
-        assert checksum(merged.aggregate) == checksum(serial.aggregate)
-
-    def test_claim_requires_store(self):
-        with pytest.raises(ValueError):
-            claim_worker(find_dataset("open"), entities=100, store=None)
-        with pytest.raises(ValueError):
-            merge_claimed(find_dataset("open"), entities=100, store=None)
 
 
 # -- pipeline integration -----------------------------------------------------

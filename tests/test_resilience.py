@@ -24,9 +24,7 @@ from repro.faults import (
     FlakyError,
     RunPolicy,
     execute_cell,
-    parse_chaos_schedule,
     reset_flaky_attempts,
-    should_fail,
 )
 from repro.scenario.campaign import Campaign
 from repro.scenario.spec import AttackScenario
@@ -362,25 +360,3 @@ class TestStoreRetry:
         # The counter is durable: a second handle on the same file sees
         # it, so `repro.store inspect` reports contention after the fact.
         assert RunStore(path).total_busy_retries() == 1
-
-
-class TestChaosHelpers:
-    def test_parse_schedule(self):
-        assert parse_chaos_schedule("job:2") == ("job", 2)
-        assert parse_chaos_schedule(" write : 1 ".replace(" ", "")) == \
-            ("write", 1)
-        assert parse_chaos_schedule(None) is None
-        assert parse_chaos_schedule("") is None
-
-    @pytest.mark.parametrize("text", ["job", "job:", ":2", "job:zero",
-                                      "job:0", "job:-1"])
-    def test_bad_schedules_rejected(self, text):
-        with pytest.raises(ValueError):
-            parse_chaos_schedule(text)
-
-    def test_should_fail(self):
-        schedule = parse_chaos_schedule("job:2")
-        assert should_fail(schedule, "job", 2)
-        assert not should_fail(schedule, "job", 1)
-        assert not should_fail(schedule, "write", 2)
-        assert not should_fail(None, "job", 2)
