@@ -121,7 +121,7 @@ class SadDnsAttack:
                         for _ in range(real))
         attacker = self.attacker
         attacker.inject_burst(UdpBurst(resolver_ip, ns_ip, queries,
-                                       tuple(attacker.rng.pick_txids(real))))
+                                       attacker.rng.pick_txids(real)))
         bucket = self.nameserver._rrl_bucket
         if bucket is not None:
             now = self.network.now
@@ -160,7 +160,7 @@ class SadDnsAttack:
             ns_ip, resolver_ip,
             PortSweep(DNS_PORT, tuple(batch), b"\x00\x00probe"),
             # The ident draws of ``spoof_udp``, in batch order.
-            tuple(attacker.rng.pick_txids(len(batch)))))
+            attacker.rng.pick_txids(len(batch))))
         # Verification probe, same instant: the deterministic scheduler
         # delivers it after the batch, before any token refill.
         attacker.send_udp(resolver_ip, config.verification_port,
@@ -200,7 +200,9 @@ class SadDnsAttack:
         payload word): the response is encoded once, and each
         ``txid_flood_chunk`` of TXIDs leaves as one :class:`UdpBurst`
         whose datagrams are a :class:`TxidSweep` over that encoded tail,
-        with one IP ident drawn per datagram, in flood order.  The
+        with one IP ident drawn per datagram, in flood order (the
+        ``array('H')`` of :meth:`DeterministicRNG.pick_txids`, which the
+        burst takes as it is).  The
         resolver gets what per-packet sends would deliver, in the same
         order (see :meth:`OffPathAttacker.inject_burst`), and its socket
         rejects the sweep's forgeries in bulk.
@@ -218,7 +220,7 @@ class SadDnsAttack:
                           min(start + config.txid_flood_chunk, 0x10000))
             attacker.inject_burst(UdpBurst(
                 ns_ip, resolver_ip, TxidSweep(DNS_PORT, port, txids, tail),
-                tuple(attacker.rng.pick_txids(len(txids)))))
+                attacker.rng.pick_txids(len(txids))))
             # Give the chunk a full propagation delay before checking.
             self.network.run(0.012)
             if cache_poisoned(self.resolver, qname,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from collections.abc import Sequence
 from math import ceil as _ceil, log as _log
 
@@ -24,6 +25,8 @@ _mersenne_seed = random.Random.__bases__[0].seed
 
 #: Fewer :meth:`DeterministicRNG.below_many` draws than this loop.
 BULK_DRAWS = 1024
+#: Bulk draws end in the loop once no more than this many are missing.
+_LOOP_TAIL = 32
 
 
 class DeterministicRNG(random.Random):
@@ -113,13 +116,20 @@ class DeterministicRNG(random.Random):
             value = getrandbits(17)
         return value
 
-    def pick_txids(self, n: int) -> list[int]:
-        """Draw ``n`` 16-bit identifiers at once.
+    def pick_txids(self, n: int) -> array:
+        """Draw ``n`` 16-bit identifiers at once, as one ``array('H')``.
 
         Bit-identical to ``[pick_txid() for _ in range(n)]``, values and
-        final state alike (see :meth:`below_many`).
+        final state alike (see :meth:`below_many`).  The array's type
+        holds every value in 16 bits, so a burst takes it as its IP
+        idents unscanned, and numpy's draws fill it without becoming
+        Python ints.
         """
-        return self.below_many(0x10000, n)
+        drawn, left = self._bulk_draws(0x10000, n)
+        out = array("H") if drawn is None \
+            else array("H", drawn.astype("H").tobytes())
+        out.extend(self._draw_loop(0x10000, left))
+        return out
 
     def below_many(self, width: int, n: int) -> list[int]:
         """Draw ``n`` integers from ``[0, width)`` at once.
@@ -129,33 +139,51 @@ class DeterministicRNG(random.Random):
         Each ``randint`` keeps the top ``width.bit_length()`` bits of one
         32-bit Mersenne word and rejects the word when they reach
         ``width``.  Short runs (or any, without numpy) loop so.  From
-        :data:`BULK_DRAWS` draws on, one ``getrandbits`` draws more words
-        than needed, numpy filters them, and the saved state is advanced
-        by exactly the words up to the ``n``-th accepted one.
+        :data:`BULK_DRAWS` draws on, numpy filters the words of one
+        ``getrandbits`` per round (see :meth:`_bulk_draws`).
+        """
+        drawn, left = self._bulk_draws(width, n)
+        out = [] if drawn is None else drawn.tolist()
+        out += self._draw_loop(width, left)
+        return out
+
+    def _bulk_draws(self, width: int, n: int):
+        """The first of ``n`` :meth:`below_many` draws, made in numpy:
+        ``(values, left)``, ``values`` a numpy array (None under
+        :data:`BULK_DRAWS` draws or without numpy) and ``left`` the
+        count still to draw.
+
+        Each round draws as many words as there are draws missing, the
+        fewest that could complete them, so no word past the last
+        accepted one is ever drawn and the state needs no rewind.  A
+        short remainder is left to the loop, which costs less than a
+        round of numpy calls.
         """
         bits = width.bit_length()
         if width <= 0 or bits > 32:
             raise ValueError(f"below_many needs 0 < width < 2**32,"
                              f" got {width}")
+        if n < BULK_DRAWS:
+            return None, n
+        try:
+            import numpy as np      # lazily: ``import repro`` needs none
+        except ImportError:
+            return None, n
         getrandbits = self.getrandbits
-        np = None
-        if n >= BULK_DRAWS:
-            try:
-                import numpy as np      # lazily: ``import repro`` needs none
-            except ImportError:
-                pass
-        if np is not None:
-            state = self.getstate()
-            # The expected word count plus over 3 standard deviations.
-            count = (n << bits) // width + n // 16 + 64
-            raw, kept = b"", ()
-            while len(kept) < n:
-                raw += getrandbits(32 * count).to_bytes(4 * count, "little")
-                words = np.frombuffer(raw, "<u4")
-                kept = np.flatnonzero(words < width << (32 - bits))[:n]
-            self.setstate(state)
-            getrandbits(32 * (int(kept[-1]) + 1))
-            return (words[kept] >> (32 - bits)).tolist()
+        limit, shift = width << (32 - bits), 32 - bits
+        rounds, left = [], n
+        while left > _LOOP_TAIL:
+            words = np.frombuffer(
+                getrandbits(32 * left).to_bytes(4 * left, "little"), "<u4")
+            kept = words[words < limit]
+            rounds.append(kept)
+            left -= len(kept)
+        return np.concatenate(rounds) >> shift, left
+
+    def _draw_loop(self, width: int, n: int) -> list[int]:
+        """``n`` :meth:`below_many` draws, one ``getrandbits`` each."""
+        bits = width.bit_length()
+        getrandbits = self.getrandbits
         out: list[int] = []
         for _ in range(n):
             value = getrandbits(bits)

@@ -7,7 +7,8 @@ payload size — are all first-class here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.dns.records import ResourceRecord, type_name
 
@@ -28,9 +29,12 @@ RCODE_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Question:
-    """The question section entry: name (case preserved!) and qtype."""
+class Question(NamedTuple):
+    """The question section entry: name (case preserved!) and qtype.
+
+    A tuple, like :class:`ResourceRecord`: built per query and hashed
+    into the wire codec's cache keys.
+    """
 
     name: str
     qtype: int
@@ -78,24 +82,26 @@ class DnsMessage:
         """Presentation name of the rcode."""
         return RCODE_NAMES.get(self.rcode, f"RCODE{self.rcode}")
 
+    # These copies, and make_query, pass every field by position: a
+    # keyword call costs half again as much, and they run once per
+    # query and per decode-cache hit.
+
     def reply_skeleton(self) -> "DnsMessage":
         """A response template echoing txid and question (case included)."""
-        return DnsMessage(
-            txid=self.txid,
-            is_response=True,
-            recursion_desired=self.recursion_desired,
-            questions=list(self.questions),
-            edns_udp_size=self.edns_udp_size,
-            dnssec_ok=self.dnssec_ok,
-        )
+        return DnsMessage(self.txid, True, False, False,
+                          self.recursion_desired, False, RCODE_NOERROR,
+                          list(self.questions), [], [], [],
+                          self.edns_udp_size, self.dnssec_ok)
 
     def with_txid(self, txid: int) -> "DnsMessage":
-        """Copy of this message with a different TXID (attacker helper)."""
-        return replace(self, txid=txid,
-                       questions=list(self.questions),
-                       answers=list(self.answers),
-                       authority=list(self.authority),
-                       additional=list(self.additional))
+        """Copy of this message with a different TXID: fresh section
+        lists over the same (immutable) questions and records."""
+        return DnsMessage(txid, self.is_response, self.authoritative,
+                          self.truncated, self.recursion_desired,
+                          self.recursion_available, self.rcode,
+                          list(self.questions), list(self.answers),
+                          list(self.authority), list(self.additional),
+                          self.edns_udp_size, self.dnssec_ok)
 
     def describe(self) -> str:
         """One-line summary for traces."""
@@ -112,10 +118,6 @@ def make_query(name: str, qtype: int, txid: int,
                edns_udp_size: int | None = 4096,
                recursion_desired: bool = True) -> DnsMessage:
     """Build a standard query message."""
-    return DnsMessage(
-        txid=txid,
-        is_response=False,
-        recursion_desired=recursion_desired,
-        questions=[Question(name=name, qtype=qtype)],
-        edns_udp_size=edns_udp_size,
-    )
+    return DnsMessage(txid, False, False, False, recursion_desired, False,
+                      RCODE_NOERROR, [Question(name, qtype)], [], [], [],
+                      edns_udp_size)

@@ -180,14 +180,11 @@ class AuthoritativeServer:
             # sums are permutation-invariant over aligned words), so the
             # TTL jitter is what actually makes the second fragment's
             # checksum unpredictable to a FragDNS attacker.
-            import dataclasses
-
             self.rng.shuffle(response.answers)
             self.rng.shuffle(response.additional)
             response.answers = [
-                dataclasses.replace(
-                    record, ttl=max(1, record.ttl
-                                    - self.rng.randint(0, 255)))
+                record._replace(ttl=max(1, record.ttl
+                                        - self.rng.randint(0, 255)))
                 for record in response.answers
             ]
         if not via_tcp:

@@ -10,7 +10,9 @@ the DNSSEC presence markers (RRSIG, DNSKEY, DS) and OPT for EDNS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
+
+_tuple_new = tuple.__new__
 
 # RR type codes (RFC 1035 and successors).
 TYPE_A = 1
@@ -67,23 +69,39 @@ def type_code(name: str) -> int:
     raise ValueError(f"unknown record type: {name!r}")
 
 
-@dataclass(frozen=True)
-class ResourceRecord:
-    """One DNS resource record.
-
-    ``data`` holds presentation-form rdata whose shape depends on the
-    type: a string for A/NS/CNAME/PTR/TXT, a tuple for the structured
-    types (see :mod:`repro.dns.wire` for the exact layouts).
-    """
-
+class _RecordFields(NamedTuple):
     name: str
     rtype: int
     ttl: int
     data: Any
 
-    def __post_init__(self) -> None:
-        if self.ttl < 0:
-            raise ValueError(f"negative TTL: {self.ttl}")
+
+class ResourceRecord(_RecordFields):
+    """One DNS resource record.
+
+    ``data`` holds presentation-form rdata whose shape depends on the
+    type: a string for A/NS/CNAME/PTR/TXT, a tuple for the structured
+    types (see :mod:`repro.dns.wire` for the exact layouts).
+
+    A tuple underneath: a response carries its records by the dozen
+    and the wire codec hashes them into its cache keys, so building,
+    hashing and comparing one runs in C.  Its ``repr`` and hash are a
+    frozen dataclass's with the same fields, which digests, rendered
+    tables and set orders rely on.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, rtype: int, ttl: int,
+                data: Any) -> "ResourceRecord":
+        if ttl < 0:
+            raise ValueError(f"negative TTL: {ttl}")
+        return _tuple_new(cls, (name, rtype, ttl, data))
+
+    def _replace(self, **changes: Any) -> "ResourceRecord":
+        """Copy with ``changes``, checked like a new record (the
+        namedtuple ``_replace`` would skip the checks)."""
+        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def rtype_name(self) -> str:

@@ -391,31 +391,6 @@ def _decode_record(decoder: _Decoder) -> ResourceRecord | tuple[int, bool]:
     return ResourceRecord(name=name, rtype=rtype, ttl=ttl, data=data)
 
 
-def _copy_message(template: DnsMessage, txid: int) -> DnsMessage:
-    """Fresh message equal to ``template`` but for the TXID.
-
-    Handing out copies (fresh section lists over the same frozen
-    records) keeps the decode cache safe against callers mutating the
-    result.
-    """
-    message = DnsMessage(
-        txid=txid,
-        is_response=template.is_response,
-        authoritative=template.authoritative,
-        truncated=template.truncated,
-        recursion_desired=template.recursion_desired,
-        recursion_available=template.recursion_available,
-        rcode=template.rcode,
-        questions=list(template.questions),
-        answers=list(template.answers),
-        authority=list(template.authority),
-        additional=list(template.additional),
-        edns_udp_size=template.edns_udp_size,
-        dnssec_ok=template.dnssec_ok,
-    )
-    return message
-
-
 def decode_message(data: bytes) -> DnsMessage:
     """Parse wire bytes into a :class:`DnsMessage` (memoised).
 
@@ -426,16 +401,18 @@ def decode_message(data: bytes) -> DnsMessage:
     A TXID flood is 2^16 parses of the same bytes with a different
     header word, so successful parses are cached keyed on ``data[2:]``
     (compression offsets count from the message start, which the TXID
-    never shifts) and replayed as cheap copies.
+    never shifts) and replayed as :meth:`DnsMessage.with_txid` copies,
+    whose fresh section lists keep the cached template safe from
+    callers that mutate what they are handed.
     """
     if len(data) >= 2:
         template = _DECODE_CACHE.get(data[2:])
         if template is not None:
-            return _copy_message(template, (data[0] << 8) | data[1])
+            return template.with_txid((data[0] << 8) | data[1])
     message = _decode_message_uncached(data)
     if len(_DECODE_CACHE) >= _WIRE_CACHE_MAX:
         _DECODE_CACHE.clear()
-    _DECODE_CACHE[data[2:]] = _copy_message(message, 0)
+    _DECODE_CACHE[data[2:]] = message.with_txid(0)
     return message
 
 
@@ -477,7 +454,7 @@ def _decode_message_uncached(data: bytes) -> DnsMessage:
         name = decoder.name()
         qtype = decoder.u16()
         decoder.u16()  # class
-        message.questions.append(Question(name=name, qtype=qtype))
+        message.questions.append(Question(name, qtype))
     for _ in range(ancount):
         record = _decode_record(decoder)
         if isinstance(record, ResourceRecord):

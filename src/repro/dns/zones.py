@@ -9,7 +9,6 @@ pieces so resolvers perform genuine iterative resolution.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable
 
 from repro.dns import names
@@ -83,7 +82,7 @@ class Zone:
         for index, record in enumerate(self._records):
             if record.rtype == rtype \
                     and names.normalise(record.name) == owner:
-                self._records[index] = dataclasses.replace(record, ttl=ttl)
+                self._records[index] = record._replace(ttl=ttl)
         if owner in self._by_owner:
             self._by_owner[owner] = [
                 r for r in self._records if names.normalise(r.name) == owner]

@@ -79,9 +79,10 @@ class ChaosStore:
     ``fail_writes`` lists 1-based write-attempt ordinals (counting every
     call to :meth:`record`/:meth:`record_many`) that raise
     ``sqlite3.OperationalError("database is locked")`` before touching
-    the real store.  With ``transient=True`` (default) a retried attempt
-    gets a fresh ordinal and eventually lands — exactly the shape of
-    real WAL-lock contention the store retry loop must absorb.
+    the real store.  Every injected failure is retryable: a retried
+    attempt gets a fresh ordinal, so it lands unless that ordinal is
+    listed too — exactly the shape of real WAL-lock contention the
+    store retry loop must absorb.
     """
 
     def __init__(self, store, fail_writes: tuple[int, ...] = (2,)):

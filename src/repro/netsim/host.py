@@ -9,6 +9,7 @@ benches can flip single knobs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -425,7 +426,7 @@ class Host:
                           burst.idents, burst.df)
 
     def _receive_udp(self, src: str, dst: str, datagrams: _Datagrams,
-                     idents: tuple[int, ...], df: bool) -> None:
+                     idents: Sequence[int], df: bool) -> None:
         """Hand ``datagrams`` from ``src`` to ``dst`` (IP idents
         ``idents``, DF flag ``df``) to their ports' sockets, in order.
 
@@ -489,8 +490,9 @@ class Host:
                     errors: list[int], idents: list[int]) -> None:
         """Datagrams ``start`` to ``stop - 1`` of a receive from ``src``
         found their ports closed: count them, and append to ``errors``
-        and ``idents`` the ones that draw a port-unreachable (each error
-        takes its IP ident when it is drawn).
+        and ``idents`` the ones that draw a port-unreachable and their
+        IP idents (one :meth:`IPIDAllocator.next_ids
+        <repro.netsim.ipid.IPIDAllocator.next_ids>` for the run).
 
         The only code that counts closed-port datagrams and spends the
         ICMP limiter's tokens.  It asks the limiter for the whole run:
@@ -520,13 +522,12 @@ class Host:
             passed = range(start, start + bucket.allow_run(self.now, count))
         self.stats.icmp_errors_suppressed += count - len(passed)
         if passed:
-            next_id = self.ipid.next_id
             errors += passed
-            idents += [next_id(src) for _ in passed]
+            idents += self.ipid.next_ids(src, len(passed))
 
     def _send_port_unreachables(self, src: str, dst: str,
                                 datagrams: _Datagrams,
-                                idents: tuple[int, ...], df: bool,
+                                idents: Sequence[int], df: bool,
                                 indices: list[int],
                                 error_idents: list[int]) -> None:
         """Send the port-unreachable errors for the datagrams at

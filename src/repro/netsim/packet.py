@@ -1,6 +1,6 @@
 """Packet object model: IPv4, UDP and ICMP, and UDP sends in flight.
 
-These dataclasses are the in-simulation representation; the byte encodings
+These classes are the in-simulation representation; the byte encodings
 live in :mod:`repro.netsim.wire`.  Packets are treated as immutable once
 sent — mutation happens by building new packets (see :meth:`Ipv4Packet.evolve`),
 which keeps traces trustworthy.
@@ -26,19 +26,28 @@ cache in one call (:meth:`ReassemblyCache.plant
 <repro.netsim.fragmentation.ReassemblyCache.plant>`) without building
 them.
 
-Every class here carries ``__slots__``: volume attacks construct millions
-of packets per campaign, and slotted frozen dataclasses cut both the
-per-instance memory and the attribute-access cost on the receive path.
-Constructor validation lives in ``__post_init__`` and guards hand-built
-packets (tests, attack crafting); our own wire/fragmentation code reuses
-field values that were already validated, so it goes through
+The objects built per datagram, :class:`UdpDatagram` and
+:class:`UdpBurst`, are tuples (``typing.NamedTuple`` classes): volume
+attacks build millions of them per campaign, and a tuple is built,
+hashed, compared and pickled in C.  Their ``__new__`` makes every
+check (a datagram's stay in its ``__post_init__``, which ``__new__``
+runs), and so does ``_replace``, which on a plain namedtuple skips
+``__new__``.  The sweeps build the datagrams they hand out with
+``tuple.__new__``, past checks they made once for the whole sweep.
+The rest are slotted frozen dataclasses, which cut the per-instance
+memory and the attribute-access cost on the receive path.  Their
+validation lives in ``__post_init__`` and guards hand-built packets
+(tests, attack crafting); our own wire/fragmentation code reuses field
+values that were already validated, so it goes through
 :meth:`Ipv4Packet.evolve`, which skips re-validation.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PROTO_ICMP = 1
 PROTO_UDP = 17
@@ -56,36 +65,46 @@ UDP_HEADER_LEN = 8
 MIN_IPV4_MTU = 68
 DEFAULT_MTU = 1500
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class UdpDatagram:
-    """A UDP segment: ports plus application payload bytes."""
 
+class _DatagramFields(NamedTuple):
     sport: int
     dport: int
     payload: bytes = b""
 
+
+class UdpDatagram(_DatagramFields):
+    """A UDP segment: ports plus application payload bytes."""
+
+    __slots__ = ()
+
+    def __new__(cls, sport: int, dport: int,
+                payload: bytes = b"") -> "UdpDatagram":
+        datagram = _tuple_new(cls, (sport, dport, payload))
+        datagram.__post_init__()
+        return datagram
+
     def __post_init__(self) -> None:
-        # Runs once per datagram built; a sweep checks its ports once
-        # for a whole scan batch or flood chunk.
+        # The checks, under the name a dataclass gives them, so that a
+        # profiler hooking packet validation (as perfbench's layer
+        # tracer does) sees them.  Runs once per datagram built; a
+        # sweep checks its ports once for a whole scan batch or flood
+        # chunk.
         if not 0 <= self.sport <= 0xFFFF:
             raise ValueError(f"UDP sport out of range: {self.sport}")
         if not 0 <= self.dport <= 0xFFFF:
             raise ValueError(f"UDP dport out of range: {self.dport}")
 
+    def _replace(self, **changes) -> "UdpDatagram":
+        """Copy with ``changes``, checked like a new datagram (the
+        namedtuple ``_replace`` would skip the checks)."""
+        return type(self)(**{**self._asdict(), **changes})
+
     @property
     def length(self) -> int:
         """UDP length field value (header + payload)."""
         return UDP_HEADER_LEN + len(self.payload)
-
-    # Frozen+slots dataclasses only pickle out of the box from Python
-    # 3.11; campaign workers ship packets on 3.10 too.
-    def __getstate__(self):
-        return (self.sport, self.dport, self.payload)
-
-    def __setstate__(self, state):
-        for name, value in zip(("sport", "dport", "payload"), state):
-            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,13 +275,9 @@ class TxidSweep(Sequence):
 
     def __getitem__(self, index: int) -> UdpDatagram:
         # The ports were checked once, above: skip UdpDatagram's checks.
-        datagram = object.__new__(UdpDatagram)
-        setattr_ = object.__setattr__
-        setattr_(datagram, "sport", self.sport)
-        setattr_(datagram, "dport", self.dport)
-        setattr_(datagram, "payload",
-                 self.txids[index].to_bytes(2, "big") + self.tail)
-        return datagram
+        return _tuple_new(UdpDatagram, (
+            self.sport, self.dport,
+            self.txids[index].to_bytes(2, "big") + self.tail))
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,16 +309,19 @@ class PortSweep(Sequence):
 
     def __getitem__(self, index: int) -> UdpDatagram:
         # The ports were checked once, above: skip UdpDatagram's checks.
-        datagram = object.__new__(UdpDatagram)
-        setattr_ = object.__setattr__
-        setattr_(datagram, "sport", self.sport)
-        setattr_(datagram, "dport", self.dports[index])
-        setattr_(datagram, "payload", self.payload)
-        return datagram
+        return _tuple_new(UdpDatagram,
+                          (self.sport, self.dports[index], self.payload))
 
 
-@dataclass(frozen=True, slots=True)
-class UdpBurst:
+class _BurstFields(NamedTuple):
+    src: str
+    dst: str
+    datagrams: tuple[UdpDatagram, ...] | TxidSweep | PortSweep
+    idents: Sequence[int]
+    df: bool = False
+
+
+class UdpBurst(_BurstFields):
     """Same-instant UDP datagrams from one ``src`` to one ``dst``.
 
     How unfragmented UDP travels: one datagram for an ordinary
@@ -315,22 +333,30 @@ class UdpBurst:
     :meth:`packet` only where one has to exist; an ICMP error embeds it
     only when something reads the error (see :class:`IcmpErrorBurst`),
     even when the datagram arrived as a packet or was reassembled from
-    fragments.  Ports may differ per datagram.
+    fragments.  Ports may differ per datagram.  ``idents`` is a tuple
+    or, for a flood chunk's thousands, the ``array('H')`` that
+    :meth:`DeterministicRNG.pick_txids
+    <repro.core.rng.DeterministicRNG.pick_txids>` draws, whose type
+    alone keeps every ident in range.
     """
 
-    src: str
-    dst: str
-    datagrams: tuple[UdpDatagram, ...] | TxidSweep | PortSweep
-    idents: tuple[int, ...]
-    df: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.idents) != len(self.datagrams):
+    def __new__(cls, src: str, dst: str,
+                datagrams: tuple[UdpDatagram, ...] | TxidSweep | PortSweep,
+                idents: Sequence[int], df: bool = False) -> "UdpBurst":
+        if len(idents) != len(datagrams):
             raise ValueError(f"a burst needs one IP ident per datagram, got"
-                             f" {len(self.idents)} for {len(self.datagrams)}")
-        if self.idents and not (0 <= min(self.idents)
-                                and max(self.idents) <= 0xFFFF):
+                             f" {len(idents)} for {len(datagrams)}")
+        if idents and (type(idents) is not array or idents.typecode != "H") \
+                and not (0 <= min(idents) and max(idents) <= 0xFFFF):
             raise ValueError("burst IP ident out of range")
+        return _tuple_new(cls, (src, dst, datagrams, idents, df))
+
+    def _replace(self, **changes) -> "UdpBurst":
+        """Copy with ``changes``, checked like a new burst (the
+        namedtuple ``_replace`` would skip the checks)."""
+        return type(self)(**{**self._asdict(), **changes})
 
     def packet(self, index: int) -> Ipv4Packet:
         """Datagram ``index`` as the packet ``make_udp_packet`` builds

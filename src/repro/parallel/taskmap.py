@@ -29,7 +29,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import multiprocessing
+import os
 import pickle
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping, Protocol, Sequence
@@ -171,21 +175,41 @@ def run_map(tasks: Sequence[Any],
 # -- process workers -----------------------------------------------------------
 
 _WORLD: Any = None
+#: How often a pool worker checks that its coordinator is alive.
+_ORPHAN_POLL_S = 0.25
 
 
 def _install_world(shipped: bytes, context: dict | None) -> None:
     """Pool initializer: unpickle the world once per worker process.
 
-    With the obs plane on, the worker also joins the coordinator's
-    trace.  A forked worker starts with a copy of the coordinator's
-    records; they are dropped first, so its deltas report only its own
-    work.
+    The worker also starts a watcher that ends it once its coordinator
+    is gone (see :func:`_exit_when_orphaned`).  With the obs plane on,
+    the worker joins the coordinator's trace.  A forked worker starts
+    with a copy of the coordinator's records; they are dropped first,
+    so its deltas report only its own work.
     """
     global _WORLD
+    if multiprocessing.parent_process() is not None:   # a pool worker
+        threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                         name="orphan-watch", daemon=True).start()
     _WORLD = pickle.loads(shipped)
     if context is not None:
         OBS.reset()
         OBS.adopt(context)
+
+
+def _exit_when_orphaned(coordinator: int) -> None:
+    """End this worker once its parent is no longer ``coordinator``.
+
+    A coordinator killed with SIGKILL cannot shut its pool down, and
+    its workers, blocked on the call queue, would otherwise run on as
+    orphans.  An orphan is re-parented, so ``getppid`` changes; the
+    watcher polls it and exits at once, without cleanup (there is no
+    one left to report to).
+    """
+    while os.getppid() == coordinator:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
 
 
 def _run_installed(run_batch: Callable, batch: list[Any]):

@@ -58,16 +58,23 @@ STORE_FORMAT_VERSION = 2
 def canonical_value(value: Any) -> Any:
     """A JSON-safe, deterministic rendering of a scenario field.
 
-    Dataclasses render as ``{"__kind__": <class>, <field>: ...}`` so
-    two config classes with identical field values still hash apart;
+    Dataclasses and NamedTuples render as ``{"__kind__": <class>,
+    <field>: ...}`` so two config classes with identical field values
+    still hash apart;
     anything without a canonical rendering (live callables, arbitrary
     objects) raises — a run key must never depend on a memory address.
     """
+    fields = None
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = [spec_field.name for spec_field in dataclasses.fields(value)]
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+        # A NamedTuple (a ResourceRecord) renders like a dataclass, as
+        # the record types did when they were dataclasses.
+        fields = value._fields
+    if fields is not None:
         payload: dict[str, Any] = {"__kind__": type(value).__name__}
-        for spec_field in dataclasses.fields(value):
-            payload[spec_field.name] = canonical_value(
-                getattr(value, spec_field.name))
+        for name in fields:
+            payload[name] = canonical_value(getattr(value, name))
         return payload
     if isinstance(value, (list, tuple)):
         return [canonical_value(item) for item in value]

@@ -20,17 +20,18 @@ import heapq
 import io
 import json
 import os
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from repro.core.errors import ScenarioError
 from repro.core.rng import DeterministicRNG
 from repro.workload.population import WorkloadSpec
 
 
-@dataclass(frozen=True)
-class TraceQuery:
-    """One client arrival: at virtual second ``at``, ``client`` asks."""
+class TraceQuery(NamedTuple):
+    """One client arrival: at virtual second ``at``, ``client`` asks.
+
+    A tuple: a loaded run builds one per arrival.
+    """
 
     at: float
     client: int

@@ -96,7 +96,9 @@ class TestHelpers:
         for rng in (bulk, single):
             # Start mid-stream, at any offset into the Mersenne block.
             rng.getrandbits(32 * warmup + 1)
-        assert bulk.pick_txids(n) == [single.pick_txid() for _ in range(n)]
+        drawn = bulk.pick_txids(n)
+        assert drawn.typecode == "H"
+        assert list(drawn) == [single.pick_txid() for _ in range(n)]
         assert bulk.getstate() == single.getstate()
 
     @given(st.integers(min_value=-2**63, max_value=2**63),
@@ -120,6 +122,15 @@ class TestHelpers:
         monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
         without = DeterministicRNG(width + n)
         assert without.below_many(width, n) == drawn
+        assert without.getstate() == with_numpy.getstate()
+
+    @pytest.mark.parametrize("n", [50, BULK_DRAWS, 4096])
+    def test_pick_txids_without_numpy_draws_the_same(self, monkeypatch, n):
+        with_numpy = DeterministicRNG(n)
+        drawn = with_numpy.pick_txids(n)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        without = DeterministicRNG(n)
+        assert without.pick_txids(n) == drawn
         assert without.getstate() == with_numpy.getstate()
 
     def test_import_repro_loads_no_numpy(self):

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import select
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -426,6 +433,64 @@ class TestWorkStealing:
             (run.label, run.seed, run.success, run.packets_sent,
              run.queries_triggered, run.duration) for run in result.runs]
         assert flatten(scrambled) == flatten(serial)
+
+
+# A coordinator whose two pool workers print their pids and then block.
+_BLOCKED_POOL = """
+import os, time
+from repro.parallel.taskmap import run_map
+
+def plan(missing, workers):
+    return None, [[task] for task in missing]
+
+def run_batch(world, batch):
+    print(os.getpid(), flush=True)
+    time.sleep(60)
+    return batch
+
+run_map([0, 1], plan, run_batch, workers=2, executor="process")
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+def test_pool_workers_exit_when_the_coordinator_is_killed():
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    coordinator = subprocess.Popen([sys.executable, "-c", _BLOCKED_POOL],
+                                   stdout=subprocess.PIPE, env=env)
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            ready, _, _ = select.select([coordinator.stdout], [], [],
+                                        deadline - time.monotonic())
+            if ready:
+                workers.add(int(coordinator.stdout.readline()))
+        assert len(workers) == 2, "the pool never started both workers"
+        coordinator.kill()      # SIGKILL: no pool shutdown runs
+        coordinator.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers)), \
+            "pool workers outlived their killed coordinator"
+    finally:
+        coordinator.kill()
+        coordinator.stdout.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # -- pipeline integration -----------------------------------------------------
