@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
+from repro.core.values import checked_replace
+
 _tuple_new = tuple.__new__
 
 # RR type codes (RFC 1035 and successors).
@@ -98,10 +100,7 @@ class ResourceRecord(_RecordFields):
             raise ValueError(f"negative TTL: {ttl}")
         return _tuple_new(cls, (name, rtype, ttl, data))
 
-    def _replace(self, **changes: Any) -> "ResourceRecord":
-        """Copy with ``changes``, checked like a new record (the
-        namedtuple ``_replace`` would skip the checks)."""
-        return type(self)(**{**self._asdict(), **changes})
+    _replace = checked_replace
 
     @property
     def rtype_name(self) -> str:

@@ -490,9 +490,8 @@ class Host:
                     errors: list[int], idents: list[int]) -> None:
         """Datagrams ``start`` to ``stop - 1`` of a receive from ``src``
         found their ports closed: count them, and append to ``errors``
-        and ``idents`` the ones that draw a port-unreachable and their
-        IP idents (one :meth:`IPIDAllocator.next_ids
-        <repro.netsim.ipid.IPIDAllocator.next_ids>` for the run).
+        and ``idents`` the ones that draw a port-unreachable (each error
+        takes its IP ident when it is drawn).
 
         The only code that counts closed-port datagrams and spends the
         ICMP limiter's tokens.  It asks the limiter for the whole run:
@@ -522,8 +521,9 @@ class Host:
             passed = range(start, start + bucket.allow_run(self.now, count))
         self.stats.icmp_errors_suppressed += count - len(passed)
         if passed:
+            next_id = self.ipid.next_id
             errors += passed
-            idents += self.ipid.next_ids(src, len(passed))
+            idents += [next_id(src) for _ in passed]
 
     def _send_port_unreachables(self, src: str, dst: str,
                                 datagrams: _Datagrams,

@@ -24,12 +24,6 @@ class IPIDAllocator(ABC):
     def next_id(self, dst: str) -> int:
         """IP-ID for the next packet sent to ``dst``."""
 
-    def next_ids(self, dst: str, count: int) -> list[int]:
-        """IP-IDs for the next ``count`` packets sent to ``dst``: what
-        ``count`` :meth:`next_id` calls return, in order, leaving the
-        allocator as they would."""
-        return [self.next_id(dst) for _ in range(count)]
-
     def observe(self) -> int | None:
         """What an off-path attacker sampling our traffic would learn.
 
@@ -60,11 +54,6 @@ class GlobalCounterIPID(IPIDAllocator):
         self._counter = (self._counter + 1) & 0xFFFF
         return value
 
-    def next_ids(self, dst: str, count: int) -> list[int]:
-        start = self._counter
-        self._counter = (start + count) & 0xFFFF
-        return [(start + offset) & 0xFFFF for offset in range(count)]
-
     def observe(self) -> int | None:
         return self._counter
 
@@ -90,13 +79,6 @@ class PerDestinationIPID(IPIDAllocator):
         self._counters[dst] = (value + 1) & 0xFFFF
         return value
 
-    def next_ids(self, dst: str, count: int) -> list[int]:
-        if count <= 0:
-            return []   # a first next_id would draw the start
-        start = self.next_id(dst)
-        self._counters[dst] = (start + count) & 0xFFFF
-        return [(start + offset) & 0xFFFF for offset in range(count)]
-
 
 class RandomIPID(IPIDAllocator):
     """Uniformly random IP-ID for every packet (e.g. OpenBSD)."""
@@ -108,9 +90,6 @@ class RandomIPID(IPIDAllocator):
 
     def next_id(self, dst: str) -> int:
         return self._rng.randint(0, 0xFFFF)
-
-    def next_ids(self, dst: str, count: int) -> list[int]:
-        return self._rng.below_many(0x10000, count)
 
 
 def make_allocator(policy: str, rng: DeterministicRNG,

@@ -31,8 +31,9 @@ The objects built per datagram, :class:`UdpDatagram` and
 attacks build millions of them per campaign, and a tuple is built,
 hashed, compared and pickled in C.  Their ``__new__`` makes every
 check (a datagram's stay in its ``__post_init__``, which ``__new__``
-runs), and so does ``_replace``, which on a plain namedtuple skips
-``__new__``.  The sweeps build the datagrams they hand out with
+runs), and so does ``_replace``
+(:func:`~repro.core.values.checked_replace`), which on a plain
+namedtuple skips ``__new__``.  The sweeps build the datagrams they hand out with
 ``tuple.__new__``, past checks they made once for the whole sweep.
 The rest are slotted frozen dataclasses, which cut the per-instance
 memory and the attribute-access cost on the receive path.  Their
@@ -48,6 +49,8 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from repro.core.values import checked_replace
 
 PROTO_ICMP = 1
 PROTO_UDP = 17
@@ -96,10 +99,7 @@ class UdpDatagram(_DatagramFields):
         if not 0 <= self.dport <= 0xFFFF:
             raise ValueError(f"UDP dport out of range: {self.dport}")
 
-    def _replace(self, **changes) -> "UdpDatagram":
-        """Copy with ``changes``, checked like a new datagram (the
-        namedtuple ``_replace`` would skip the checks)."""
-        return type(self)(**{**self._asdict(), **changes})
+    _replace = checked_replace
 
     @property
     def length(self) -> int:
@@ -353,10 +353,7 @@ class UdpBurst(_BurstFields):
             raise ValueError("burst IP ident out of range")
         return _tuple_new(cls, (src, dst, datagrams, idents, df))
 
-    def _replace(self, **changes) -> "UdpBurst":
-        """Copy with ``changes``, checked like a new burst (the
-        namedtuple ``_replace`` would skip the checks)."""
-        return type(self)(**{**self._asdict(), **changes})
+    _replace = checked_replace
 
     def packet(self, index: int) -> Ipv4Packet:
         """Datagram ``index`` as the packet ``make_udp_packet`` builds
