@@ -18,7 +18,7 @@ from repro.apps.base import (
     Table1Row,
     USE_LOCATION,
 )
-from repro.apps.driver import AppDriver, host_at, register_driver
+from repro.apps.driver import AppDriver, host_at
 from repro.attacks.planner import TargetProfile
 from repro.dns.records import TYPE_A
 from repro.dns.stub import StubResolver
@@ -163,4 +163,5 @@ class BitcoinDriver(AppDriver):
             and sync.detail.get("single_chain_view", False)
 
 
-register_driver(BitcoinDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (BitcoinDriver(),)}

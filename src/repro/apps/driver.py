@@ -17,15 +17,16 @@ application as a scenario stage:
   the row's impact — traffic at the planted address, a fraudulent
   issuance, a fail-open downgrade.
 
-The driver registry mirrors the method registry in
-:mod:`repro.scenario.registry`: an :class:`AppSpec` names a driver as
-plain picklable data, and ``AttackScenario.app_spec`` turns any attack
-scenario into a full kill chain that campaigns can sweep on worker
-processes.
+An :class:`AppSpec` names a driver as plain picklable data, and
+``AttackScenario.app_spec`` turns any attack scenario into a full kill
+chain that campaigns can sweep on worker processes.  The driver table
+maps each name to the module defining it, so resolving one driver
+imports one application module.
 """
 
 from __future__ import annotations
 
+import importlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -57,9 +58,9 @@ def impact_class(impact: str) -> str:
 class AppSpec:
     """The application stage of a scenario, as plain picklable data.
 
-    ``app`` names a registered driver; ``params`` (sorted key/value
-    pairs, kept as a tuple so the spec stays hashable) are passed to the
-    driver's :meth:`AppDriver.setup`.
+    ``app`` names a driver; ``params`` (sorted key/value pairs, kept as
+    a tuple so the spec stays hashable) are passed to the driver's
+    :meth:`AppDriver.setup`.
     """
 
     app: str
@@ -157,7 +158,7 @@ class AppTrigger(QueryTrigger):
 class AppDriver(ABC):
     """One Table 1 application, runnable as a kill-chain stage."""
 
-    #: registry key (``AppSpec.app``)
+    #: driver table key (``AppSpec.app``)
     name: str
     #: the Table 1 application class this driver executes
     application: type[Application]
@@ -269,50 +270,54 @@ def host_at(world: dict, address: str, name: str):
     return host
 
 
-# -- registry ------------------------------------------------------------------
+# -- driver table --------------------------------------------------------------
 
-_DRIVERS: dict[str, AppDriver] = {}
-
-
-def register_driver(driver: AppDriver) -> AppDriver:
-    """Add an application driver under its name."""
-    key = driver.name.lower()
-    existing = _DRIVERS.get(key)
-    if existing is not None and type(existing) is not type(driver):
-        raise ScenarioError(
-            f"app driver name {driver.name!r} already registered for"
-            f" {type(existing).__name__}")
-    _DRIVERS[key] = driver
-    return driver
+#: Each driver's name to the module whose ``DRIVERS`` holds it, in
+#: Table 1 row order (one driver per Table 1 application).
+DRIVER_MODULES = {
+    "radius": "repro.apps.radius",
+    "xmpp": "repro.apps.xmpp",
+    "smtp": "repro.apps.email_",
+    "spf": "repro.apps.email_",
+    "dkim": "repro.apps.email_",
+    "http": "repro.apps.web",
+    "recovery": "repro.apps.web",
+    "ntp": "repro.apps.ntp",
+    "bitcoin": "repro.apps.bitcoin",
+    "openvpn": "repro.apps.vpn",
+    "ike": "repro.apps.vpn",
+    "ipsec": "repro.apps.vpn",
+    "dv": "repro.apps.pki",
+    "ocsp": "repro.apps.pki",
+    "rpki": "repro.apps.pki",
+    "firewall": "repro.apps.middlebox",
+    "loadbalancer": "repro.apps.middlebox",
+    "cdn": "repro.apps.middlebox",
+    "alias": "repro.apps.middlebox",
+    "proxy": "repro.apps.middlebox",
+}
 
 
 def resolve_driver(name: str) -> AppDriver:
-    """Look up an application driver by name."""
-    # Drivers register when their application modules import; pulling
-    # the package in makes a bare `resolve_driver("dv")` work even
-    # before anything else touched repro.apps.
-    import repro.apps  # noqa: F401
-
-    driver = _DRIVERS.get(name.lower())
-    if driver is None:
-        known = ", ".join(sorted(_DRIVERS))
+    """Look up an application driver by name, importing its module."""
+    key = name.lower()
+    module = DRIVER_MODULES.get(key)
+    if module is None:
+        known = ", ".join(available_apps())
         raise ScenarioError(
             f"unknown application {name!r}; registered: {known}")
-    return driver
+    return importlib.import_module(module).DRIVERS[key]
 
 
 def available_apps() -> list[str]:
-    """Names of all registered application drivers."""
-    import repro.apps  # noqa: F401
-
-    return sorted(_DRIVERS)
+    """Names of all application drivers."""
+    return sorted(DRIVER_MODULES)
 
 
 def driver_for(app_class: type[Application]) -> AppDriver:
     """The driver executing a given Table 1 application class."""
-    import repro.apps  # noqa: F401
-
-    for driver in _DRIVERS.values():
+    for name in DRIVER_MODULES:
+        driver = resolve_driver(name)
         if driver.application is app_class:
             return driver
     raise ScenarioError(f"no app driver for {app_class.__name__}")

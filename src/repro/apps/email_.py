@@ -26,7 +26,7 @@ from repro.apps.base import (
     USE_AUTHORISATION,
     USE_FEDERATION,
 )
-from repro.apps.driver import AppDriver, host_at, register_driver
+from repro.apps.driver import AppDriver, host_at
 from repro.attacks.planner import TargetProfile
 from repro.dns.records import TYPE_MX, TYPE_TXT
 from repro.dns.stub import StubResolver
@@ -427,6 +427,6 @@ class DkimDriver(AppDriver):
         return outcomes[0].ok
 
 
-register_driver(SmtpDriver())
-register_driver(SpfDriver())
-register_driver(DkimDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (
+    SmtpDriver(), SpfDriver(), DkimDriver())}

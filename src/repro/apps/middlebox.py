@@ -20,7 +20,7 @@ from repro.apps.base import (
     Table1Row,
     USE_LOCATION,
 )
-from repro.apps.driver import AppDriver, register_driver
+from repro.apps.driver import AppDriver
 from repro.attacks.planner import TargetProfile
 from repro.dns.stub import StubResolver
 
@@ -409,8 +409,7 @@ class ProxyDriver(AppDriver):
             and connected.used_address == ctx["malicious_ip"]
 
 
-register_driver(FirewallDriver())
-register_driver(LoadBalancerDriver())
-register_driver(CdnDriver())
-register_driver(AliasDriver())
-register_driver(ProxyDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (
+    FirewallDriver(), LoadBalancerDriver(), CdnDriver(), AliasDriver(),
+    ProxyDriver())}

@@ -20,7 +20,7 @@ from repro.apps.base import (
     Table1Row,
     USE_LOCATION,
 )
-from repro.apps.driver import AppDriver, host_at, register_driver
+from repro.apps.driver import AppDriver, host_at
 from repro.attacks.planner import TargetProfile
 from repro.dns.stub import StubResolver
 from repro.netsim.host import Host
@@ -141,4 +141,5 @@ class NtpDriver(AppDriver):
             and abs(ctx["client"].clock_offset) >= self.LIE_SECONDS / 2
 
 
-register_driver(NtpDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (NtpDriver(),)}

@@ -27,7 +27,7 @@ from repro.apps.base import (
     USE_AUTHORISATION,
     USE_LOCATION,
 )
-from repro.apps.driver import AppDriver, host_at, register_driver
+from repro.apps.driver import AppDriver, host_at
 from repro.bgp.hijack import ATTACKER_ASN as HIJACKER_ASN
 from repro.apps.tls import Certificate, TlsAuthority
 from repro.apps.web import HTTP_PORT
@@ -338,6 +338,6 @@ class RpkiDriver(AppDriver):
             and sync.detail.get("hijack_verdict") == "unknown"
 
 
-register_driver(DvDriver())
-register_driver(OcspDriver())
-register_driver(RpkiDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (
+    DvDriver(), OcspDriver(), RpkiDriver())}

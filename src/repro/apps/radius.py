@@ -20,7 +20,7 @@ from repro.apps.base import (
     Table1Row,
     USE_FEDERATION,
 )
-from repro.apps.driver import AppDriver, register_driver
+from repro.apps.driver import AppDriver
 from repro.apps.tls import TlsAuthority
 from repro.attacks.planner import TargetProfile
 from repro.dns.records import TYPE_NAPTR, TYPE_SRV, rr_srv
@@ -150,4 +150,5 @@ class RadiusDriver(AppDriver):
         return not auth.ok and auth.used_address == ctx["malicious_ip"]
 
 
-register_driver(RadiusDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (RadiusDriver(),)}

@@ -24,7 +24,7 @@ from repro.apps.base import (
     Table1Row,
     USE_LOCATION,
 )
-from repro.apps.driver import AppDriver, host_at, register_driver
+from repro.apps.driver import AppDriver, host_at
 from repro.attacks.planner import TargetProfile
 from repro.dns.records import TYPE_IPSECKEY
 from repro.dns.stub import StubResolver
@@ -244,6 +244,6 @@ class IpsecDriver(AppDriver):
             and session.detail.get("key") == "attacker-key"
 
 
-register_driver(OpenVpnDriver())
-register_driver(IkeDriver())
-register_driver(IpsecDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (
+    OpenVpnDriver(), IkeDriver(), IpsecDriver())}

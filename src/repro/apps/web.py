@@ -22,7 +22,7 @@ from repro.apps.base import (
     Table1Row,
     USE_LOCATION,
 )
-from repro.apps.driver import AppDriver, host_at, register_driver
+from repro.apps.driver import AppDriver, host_at
 from repro.apps.email_ import Email, SmtpServer, SpamPolicy
 from repro.apps.tls import TlsAuthority
 from repro.attacks.planner import TargetProfile
@@ -279,5 +279,6 @@ class RecoveryDriver(AppDriver):
         return len(outcomes) == 3 and outcomes[1].ok and outcomes[2].ok
 
 
-register_driver(HttpDriver())
-register_driver(RecoveryDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (
+    HttpDriver(), RecoveryDriver())}

@@ -19,7 +19,7 @@ from repro.apps.base import (
     Table1Row,
     USE_FEDERATION,
 )
-from repro.apps.driver import AppDriver, host_at, register_driver
+from repro.apps.driver import AppDriver, host_at
 from repro.apps.tls import TlsAuthority
 from repro.attacks.planner import TargetProfile
 from repro.dns.records import TYPE_SRV, rr_srv
@@ -166,4 +166,5 @@ class XmppDriver(AppDriver):
             and bool(ctx["evil_mailbox"].received)
 
 
-register_driver(XmppDriver())
+#: This module's app drivers by name, for ``resolve_driver``.
+DRIVERS = {driver.name: driver for driver in (XmppDriver(),)}

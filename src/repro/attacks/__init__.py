@@ -29,7 +29,6 @@ from repro.attacks.trigger import (
     OpenResolverTrigger,
     QueryTrigger,
     SpoofedClientTrigger,
-    TimerPrediction,
 )
 
 __all__ = [
@@ -49,6 +48,5 @@ __all__ = [
     "SadDnsConfig",
     "SpoofedClientTrigger",
     "TargetProfile",
-    "TimerPrediction",
     "cache_poisoned",
 ]

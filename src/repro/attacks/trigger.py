@@ -10,7 +10,6 @@ bounce, RADIUS federation, web objects) live with their applications in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.core.rng import DeterministicRNG
 from repro.dns.message import make_query
@@ -123,24 +122,3 @@ class CallableTrigger(QueryTrigger):
     def cadence(self) -> float | None:
         return self._cadence
 
-
-@dataclass
-class TimerPrediction:
-    """Waiting for a device's own periodic query (Table 2 "timer" rows).
-
-    The attacker cannot fire the query; it can only predict the next
-    firing from the device's refresh period and plant its attack in the
-    window around it.
-    """
-
-    period: float
-    last_observed: float
-
-    def next_window(self, now: float) -> tuple[float, float]:
-        """(start, end) of the next predicted query window."""
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        elapsed = now - self.last_observed
-        cycles = int(elapsed // self.period) + 1
-        start = self.last_observed + cycles * self.period
-        return (start - 0.5, start + 0.5)

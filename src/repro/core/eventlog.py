@@ -109,10 +109,6 @@ class EventLog:
             if e.kind == kind or e.kind.startswith(prefix)
         ]
 
-    def by_actor(self, actor: str) -> list[Event]:
-        """All events recorded by ``actor``."""
-        return [e for e in self._events if e.actor == actor]
-
     def count(self, kind: str) -> int:
         """Number of events matching :meth:`of_kind` (via the kind index)."""
         prefix = kind + "."

@@ -3,7 +3,7 @@
 Three layers, mirroring the scenario API:
 
 * **Declare** — a :class:`Defense` is a frozen, picklable spec whose
-  ``apply(world_config)`` is a pure transform; the catalog registers
+  ``apply(world_config)`` is a pure transform; the catalog holds
   all eight Section 6 defenses (:func:`resolve_defense`,
   :func:`available_defenses`).
 * **Compose** — a :class:`DefenseStack` stacks defenses across layers
@@ -44,7 +44,6 @@ from repro.defenses.catalog import (
     DEFENSE_ROV,
     available_defenses,
     pairwise_stacks,
-    register_defense,
     resolve_defense,
     single_stacks,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "defended_scenario",
     "evaluate_defense_matrix",
     "pairwise_stacks",
-    "register_defense",
     "resolve_defense",
     "single_stacks",
 ]

@@ -1,4 +1,4 @@
-"""The Section 6 defenses, concrete and registered.
+"""The Section 6 defenses, concrete and catalogued.
 
 Each class packages one recommendation from the paper's Section 6 as a
 :class:`repro.defenses.base.Defense`: the world-config transform that
@@ -6,11 +6,9 @@ deploys it, the planner facts it imposes, and the methodologies it is
 expected to defeat (verified by the ablation grid in
 :mod:`repro.experiments.ablation`).
 
-The registry mirrors the scenario method registry: defenses resolve by
-key or alias (``resolve_defense("0x20")``), and new defenses plug in
-via :func:`register_defense` — immediately usable in
-``AttackScenario(defenses=...)``, campaign grids, the planner and the
-atlas deployment projection.
+As with the scenario methods, one static table built from
+:data:`ALL_DEFENSES` resolves every defense by key or alias
+(``resolve_defense("0x20")``).
 """
 
 from __future__ import annotations
@@ -21,39 +19,6 @@ from repro.defenses.base import Defense, DefenseError, DefenseStack, \
     WorldConfig
 from repro.defenses.rov import RovDeployment
 from repro.netsim.host import LINUX_MIN_PMTU
-
-_REGISTRY: dict[str, Defense] = {}
-
-
-def register_defense(defense: Defense) -> Defense:
-    """Add a defense; its key and aliases become resolvable names."""
-    for name in (defense.key, *defense.aliases):
-        folded = name.lower()
-        existing = _REGISTRY.get(folded)
-        if existing is not None and existing.key != defense.key:
-            raise DefenseError(
-                f"defense name {name!r} already registered for"
-                f" {existing.key}")
-        _REGISTRY[folded] = defense
-    return defense
-
-
-def resolve_defense(name: "str | Defense") -> Defense:
-    """Look up a defense by key or alias (instances pass through)."""
-    if isinstance(name, Defense):
-        return name
-    defense = _REGISTRY.get(str(name).lower())
-    if defense is None:
-        known = ", ".join(available_defenses())
-        raise DefenseError(
-            f"unknown defense {name!r}; registered: {known}")
-    return defense
-
-
-def available_defenses() -> list[str]:
-    """Canonical keys of all registered defenses."""
-    return sorted({defense.key for defense in _REGISTRY.values()})
-
 
 # -- DNS-layer challenges -------------------------------------------------------
 
@@ -241,14 +206,14 @@ class RpkiRov(Defense):
 
 
 #: The eight Section 6 defenses in the paper's presentation order.
-DEFENSE_0X20 = register_defense(Encoding0x20())
-DEFENSE_RANDOMIZE_RECORDS = register_defense(RandomizeRecords())
-DEFENSE_BLOCK_FRAGMENTS = register_defense(BlockFragments())
-DEFENSE_PMTU_CLAMP = register_defense(PmtuClamp())
-DEFENSE_NO_ICMP = register_defense(NoIcmpErrors())
-DEFENSE_RANDOMIZED_ICMP_LIMIT = register_defense(RandomizedIcmpLimit())
-DEFENSE_DNSSEC = register_defense(Dnssec())
-DEFENSE_ROV = register_defense(RpkiRov())
+DEFENSE_0X20 = Encoding0x20()
+DEFENSE_RANDOMIZE_RECORDS = RandomizeRecords()
+DEFENSE_BLOCK_FRAGMENTS = BlockFragments()
+DEFENSE_PMTU_CLAMP = PmtuClamp()
+DEFENSE_NO_ICMP = NoIcmpErrors()
+DEFENSE_RANDOMIZED_ICMP_LIMIT = RandomizedIcmpLimit()
+DEFENSE_DNSSEC = Dnssec()
+DEFENSE_ROV = RpkiRov()
 
 ALL_DEFENSES = (
     DEFENSE_0X20,
@@ -261,9 +226,30 @@ ALL_DEFENSES = (
     DEFENSE_ROV,
 )
 
+#: Every key and alias, case-folded, to its defense.
+_DEFENSES = {name.lower(): defense for defense in ALL_DEFENSES
+             for name in (defense.key, *defense.aliases)}
+
+
+def resolve_defense(name: "str | Defense") -> Defense:
+    """Look up a defense by key or alias (instances pass through)."""
+    if isinstance(name, Defense):
+        return name
+    defense = _DEFENSES.get(str(name).lower())
+    if defense is None:
+        known = ", ".join(available_defenses())
+        raise DefenseError(
+            f"unknown defense {name!r}; registered: {known}")
+    return defense
+
+
+def available_defenses() -> list[str]:
+    """Canonical keys of the eight Section 6 defenses."""
+    return sorted(defense.key for defense in ALL_DEFENSES)
+
 
 def single_stacks() -> list[DefenseStack]:
-    """One single-defense stack per registered Section 6 defense."""
+    """One single-defense stack per Section 6 defense."""
     return [DefenseStack.of(defense) for defense in ALL_DEFENSES]
 
 

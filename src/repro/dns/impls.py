@@ -41,15 +41,13 @@ class ImplementationProfile:
 
     def make_config(self, **overrides) -> ResolverConfig:
         """A :class:`ResolverConfig` matching this implementation."""
-        config = ResolverConfig(
-            any_caching=self.any_caching,
-            use_0x20=self.default_0x20,
-            validates_dnssec=self.default_validates_dnssec,
-            edns_udp_size=self.default_edns_size,
-        )
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
+        return ResolverConfig(**{
+            "any_caching": self.any_caching,
+            "use_0x20": self.default_0x20,
+            "validates_dnssec": self.default_validates_dnssec,
+            "edns_udp_size": self.default_edns_size,
+            **overrides,
+        })
 
 
 BIND_9_14 = ImplementationProfile(

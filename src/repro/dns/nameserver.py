@@ -26,13 +26,7 @@ from repro.dns.message import (
     RCODE_NXDOMAIN,
     RCODE_REFUSED,
 )
-from repro.dns.records import (
-    QTYPE_ANY,
-    TYPE_A,
-    TYPE_NS,
-    TYPE_SOA,
-    ResourceRecord,
-)
+from repro.dns.records import TYPE_A, TYPE_NS, TYPE_SOA
 from repro.dns.wire import decode_message, encode_message
 from repro.dns.zones import Zone, ZoneSet
 from repro.netsim.host import Host, UdpSocket
@@ -40,6 +34,8 @@ from repro.netsim.packet import UdpDatagram
 from repro.netsim.ratelimit import TokenBucket
 
 DNS_PORT = 53
+#: The largest UDP response served, whatever buffer the client offers.
+MAX_UDP_RESPONSE = 4096
 
 
 @dataclass
@@ -49,10 +45,7 @@ class NameserverConfig:
     rrl_enabled: bool = False
     rrl_rate: float = 10.0          # responses per second once limited
     rrl_burst: float = 20.0
-    supports_any: bool = True
     randomize_record_order: bool = False
-    pad_txt_to: int = 0             # pad responses with TXT filler bytes
-    max_udp_response: int = 4096    # clamp to the client's EDNS size too
 
 
 @dataclass
@@ -129,11 +122,6 @@ class AuthoritativeServer:
         if question is None:
             response.rcode = RCODE_NOTIMP
             return response
-        if question.qtype == QTYPE_ANY and not self.config.supports_any:
-            # Unbound-style: refuse ANY entirely (RFC 8482 behaviour).
-            response.rcode = RCODE_NOTIMP
-            self.stats.refused += 1
-            return response
         zone = self.zones.zone_for(question.name)
         if zone is None:
             response.rcode = RCODE_REFUSED
@@ -166,13 +154,6 @@ class AuthoritativeServer:
 
     def _finish(self, response: DnsMessage, query: DnsMessage,
                 via_tcp: bool) -> DnsMessage:
-        if self.config.pad_txt_to and response.answers:
-            current = len(encode_message(response))
-            filler = self.config.pad_txt_to - current
-            if filler > 40:
-                response.additional.append(ResourceRecord(
-                    "padding.invalid", 16, 0, "x" * min(filler - 16, 4000)
-                ))
         if self.config.randomize_record_order:
             # Response randomisation (§6.1): rotate records *and* jitter
             # the answer TTLs per response.  Pure rrset rotation alone
@@ -189,7 +170,7 @@ class AuthoritativeServer:
             ]
         if not via_tcp:
             limit = min(
-                self.config.max_udp_response,
+                MAX_UDP_RESPONSE,
                 query.edns_udp_size if query.edns_udp_size else 512,
             )
             if len(encode_message(response)) > limit:

@@ -1,11 +1,11 @@
 """The recursive DNS resolver — the victim of every attack in the paper.
 
 Implements genuine iterative resolution over the simulated network with
-the RFC 5452 defences as explicit, individually-switchable policy:
-random source ports, random TXIDs, 0x20 query-case encoding, bailiwick
-filtering, response source validation, in-flight deduplication (anti
-birthday attack), EDNS buffer advertisement, optional DNSSEC validation
-and TCP fallback on truncation.
+the RFC 5452 defences: random source ports, random TXIDs, bailiwick
+filtering, response source validation and in-flight deduplication (anti
+birthday attack) always, and 0x20 query-case encoding, the EDNS buffer
+size and DNSSEC validation as policy switches, with TCP fallback on
+truncation.
 
 The resolver also runs the client-facing service (port 53): that is the
 surface through which attackers *trigger* queries and through which
@@ -54,8 +54,6 @@ ResolveCallback = Callable[["ResolutionResult"], None]
 class ResolverConfig:
     """Policy knobs; defaults match a typical post-Kaminsky resolver."""
 
-    port_policy: str = "random"     # "random" | "fixed"
-    fixed_port: int = 3053
     use_0x20: bool = False
     validates_dnssec: bool = False
     edns_udp_size: int | None = 4096
@@ -64,7 +62,6 @@ class ResolverConfig:
     retries: int = 2                # attempts per nameserver
     max_cname_depth: int = 8
     max_referral_depth: int = 24
-    dedup_inflight: bool = True
     open_to_world: bool = False
     allowed_clients: list[str] = field(default_factory=list)  # prefixes
 
@@ -182,35 +179,23 @@ class _Resolution:
         )
 
     def _open_socket(self) -> None:
-        resolver = self.resolver
         if self.socket is not None and not self.socket.closed:
             # Keep the same socket (and source port) across
             # retransmissions — the behaviour SadDNS depends on.
             self._take(self.socket)
             return
-        if resolver.config.port_policy == "fixed":
-            port = resolver.config.fixed_port
-            existing = resolver.host.open_ports()
-            if port in existing:
-                # Reuse: fixed-port resolvers share one socket.
-                self._take(resolver._fixed_socket)
-                return
-            resolver._fixed_socket = self._take(resolver.host.open_udp(port))
-        else:
-            self._take(resolver.host.open_udp(None))
+        self._take(self.resolver.host.open_udp(None))
 
-    def _take(self, socket: UdpSocket) -> UdpSocket:
+    def _take(self, socket: UdpSocket) -> None:
         """Make ``socket`` this lookup's, for single datagrams and for
         TXID sweeps alike."""
         socket.handler = self._on_datagram
         socket.sweep_handler = self._on_sweep
         self.socket = socket
-        return socket
 
     def _close_socket(self) -> None:
         if self.socket is not None and not self.socket.closed:
-            if self.resolver.config.port_policy != "fixed":
-                self.socket.close()
+            self.socket.close()
         self.socket = None
 
     def _cancel_timer(self) -> None:
@@ -502,7 +487,6 @@ class RecursiveResolver:
         self.cache = DnsCache()
         self.stats = ResolverStats()
         self._inflight: dict[tuple[str, int], _Resolution] = {}
-        self._fixed_socket: UdpSocket | None = None
         self.service_socket: UdpSocket = host.open_udp(
             DNS_PORT, self._on_client_query
         )
@@ -543,8 +527,7 @@ class RecursiveResolver:
             self.resolve(target, qtype, on_target, depth=depth + 1)
             return
         key = (names.normalise(qname), qtype)
-        if self.config.dedup_inflight and key in self._inflight \
-                and depth == 0:
+        if key in self._inflight and depth == 0:
             self._inflight[key].callbacks.append(callback)
             return
         task = _Resolution(self, qname, qtype, depth=depth)

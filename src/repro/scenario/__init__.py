@@ -3,9 +3,9 @@
 Three layers, one surface:
 
 * **Declare** — :class:`AttackScenario` and :class:`TriggerSpec` turn an
-  attack into plain data; the method registry
-  (:func:`register_method` / :func:`available_methods`) maps methodology
-  names to the attack classes behind one factory.
+  attack into plain data; the method table (:func:`resolve_method` /
+  :func:`available_methods`) maps methodology names to the attack
+  classes behind one factory.
 * **Plan** — :func:`scenario_from_profile` and :func:`plan_and_run`
   bridge the Table 1 planner's verdicts to executable scenarios.
 * **Sweep** — :class:`Campaign` runs scenarios across seeds and config
@@ -53,7 +53,6 @@ from repro.scenario.presets import (
 from repro.scenario.registry import (
     MethodSpec,
     available_methods,
-    register_method,
     resolve_method,
 )
 from repro.scenario.spec import (
@@ -81,7 +80,6 @@ __all__ = [
     "percentile",
     "plan_and_run",
     "profile_world_kwargs",
-    "register_method",
     "resolve_method",
     "scenario_from_profile",
     "sweep_scenarios",

@@ -169,14 +169,6 @@ class MethodSummary:
             else 0.0
 
     @property
-    def fraud_cert_rate(self) -> float:
-        return self.fraud_certs / self.app_runs if self.app_runs else 0.0
-
-    @property
-    def downgrade_rate(self) -> float:
-        return self.downgrades / self.app_runs if self.app_runs else 0.0
-
-    @property
     def load(self) -> LoadReport | None:
         """This group's merged benign-load report (None when unloaded)."""
         if not self.loads:
@@ -315,18 +307,6 @@ class CampaignResult:
         """Realized-impact fraction across all app stages in the sweep."""
         app_runs = self.app_runs
         return self.impacts_realized / app_runs if app_runs else 0.0
-
-    def duration_percentiles(self) -> dict[str, float]:
-        values = [run.duration for run in self.runs]
-        return {"p50": percentile(values, 0.50),
-                "p90": percentile(values, 0.90),
-                "p99": percentile(values, 0.99)}
-
-    def packet_percentiles(self) -> dict[str, float]:
-        values = [run.packets_sent for run in self.runs]
-        return {"p50": percentile(values, 0.50),
-                "p90": percentile(values, 0.90),
-                "p99": percentile(values, 0.99)}
 
     def describe(self) -> str:
         """Rendered per-label summary table plus the campaign footer."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.apps.driver import AppSpec, resolve_driver
+from repro.apps.driver import AppSpec, available_apps, resolve_driver
 from repro.attacks.fragdns import FragDnsConfig
 from repro.attacks.saddns import SadDnsConfig
 from repro.core.errors import ScenarioError
@@ -102,7 +102,6 @@ def killchain_scenarios(apps: Iterable[str] | None = None,
     alongside the attack statistics.  Probabilistic methods get the
     same budget caps as :func:`sweep_scenarios`.
     """
-    from repro.apps.driver import available_apps
     from repro.scenario.registry import resolve_method
 
     names = list(apps) if apps is not None else available_apps()

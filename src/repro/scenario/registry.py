@@ -9,12 +9,9 @@ needs to be demonstrable on the standard testbed — a rate-limited
 nameserver for SadDNS, a global-IP-ID nameserver and the long qname for
 FragDNS — applied only where the scenario left the knob unset.
 
-New methodologies (the roadmap's "as many scenarios as you can
-imagine") plug in via :func:`register_method` and become available to
-``AttackScenario`` and ``Campaign`` immediately; only the planner
-bridge's preference ranking
-(:data:`repro.attacks.planner.METHOD_PREFERENCE`) needs a separate
-entry for ``plan_and_run`` to ever *prefer* the newcomer.
+The paper's three methodologies are a closed set: :data:`ALL_METHODS`
+lists them, and one static table maps every canonical name and alias
+to its entry.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One registered poisoning methodology."""
+    """One poisoning methodology."""
 
     name: str
     aliases: tuple[str, ...]
@@ -46,37 +43,6 @@ class MethodSpec:
     attack_factory: Callable[["AttackScenario", dict, OffPathAttacker], Any]
     world_defaults: Callable[["AttackScenario"], dict]
     default_qname: Callable[["AttackScenario"], str]
-
-
-_REGISTRY: dict[str, MethodSpec] = {}
-
-
-def register_method(spec: MethodSpec) -> MethodSpec:
-    """Add a methodology; name and aliases become resolvable strings."""
-    for key in (spec.name, *spec.aliases):
-        folded = key.lower()
-        existing = _REGISTRY.get(folded)
-        if existing is not None and existing.name != spec.name:
-            raise ScenarioError(
-                f"method name {key!r} already registered for"
-                f" {existing.name}")
-        _REGISTRY[folded] = spec
-    return spec
-
-
-def resolve_method(name: str) -> MethodSpec:
-    """Look up a methodology by canonical name or alias."""
-    spec = _REGISTRY.get(name.lower())
-    if spec is None:
-        known = ", ".join(sorted(available_methods()))
-        raise ScenarioError(
-            f"unknown attack method {name!r}; registered: {known}")
-    return spec
-
-
-def available_methods() -> list[str]:
-    """Canonical names of all registered methodologies."""
-    return sorted({spec.name for spec in _REGISTRY.values()})
 
 
 # -- the paper's three methodologies -------------------------------------------
@@ -157,29 +123,50 @@ def _build_fragdns(scenario: "AttackScenario", world: dict,
     )
 
 
-HIJACKDNS = register_method(MethodSpec(
+HIJACKDNS = MethodSpec(
     name="HijackDNS",
-    aliases=("hijack", "hijackdns", "bgp-hijack"),
+    aliases=("hijack", "bgp-hijack"),
     config_cls=HijackDnsConfig,
     attack_factory=_build_hijackdns,
     world_defaults=_no_world_defaults,
     default_qname=_default_qname,
-))
+)
 
-SADDNS = register_method(MethodSpec(
+SADDNS = MethodSpec(
     name="SadDNS",
-    aliases=("saddns", "sad-dns", "side-channel"),
+    aliases=("sad-dns", "side-channel"),
     config_cls=SadDnsConfig,
     attack_factory=_build_saddns,
     world_defaults=_saddns_world_defaults,
     default_qname=_default_qname,
-))
+)
 
-FRAGDNS = register_method(MethodSpec(
+FRAGDNS = MethodSpec(
     name="FragDNS",
-    aliases=("frag", "fragdns", "fragmentation"),
+    aliases=("frag", "fragmentation"),
     config_cls=FragDnsConfig,
     attack_factory=_build_fragdns,
     world_defaults=_fragdns_world_defaults,
     default_qname=_frag_qname,
-))
+)
+
+ALL_METHODS = (HIJACKDNS, SADDNS, FRAGDNS)
+
+#: Every canonical name and alias, case-folded, to its methodology.
+_METHODS = {key.lower(): spec for spec in ALL_METHODS
+           for key in (spec.name, *spec.aliases)}
+
+
+def resolve_method(name: str) -> MethodSpec:
+    """Look up a methodology by canonical name or alias."""
+    spec = _METHODS.get(name.lower())
+    if spec is None:
+        known = ", ".join(available_methods())
+        raise ScenarioError(
+            f"unknown attack method {name!r}; registered: {known}")
+    return spec
+
+
+def available_methods() -> list[str]:
+    """Canonical names of the three methodologies."""
+    return sorted(spec.name for spec in ALL_METHODS)

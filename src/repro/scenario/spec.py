@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterable
 
-from repro.apps.driver import AppDriver, AppSpec, AppStageResult
+from repro.apps.driver import AppDriver, AppSpec, AppStageResult, \
+    resolve_driver
 from repro.attacks.base import AttackResult, OffPathAttacker
 from repro.attacks.trigger import (
     CallableTrigger,
@@ -185,10 +186,10 @@ class ScenarioRun:
 class AttackScenario:
     """Everything needed to run one poisoning attack, as plain data.
 
-    ``method`` is a registry name (``"HijackDNS"``, ``"SadDNS"``,
+    ``method`` is a method name (``"HijackDNS"``, ``"SadDNS"``,
     ``"FragDNS"`` or an alias like ``"hijack"``/``"frag"``); the other
     fields override the standard testbed and the attack defaults.  Any
-    field left at its default is filled in by the method's registered
+    field left at its default is filled in by the method's world
     defaults (e.g. a SadDNS scenario gets a rate-limited nameserver, a
     FragDNS scenario a global-IP-ID nameserver and the long qname whose
     answer spills into the second fragment).
@@ -363,8 +364,6 @@ class AttackScenario:
         app_ctx = None
         runtime = self
         if self.app_spec is not None:
-            from repro.apps.driver import resolve_driver
-
             app_driver = resolve_driver(self.app_spec.app)
             if spec.name not in app_driver.methods:
                 raise ScenarioError(

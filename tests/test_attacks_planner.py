@@ -1,7 +1,5 @@
 """Tests for triggers and the Table 1 applicability planner."""
 
-import pytest
-
 from repro.attacks.planner import (
     AttackPlanner,
     TargetProfile,
@@ -10,7 +8,6 @@ from repro.attacks.trigger import (
     CallableTrigger,
     OpenResolverTrigger,
     SpoofedClientTrigger,
-    TimerPrediction,
 )
 from repro.core.rng import DeterministicRNG
 from repro.testbed import RESOLVER_IP, SERVICE_IP, standard_testbed
@@ -109,12 +106,3 @@ class TestTriggers:
         assert calls == [("vict.im", "A")]
         assert trigger.cadence() == 60.0
         assert trigger.style == "bounce"
-
-    def test_timer_prediction_window(self):
-        prediction = TimerPrediction(period=500.0, last_observed=100.0)
-        start, end = prediction.next_window(now=700.0)
-        assert start < 1100.0 <= end or (start, end) == (1099.5, 1100.5)
-
-    def test_timer_prediction_requires_positive_period(self):
-        with pytest.raises(ValueError):
-            TimerPrediction(period=0.0, last_observed=0.0).next_window(1.0)

@@ -460,13 +460,6 @@ _FLOOD_CELLS = {
 _GARBAGE_TAIL = b"\x81\x80\x00\x01\x00\x00\x00\x00\x00\x00\xff"
 
 
-def _fixed_port():
-    from repro.dns.resolver import ResolverConfig
-
-    return ResolverConfig(allowed_clients=["30.0.0.0/24"],
-                          port_policy="fixed")
-
-
 def _use_0x20():
     from repro.dns.resolver import ResolverConfig
 
@@ -489,10 +482,6 @@ _SWEEP_CASES = {
                                         [("ns", (-40, 40), "probe")]),
     "port-already-closed": (None, [("ns", (0, 1), "forged"),
                                    ("ns", (-100, 100), "forged")]),
-    "fixed-port-after-accept": (_fixed_port,
-                                [("ns", (-100, 100), "forged")]),
-    "fixed-port-finished": (_fixed_port, [("ns", (0, 1), "forged"),
-                                          ("ns", (-100, 100), "forged")]),
     "0x20-case-reject": (_use_0x20, [("ns", (-100, 100), "forged")]),
     "malformed-tail": (None, [("ns", (-100, 100), "garbage"),
                               ("other", (-100, 100), "garbage")]),
@@ -506,8 +495,6 @@ _SWEEP_EXPECT = {
     "txid-above-sweep": {"rejected_txid": 200},
     "probe-batch-open-port-mid-batch": {},
     "port-already-closed": {"resolutions": 1},
-    "fixed-port-after-accept": {"rejected_txid": 100, "resolutions": 1},
-    "fixed-port-finished": {"resolutions": 1},
     "0x20-case-reject": {"rejected_case": 1, "rejected_txid": 199},
     "malformed-tail": {},
 }

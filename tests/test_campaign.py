@@ -51,8 +51,6 @@ class TestCampaignRun:
         assert summary.runs == 4
         assert summary.mean_packets == 2
         assert summary.packets_percentile(0.99) == 2
-        assert result.packet_percentiles()["p50"] == 2
-        assert result.duration_percentiles()["p50"] > 0
         assert "HijackDNS" in result.describe()
 
     def test_seeds_may_be_strings(self):

@@ -11,7 +11,6 @@ class TestEventLog:
         log.record(2.0, "attacker", "probe.sent", "z")
         assert len(log) == 3
         assert log.count("probe") == 3
-        assert len(log.by_actor("attacker")) == 2
 
     def test_kind_prefix_matching(self):
         log = EventLog()

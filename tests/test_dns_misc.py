@@ -125,3 +125,9 @@ class TestImplementationPresets:
     def test_config_overrides(self):
         config = BIND_9_14.make_config(open_to_world=True, timeout=9.0)
         assert config.open_to_world and config.timeout == 9.0
+
+    def test_config_overrides_name_real_fields(self):
+        config = BIND_9_14.make_config(edns_udp_size=512)
+        assert config.edns_udp_size == 512
+        with pytest.raises(TypeError):
+            BIND_9_14.make_config(no_such_field=False)

@@ -210,16 +210,6 @@ class TestDeduplication:
         assert len(results) == 2
         assert all(r.ok for r in results)
 
-    def test_dedup_disabled(self):
-        bed, resolver, _stub = build_bed(
-            ResolverConfig(allowed_clients=["30.0.0.0/24"],
-                           dedup_inflight=False))
-        results = []
-        resolver.resolve("vict.im", TYPE_A, results.append)
-        resolver.resolve("vict.im", TYPE_A, results.append)
-        bed.run()
-        assert len(results) == 2
-
 
 class TestPortPolicy:
     def test_random_ports_differ_across_resolutions(self):
@@ -238,14 +228,6 @@ class TestPortPolicy:
         stub.lookup("vict.im", "A")
         stub.lookup("multi.vict.im", "A")
         assert len(ports) >= 2
-
-    def test_fixed_port_reused(self):
-        bed, resolver, stub = build_bed(
-            ResolverConfig(allowed_clients=["30.0.0.0/24"],
-                           port_policy="fixed", fixed_port=2053))
-        stub.lookup("vict.im", "A")
-        stub.lookup("multi.vict.im", "A")
-        assert 2053 in resolver.host.open_ports()
 
 
 class TestTruncation:

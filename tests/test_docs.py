@@ -23,19 +23,22 @@ IMPORT = re.compile(
 
 
 def readme_blocks():
+    """Every ```` ```python ```` block of README.md, named by its ordinal
+    so that an edit above a block does not rename its test."""
     text = (ROOT / "README.md").read_text()
-    for match in re.finditer(r"^```python\n(.*?)^```", text, re.S | re.M):
-        line = text.count("\n", 0, match.start()) + 1
-        yield f"README.md:{line}", match.group(1)
+    matches = re.finditer(r"^```python\n(.*?)^```", text, re.S | re.M)
+    for ordinal, match in enumerate(matches, 1):
+        yield f"README.md#{ordinal}", match.group(1)
 
 
 def docstring_blocks():
-    """Every ``::`` literal block of a ``src/repro/**/__init__.py`` docstring."""
+    """Every ``::`` literal block of a ``src/repro/**/__init__.py``
+    docstring, named by its ordinal in the file."""
     for path in sorted((ROOT / "src" / "repro").rglob("__init__.py")):
         module = ast.parse(path.read_text())
         lines = (ast.get_docstring(module, clean=False) or "").splitlines()
         where = path.relative_to(ROOT / "src")
-        index = 0
+        index = ordinal = 0
         while index < len(lines):
             line = lines[index]
             index += 1
@@ -47,7 +50,8 @@ def docstring_blocks():
                     not lines[index].strip()
                     or len(lines[index]) - len(lines[index].lstrip()) > indent):
                 index += 1
-            yield (f"{where}:{start}",
+            ordinal += 1
+            yield (f"{where}#{ordinal}",
                    textwrap.dedent("\n".join(lines[start:index])))
 
 
@@ -83,7 +87,7 @@ BLOCKS = [(where, code)
 
 
 def test_blocks_are_found():
-    files = {where.rsplit(":", 1)[0] for where, _ in BLOCKS}
+    files = {where.rsplit("#", 1)[0] for where, _ in BLOCKS}
     assert {"README.md", "repro/__init__.py", "repro/atlas/__init__.py",
             "repro/obs/__init__.py", "repro/scenario/__init__.py"} <= files
 
