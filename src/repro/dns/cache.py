@@ -14,7 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 from repro.dns import names
-from repro.dns.records import QTYPE_ANY, ResourceRecord, TYPE_CNAME
+from repro.dns.records import (
+    QTYPE_ANY,
+    ResourceRecord,
+    TYPE_CNAME,
+    group_rrsets,
+)
 
 
 @dataclass
@@ -95,8 +100,6 @@ class DnsCache:
         Records outside ``bailiwick`` are rejected (and counted), exactly
         as RFC 2181 trust rules demand.
         """
-        from repro.dns.records import group_rrsets
-
         accepted = 0
         for rrset in group_rrsets(records):
             if bailiwick is not None and not names.is_subdomain(

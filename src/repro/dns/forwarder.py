@@ -38,11 +38,9 @@ class Forwarder:
 
     def __init__(self, host: Host, upstream: str,
                  cache_responses: bool = True,
-                 open_to_world: bool = True,
                  rng: DeterministicRNG | None = None):
         self.host = host
         self.upstream = upstream
-        self.open_to_world = open_to_world
         self.cache = DnsCache() if cache_responses else None
         self.rng = rng if rng is not None else DeterministicRNG(host.name)
         self.stats = ForwarderStats()

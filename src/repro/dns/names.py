@@ -10,14 +10,24 @@ into entropy the attacker must guess.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.core.rng import DeterministicRNG
 
 MAX_NAME_LENGTH = 255
 MAX_LABEL_LENGTH = 63
 
 
+@lru_cache(maxsize=4096)
 def normalise(name: str) -> str:
-    """Canonical lowercase form without the trailing dot."""
+    """Canonical lowercase form without the trailing dot.
+
+    Memoised in a bounded LRU table: a loaded resolver canonicalises
+    the same few dozen names hundreds of thousands of times (cache
+    keys, bailiwick tests, name comparisons).  Sharing the table
+    across resolvers, worlds and threads is safe because the result
+    depends on the immutable argument alone.
+    """
     return name.rstrip(".").lower()
 
 
@@ -41,8 +51,12 @@ def validate(name: str) -> None:
             raise ValueError(f"label too long in {name!r}: {label!r}")
 
 
+@lru_cache(maxsize=4096)
 def is_subdomain(name: str, ancestor: str) -> bool:
     """True if ``name`` equals or lies under ``ancestor`` (bailiwick test).
+
+    Memoised like :func:`normalise`, for the same reason: cache
+    inserts and referrals ask it about the same few pairs per query.
 
     >>> is_subdomain("ns1.vict.im", "vict.im")
     True
@@ -88,7 +102,7 @@ def case_entropy_bits(name: str) -> int:
 
 def same_name(a: str, b: str) -> bool:
     """Case-insensitive name equality."""
-    return normalise(a) == normalise(b)
+    return a == b or normalise(a) == normalise(b)
 
 
 def case_matches(query_name: str, response_name: str) -> bool:

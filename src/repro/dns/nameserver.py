@@ -96,10 +96,11 @@ class AuthoritativeServer:
                 self.host.now):
             self.stats.rate_limited += 1
             return  # muted: this is the window SadDNS races inside
-        response = self.build_response(query, via_tcp=False, client=src)
+        response, wire = self._respond(query, via_tcp=False)
         self.stats.responses += 1
-        self.socket.sendto(src, datagram.sport, encode_message(response),
-                           df=False)
+        if wire is None:
+            wire = encode_message(response)
+        self.socket.sendto(src, datagram.sport, wire, df=False)
 
     def _on_stream(self, payload: bytes, src: str) -> bytes | None:
         try:
@@ -116,17 +117,23 @@ class AuthoritativeServer:
     def build_response(self, query: DnsMessage, via_tcp: bool = False,
                        client: str = "") -> DnsMessage:
         """Construct the authoritative answer for ``query``."""
+        return self._respond(query, via_tcp)[0]
+
+    def _respond(self, query: DnsMessage,
+                 via_tcp: bool) -> tuple[DnsMessage, bytes | None]:
+        """The answer for ``query``, and its UDP wire form when the size
+        check already encoded it (``None`` otherwise)."""
         response = query.reply_skeleton()
         response.authoritative = True
         question = query.question
         if question is None:
             response.rcode = RCODE_NOTIMP
-            return response
+            return response, None
         zone = self.zones.zone_for(question.name)
         if zone is None:
             response.rcode = RCODE_REFUSED
             self.stats.refused += 1
-            return response
+            return response, None
         delegation = zone.delegation_for(question.name)
         if delegation is not None:
             child, ns_records = delegation
@@ -153,7 +160,13 @@ class AuthoritativeServer:
         return self._finish(response, query, via_tcp)
 
     def _finish(self, response: DnsMessage, query: DnsMessage,
-                via_tcp: bool) -> DnsMessage:
+                via_tcp: bool) -> tuple[DnsMessage, bytes | None]:
+        """Randomise record order if configured, then size a UDP answer.
+
+        A UDP response is encoded once, to compare its size with the
+        client's buffer; those bytes are returned for sending, so the
+        common (untruncated) answer is never encoded twice.
+        """
         if self.config.randomize_record_order:
             # Response randomisation (§6.1): rotate records *and* jitter
             # the answer TTLs per response.  Pure rrset rotation alone
@@ -168,20 +181,23 @@ class AuthoritativeServer:
                                         - self.rng.randint(0, 255)))
                 for record in response.answers
             ]
-        if not via_tcp:
-            limit = min(
-                MAX_UDP_RESPONSE,
-                query.edns_udp_size if query.edns_udp_size else 512,
-            )
-            if len(encode_message(response)) > limit:
-                # Too big for the client's buffer: truncate so it retries
-                # over TCP.  (Fragmentation happens at the IP layer when
-                # the *path* is too small, not here.)
-                response.answers.clear()
-                response.authority.clear()
-                response.additional.clear()
-                response.truncated = True
-        return response
+        if via_tcp:
+            return response, None
+        limit = min(
+            MAX_UDP_RESPONSE,
+            query.edns_udp_size if query.edns_udp_size else 512,
+        )
+        wire = encode_message(response)
+        if len(wire) > limit:
+            # Too big for the client's buffer: truncate so it retries
+            # over TCP.  (Fragmentation happens at the IP layer when
+            # the *path* is too small, not here.)
+            response.answers.clear()
+            response.authority.clear()
+            response.additional.clear()
+            response.truncated = True
+            wire = encode_message(response)
+        return response, wire
 
     # -- attack-surface helpers ----------------------------------------------
 

@@ -15,6 +15,7 @@ victim applications later consume poisoned records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.core.clock import TimerHandle
@@ -42,12 +43,20 @@ from repro.dns.records import (
     TYPE_RRSIG,
 )
 from repro.dns.wire import decode_message, encode_message, well_formed
+from repro.netsim.addresses import ip_in_prefix
 from repro.netsim.host import Host, UdpSocket
 from repro.netsim.packet import TxidSweep, UdpDatagram
 
 DNS_PORT = 53
 
 ResolveCallback = Callable[["ResolutionResult"], None]
+
+
+@lru_cache(maxsize=1024)
+def _in_any_prefix(prefixes: tuple[str, ...], address: str) -> bool:
+    """True if ``address`` lies in one of ``prefixes`` (memoised: a
+    resolver's ACL and its clients repeat for every query)."""
+    return any(ip_in_prefix(address, prefix) for prefix in prefixes)
 
 
 @dataclass
@@ -399,7 +408,7 @@ class _Resolution:
         now = resolver.host.now
         child = names.normalise(ns_records[0].name)
         if not names.is_subdomain(child, self.bailiwick) \
-                or names.normalise(child) == self.bailiwick:
+                or child == self.bailiwick:
             # Upward or sideways referral: treat as lame, try next server.
             self.server_index += 1
             self._send_query()
@@ -548,12 +557,16 @@ class RecursiveResolver:
     # -- client-facing service -------------------------------------------------
 
     def _client_allowed(self, src: str) -> bool:
-        if self.config.open_to_world:
-            return True
-        from repro.netsim.addresses import ip_in_prefix
+        """The client ACL verdict for ``src``.
 
-        return any(ip_in_prefix(src, prefix)
-                   for prefix in self.config.allowed_clients)
+        The prefix match is memoised on the allowed prefixes as they
+        stand now and the source, so reassigning or mutating
+        ``config.allowed_clients`` (or flipping ``open_to_world``)
+        takes effect at the next query.
+        """
+        config = self.config
+        return config.open_to_world \
+            or _in_any_prefix(tuple(config.allowed_clients), src)
 
     def _on_client_query(self, datagram: UdpDatagram, src: str,
                          dst: str) -> None:

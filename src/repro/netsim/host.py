@@ -224,7 +224,8 @@ class Host:
 
         Ephemeral selection is uniform over 1024-65535 excluding bound
         ports, matching RFC 6056 algorithm 1 — the randomisation whose
-        entropy SadDNS strips away.
+        entropy SadDNS strips away.  An explicit port outside 0-65535
+        raises ``ValueError`` here rather than at the first send.
         """
         if local_ip is None:
             local_ip = self.address
@@ -239,6 +240,8 @@ class Host:
                     break
             else:
                 raise RuntimeError("ephemeral port space exhausted")
+        elif not 0 <= port <= 0xFFFF:
+            raise ValueError(f"UDP port out of range: {port}")
         if port in self._sockets:
             raise ValueError(f"port {port} already bound on {self.name}")
         socket = UdpSocket(self, local_ip, port, handler)
@@ -268,8 +271,9 @@ class Host:
         through fragmentation (or is dropped, under DF).
         """
         ident = self.ipid.next_id(dst)
-        if IPV4_HEADER_LEN + UDP_HEADER_LEN + len(payload) \
-                > self.path_mtu(dst):
+        # Only a learned PMTU can lower the MTU below the interface's.
+        mtu = self.path_mtu(dst) if self._pmtu_cache else self.config.mtu
+        if IPV4_HEADER_LEN + UDP_HEADER_LEN + len(payload) > mtu:
             self._transmit(make_udp_packet(
                 src=src_ip, dst=dst, sport=sport, dport=dport,
                 payload=payload, ident=ident, df=df,

@@ -4,7 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.dns.message import RCODE_NOERROR, RCODE_NXDOMAIN, make_query
+from repro.dns.message import (
+    RCODE_NOERROR,
+    RCODE_NXDOMAIN,
+    RCODE_REFUSED,
+    make_query,
+)
 from repro.dns.records import TYPE_A, TYPE_CNAME, TYPE_MX, rr_a, rr_cname
 from repro.dns.resolver import ResolverConfig, _Resolution
 from repro.dns.stub import StubResolver
@@ -88,6 +93,34 @@ class TestAclAndService:
         outsider = bed.make_host("outsider", "99.0.0.1")
         outsider_stub = StubResolver(outsider, "30.0.0.1")
         assert outsider_stub.lookup("vict.im", "A").ok
+
+    def test_acl_follows_config_changes(self):
+        # The ACL verdict is memoised; a config change between two
+        # queries must still flip it, both ways.
+        bed, resolver, stub = build_bed()
+        outsider = bed.make_host("outsider", "99.0.0.1")
+        outsider_stub = StubResolver(outsider, "30.0.0.1")
+        config = resolver.config
+
+        def served() -> bool:
+            answer = outsider_stub.lookup("vict.im", "A")
+            assert answer.ok or answer.rcode == RCODE_REFUSED
+            return answer.ok
+
+        assert not served()
+        config.allowed_clients = ["30.0.0.0/24", "99.0.0.0/24"]
+        assert served()
+        config.allowed_clients = ["30.0.0.0/24"]
+        assert not served()
+        config.allowed_clients.append("99.0.0.0/8")
+        assert served()
+        config.allowed_clients.pop()
+        assert not served()
+        config.open_to_world = True
+        assert served()
+        config.open_to_world = False
+        assert not served()
+        assert resolver.stats.client_refused == 4
 
 
 class TestCodecErrors:

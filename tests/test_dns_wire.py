@@ -26,7 +26,12 @@ from repro.dns.records import (
     rr_srv,
     rr_txt,
 )
-from repro.dns.wire import decode_message, encode_message, response_size
+from repro.dns.wire import (
+    decode_message,
+    encode_message,
+    response_size,
+    well_formed,
+)
 
 label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789",
                 min_size=1, max_size=12)
@@ -135,6 +140,25 @@ class TestRecordRoundtrip:
         assert decoded.question.name == name
 
 
+@st.composite
+def mutated_messages(draw):
+    """An encoded query or response with a few bytes overwritten, and
+    perhaps cut short."""
+    name = draw(hostname)
+    txid = draw(st.integers(min_value=0, max_value=0xFFFF))
+    message = make_query(name, TYPE_A, txid)
+    if draw(st.booleans()):
+        message = message.reply_skeleton()
+        message.answers.append(rr_a(name, "9.8.7.6", ttl=60))
+        message.authority.append(rr_ns(name, "ns1." + name))
+    data = bytearray(encode_message(message))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        index = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        data[index] = draw(st.integers(min_value=0, max_value=0xFF))
+    cut = draw(st.integers(min_value=0, max_value=len(data)))
+    return bytes(data[:cut]) if draw(st.booleans()) else bytes(data)
+
+
 class TestRobustness:
     def test_truncated_header(self):
         with pytest.raises(WireFormatError):
@@ -158,6 +182,23 @@ class TestRobustness:
             decode_message(blob)
         except WireFormatError:
             pass
+
+    @given(st.one_of(st.binary(max_size=120), mutated_messages()))
+    @settings(max_examples=300)
+    def test_well_formed_matches_decode_and_header(self, blob):
+        """``well_formed`` is true exactly when a decode succeeds, and a
+        decoded message's QR bit and TXID are its header bytes, so a
+        receiver that checks ``well_formed`` can read both from the
+        bytes instead of decoding."""
+        checked = well_formed(blob)
+        try:
+            message = decode_message(blob)
+        except WireFormatError:
+            assert not checked
+            return
+        assert checked and well_formed(blob)
+        assert message.is_response == bool(blob[2] & 0x80)
+        assert message.txid == (blob[0] << 8) | blob[1]
 
     def test_response_size_helper(self):
         query = make_query("vict.im", TYPE_A, txid=1)

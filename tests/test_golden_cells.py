@@ -1,4 +1,4 @@
-"""Golden fingerprints of four small simulator cells.
+"""Golden fingerprints of five small simulator cells.
 
 The benchmark checks only each workload's verdicts and counts; these
 digests pin everything else a cell leaves behind, so a change to the
@@ -51,6 +51,10 @@ def _cells():
         "hijackdns-under-load": (
             replace(sweep_scenarios()[0], workload=_BENCH_LOAD),
             "golden-hijack-load"),
+        "fragdns-dnssec-under-load": (
+            replace(sweep_scenarios()[1], workload=_BENCH_LOAD,
+                    defenses=DefenseStack.of("dnssec")),
+            "golden-frag-dnssec-load"),
     }
 
 
@@ -63,6 +67,8 @@ GOLDEN = {
         "b52f6152b8a3fbb0bb6ff61d4ce9fa7ae4b22dbe365965972910463c065fa4a7",
     "hijackdns-under-load":
         "99ac57f141aa93bc9d204d661a1e083022a6f21991743705bbf56fb79b3342c0",
+    "fragdns-dnssec-under-load":
+        "ffac34e14917868936825963b640eb7ab4826ac3fc222bd328bad50156e0dad5",
 }
 
 

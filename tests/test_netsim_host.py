@@ -56,6 +56,13 @@ class TestSockets:
         with pytest.raises(ValueError):
             a.open_udp(1000)
 
+    @pytest.mark.parametrize("port", [-5, 65536, 70000])
+    def test_out_of_range_port_rejected_at_bind(self, port):
+        _net, a, _b = two_hosts()
+        with pytest.raises(ValueError, match="out of range"):
+            a.open_udp(port)
+        assert port not in a.open_ports()
+
     def test_closed_socket_releases_port(self):
         _net, a, _b = two_hosts()
         socket = a.open_udp(1000)
